@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .data import DataError, SplitSpec, load_movielens, load_svmlight, make_dataset, split
 from .gradients import GradientOperator
-from .losses import MULTICLASS_LOSSES
+from .losses import LOSSES, MULTICLASS_LOSSES
 from .mcrank import build_ordinal, evaluate_ranking, expected_relevance, fit_mcrank
 from .models import accuracy, load_model, outputs, predict_class, save_model
 from .refit import FistaConfig
@@ -22,7 +22,6 @@ from .selection import OracleLimitError, SelectConfig, compare_methods, f_value
 from .solver import ConfigError, SolverConfig, fit, fit_path
 
 SEP_CHOICES = {"tab": "\t", "::": "::"}
-LOSS_CHOICES = ("logistic", "smoothed-hinge", "squared-hinge", "binary-logistic", "squared")
 
 
 class UsageError(Exception):
@@ -53,7 +52,7 @@ def _add_train_flags(p):
     p.add_argument("--lambda", dest="lam", type=float, default=1e-3)
     p.add_argument("--k-max", type=int, default=30)
     p.add_argument("--refit", choices=("output", "full"), default="output")
-    p.add_argument("--loss", choices=LOSS_CHOICES, default=None,
+    p.add_argument("--loss", choices=LOSSES, default=None,
                    help="default: logistic, or binary-logistic with --mcrank")
     p.add_argument("--mcrank", action="store_true",
                    help="train the ordinal multi-output reduction on ratings")

@@ -30,12 +30,10 @@ class RankingGroups:
         group_ids = np.asarray(group_ids)
         ratings = np.asarray(ratings)
         order = np.argsort(group_ids, kind="stable")
-        triples = []
-        for gid in np.unique(group_ids):
-            idx = order[np.searchsorted(group_ids[order], gid, side="left"):
-                        np.searchsorted(group_ids[order], gid, side="right")]
-            triples.append((gid, idx, ratings[idx]))
-        return RankingGroups(groups=tuple(triples))
+        gids, starts = np.unique(group_ids[order], return_index=True)
+        ends = np.append(starts[1:], order.size)
+        return RankingGroups(groups=tuple((gid, order[a:b], ratings[order[a:b]])
+                                          for gid, a, b in zip(gids, starts, ends)))
 
 
 def build_ordinal(ds: Dataset) -> Dataset:

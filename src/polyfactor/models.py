@@ -14,6 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
+from .losses import LOSSES
+from .penalties import PENALTIES
+
 MODEL_KINDS = ("pn", "fm")
 ROW_NORM_SLACK = 1e-9
 
@@ -53,6 +56,8 @@ def check_model(model: Model) -> None:
         raise ValueError(f"unknown model kind {model.kind!r}")
     if model.H.shape[0] != model.V.shape[0]:
         raise ValueError(f"H has {model.H.shape[0]} rows but V has {model.V.shape[0]}")
+    if not (np.isfinite(model.H).all() and np.isfinite(model.V).all()):
+        raise ValueError("H or V has non-finite entries")
     if model.k:
         norms = np.linalg.norm(model.H, axis=1)
         worst = norms.max()
@@ -145,6 +150,12 @@ def load_model(path) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     k, d, m = int(doc["k"]), int(doc["d"]), int(doc["m"])
+    if doc["loss"] not in LOSSES:
+        raise ValueError(f"unknown loss {doc['loss']!r}; expected one of {LOSSES}")
+    if doc["penalty"] not in PENALTIES:
+        raise ValueError(f"unknown penalty {doc['penalty']!r}; expected one of {PENALTIES}")
+    if doc["label_map"] and len(doc["label_map"]) < m:
+        raise ValueError(f"label_map has {len(doc['label_map'])} entries for {m} outputs")
     model = Model(
         kind=doc["kind"],
         H=np.asarray(doc["H"], dtype=np.float64).reshape(k, d),

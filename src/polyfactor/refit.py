@@ -69,6 +69,8 @@ def _fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, cfg: Fista
                     break
                 L *= 2.0
             cand_obj = smooth_value(cand) + nonsmooth_value(cand)
+            if not np.isfinite(cand_obj):
+                raise FloatingPointError(f"non-finite objective {cand_obj} at a FISTA candidate")
             if cand_obj <= obj + 1e-12 * max(abs(obj), 1.0) or restarted:
                 break
             # momentum overshot: restart from the last accepted point

@@ -6,10 +6,8 @@ validation and returns the best (lambda, iteration) pair.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -146,21 +144,13 @@ def support_check(model: Model, ds: Dataset, iterations: int) -> dict:
             "within_bound": model.k <= bound}
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("POLYFACTOR_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def fit_path(train: Dataset, valid: Dataset, cfg: SolverConfig, lam_grid=None,
              metric_fn=None, higher_is_better: bool = True):
     """Fit one model per regularization weight, validating after every
     iteration, and return the best (lambda, iteration) model plus a report.
 
     ``metric_fn(model, dataset) -> float`` defaults to classification
-    accuracy. Lambda values run independently (thread count capped by the
-    POLYFACTOR_THREADS environment variable).
+    accuracy. Lambda values run one after another, in grid order.
     """
     lams = tuple(float(l) for l in lam_grid) if lam_grid is not None else (cfg.lam,)
     if not lams:
@@ -179,12 +169,7 @@ def fit_path(train: Dataset, valid: Dataset, cfg: SolverConfig, lam_grid=None,
         model, trace = fit(train, replace(cfg, lam=lam), iteration_hook=hook)
         return snaps, trace
 
-    workers = min(_max_workers(), len(lams))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run_one, lams))
-    else:
-        runs = [run_one(lam) for lam in lams]
+    runs = [run_one(lam) for lam in lams]
 
     sign = 1.0 if higher_is_better else -1.0
     best = None  # (signed metric, lam, t, model)

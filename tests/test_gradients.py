@@ -19,6 +19,34 @@ def eq8_direct(op, h, c):
     return total
 
 
+# (n, d, m, assembled) on each side of the backend rule m*d^2 <= nnz(X)
+SHAPES = [(5, 4, 3, False), (40, 4, 3, True)]
+
+
+def shaped_operator(rng, shape, kind):
+    n, d, m, assembled = shape
+    op, _ = random_operator(rng, n, d, m, kind=kind, density=0.7)
+    assert (op.G is not None) == assembled
+    return op
+
+
+class TestBackend:
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_rule_boundary(self, kind, rng):
+        # dense 6 x 3 X has nnz = m d^2 = 18 with m = 2; one row fewer does not
+        for n, assembled in [(6, True), (5, False)]:
+            ds = make_dataset(rng.standard_normal((n, 3)), np.ones(n, dtype=np.int64), 2)
+            assert (GradientOperator(ds, kind).G is not None) == assembled
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_new_gradients_reassemble(self, kind, rng):
+        op = shaped_operator(rng, SHAPES[1], kind)
+        op.set_gradients(rng.standard_normal((op.n, op.m)))
+        h = rng.standard_normal(op.d)
+        for c in range(op.m):
+            assert np.abs(op.matvec(c, h) - op.dense_matrix(c) @ h).max() < 1e-12
+
+
 class TestRefresh:
     def test_empty_logistic_model_gives_centered_softmax(self, rng):
         n, d, m = 12, 4, 5
@@ -75,8 +103,8 @@ class TestMatvec:
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_matches_dense_assembly(self, kind, rng):
-        for _ in range(25):
-            op, _ = random_operator(rng, 5, 4, 3, kind=kind, density=0.7)
+        for shape in SHAPES * 25:
+            op = shaped_operator(rng, shape, kind)
             for c in range(3):
                 M = op.dense_matrix(c)
                 h = rng.standard_normal(4)
@@ -106,11 +134,12 @@ class TestMatvec:
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_weighted_matvec_is_weighted_sum(self, kind, rng):
-        op, _ = random_operator(rng, 9, 5, 4, kind=kind)
-        h = rng.standard_normal(5)
-        w = rng.standard_normal(4)
-        expected = sum(w[c] * op.matvec(c, h) for c in range(4))
-        assert np.allclose(op.weighted_matvec(w, h), expected, atol=1e-12)
+        for shape in SHAPES:
+            op = shaped_operator(rng, shape, kind)
+            h = rng.standard_normal(4)
+            w = rng.standard_normal(3)
+            expected = sum(w[c] * (op.dense_matrix(c) @ h) for c in range(3))
+            assert np.allclose(op.weighted_matvec(w, h), expected, rtol=1e-12, atol=1e-12)
 
 
 class TestGradRow:
@@ -142,11 +171,13 @@ class TestGradRow:
                 assert abs(g[c] - direct) <= 1e-10 * max(1.0, abs(direct))
 
     def test_quad_values_match_dense_quadratic_forms(self, rng):
-        op, _ = random_operator(rng, 7, 4, 3, kind="fm")
-        h = rng.standard_normal(4)
-        q = op.quad_values(h)
-        for c in range(3):
-            assert q[c] == pytest.approx(h @ op.dense_matrix(c) @ h, rel=1e-10)
+        for kind in ("pn", "fm"):
+            for shape in SHAPES:
+                op = shaped_operator(rng, shape, kind)
+                h = rng.standard_normal(4)
+                q = op.quad_values(h)
+                for c in range(3):
+                    assert q[c] == pytest.approx(h @ op.dense_matrix(c) @ h, rel=1e-10)
 
 
 class TestChainRule:

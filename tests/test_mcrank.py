@@ -145,6 +145,18 @@ class TestMetrics:
             v = ndcg_at(groups, rng.standard_normal(30), 5)
             assert 0.0 <= v <= 1.0
 
+    def test_groups_match_bruteforce(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(0, 60))
+            ids = rng.integers(-5, 6, size=n) * 1000  # unsorted, negative, sparse ids
+            ratings = rng.integers(1, 6, size=n)
+            groups = RankingGroups.from_ids(ids, ratings).groups
+            expected = [(gid, np.flatnonzero(ids == gid)) for gid in sorted(set(ids.tolist()))]
+            assert [g for g, _, _ in groups] == [g for g, _ in expected]
+            for (_, idx, r), (_, want) in zip(groups, expected):
+                assert np.array_equal(idx, want)
+                assert np.array_equal(r, ratings[want])
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             rmse(np.zeros(0), np.zeros(0))

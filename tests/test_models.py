@@ -179,3 +179,37 @@ class TestValidation:
         model.V = model.V[:-1]
         with pytest.raises(ValueError):
             check_model(model)
+
+    @pytest.mark.parametrize("field", ["H", "V"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, field, bad, rng):
+        model = random_model(rng, "pn")
+        getattr(model, field)[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_model(model)
+
+
+class TestLoadValidation:
+    def write(self, tmp_path, rng, **changes):
+        import json
+
+        doc = json.loads(model_to_json(random_model(rng, "pn", m=3)))
+        doc.update(changes)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_valid_file_loads(self, tmp_path, rng):
+        assert load_model(self.write(tmp_path, rng, label_map=[1, 2, 7])).m == 3
+
+    def test_unknown_loss_rejected(self, tmp_path, rng):
+        with pytest.raises(ValueError, match="unknown loss"):
+            load_model(self.write(tmp_path, rng, loss="hinge"))
+
+    def test_unknown_penalty_rejected(self, tmp_path, rng):
+        with pytest.raises(ValueError, match="unknown penalty"):
+            load_model(self.write(tmp_path, rng, penalty="l0"))
+
+    def test_short_label_map_rejected(self, tmp_path, rng):
+        with pytest.raises(ValueError, match="label_map"):
+            load_model(self.write(tmp_path, rng, label_map=[1, 2]))

@@ -7,6 +7,7 @@ from polyfactor.losses import loss_values
 from polyfactor.models import Model, hidden_activations, outputs
 from polyfactor.refit import (
     FistaConfig,
+    _fista,
     penalized_objective,
     prune,
     refit_full,
@@ -176,3 +177,18 @@ class TestPrune:
         model, ds = make_problem(rng, lam=1e9)
         refitted, _ = refit_output(model, ds, CFG)
         assert prune(refitted).k == 0
+
+
+class TestFista:
+    def test_nan_candidate_objective_raises(self):
+        # finite at the start only: NaN fails both acceptance comparisons and
+        # must raise, not slip into the trace
+        calls = []
+
+        def smooth_value(x):
+            calls.append(1)
+            return 1.0 if len(calls) == 1 else float("nan")
+
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            _fista((np.array([1.0, -2.0]),), smooth_value, lambda x: (x[0],),
+                   lambda x, step: x, lambda x: 0.0, FistaConfig(max_iter=5))

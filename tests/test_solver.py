@@ -161,15 +161,6 @@ class TestFitPath:
         with pytest.raises(ConfigError, match="decreasing"):
             fit_path(tr, va, small_config(), lam_grid=(0.01, 0.1))
 
-    def test_parallel_matches_sequential(self, rng, monkeypatch):
-        tr, va = self.two_way(120, 18)
-        cfg = small_config(penalty="l1l2", k_max=3, seed=5)
-        seq = fit_path(tr, va, cfg, lam_grid=(0.1, 0.01, 0.001))
-        monkeypatch.setenv("POLYFACTOR_THREADS", "3")
-        par = fit_path(tr, va, cfg, lam_grid=(0.1, 0.01, 0.001))
-        assert seq[1] == par[1]
-        assert np.array_equal(seq[0].H, par[0].H)
-
 
 class TestConfigValidation:
     def test_bad_values_rejected(self):
