@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,7 +24,8 @@ class Dataset:
     file labels live in ``label_map`` (position c-1 = original label of
     class c). ``Y``, when present, is a {-1,+1} sign matrix of shape (n, m).
     ``group_ids`` carries a per-row ranking-group id (the user index for
-    MovieLens loads).
+    MovieLens loads). ``X2`` is X∘X (entrywise square, for the FM terms),
+    built on first use and kept for the dataset's lifetime.
     """
 
     X: sp.csr_matrix
@@ -41,6 +43,12 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def X2(self) -> sp.csr_matrix:
+        X2 = self.X.multiply(self.X).tocsr()
+        _freeze(X2)
+        return X2
 
     def __post_init__(self):
         _freeze(self.X)

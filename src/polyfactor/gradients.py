@@ -1,18 +1,29 @@
-"""Matrix-free negative-gradient machinery for basis selection.
+"""Negative-gradient operators for basis selection.
 
-For each output c there is an implicit symmetric d x d operator built from
-the design matrix and the current per-sample loss gradients D (n x m):
+For each output c there is a symmetric d x d operator built from the design
+matrix and the current per-sample loss gradients D (n x m):
 
-    PN:  A_c h = X^T (D[:, c] * (X h))
-    FM:  A_c h = 0.5 * (X^T (D[:, c] * (X h)) - S[:, c] * h)
+    PN:  A_c = X^T diag(D[:, c]) X
+    FM:  A_c = 0.5 * (X^T diag(D[:, c]) X - diag(S[:, c]))
 
-with S[j, c] = sum_i D[i, c] x_{ij}^2 (the FM diagonal correction). The row
-of the negative objective gradient indexed by a candidate basis vector h is
-g_h with g_{h,c} = -h^T A_c h.
+with S[j, c] = sum_i D[i, c] x_{ij}^2 (the FM diagonal correction, which
+cancels the diagonal of X^T diag(D[:, c]) X exactly). The row of the
+negative objective gradient indexed by a candidate basis vector h is g_h
+with g_{h,c} = -h^T A_c h.
 
-When the m stacked d x d operators take no more entries than X has
-nonzeros (m d^2 <= nnz(X)), each refresh assembles them once and every apply
-is a small dense product; otherwise the applies stay matrix-free, O(nnz) each.
+The operators are stored in one of three ways, chosen from X alone:
+
+- ``dense``: an (m, d, d) stack, when it has no more entries than X has
+  nonzeros (m d^2 <= nnz(X); small dense X such as the vowel-shaped set);
+- ``sparse``: an (m d, d) CSR stack on the sparsity pattern of X^T X, when
+  the rows' feature pairs number at most 2 nnz(X) (one-hot rows, such as
+  user/item ratings with two nonzeros per row);
+- ``free``: matrix-free applies, O(nnz(X)) each, for everything else.
+
+Both stored forms come from one pair map M built with the operator: each
+row i contributes its feature pairs (a, b) with weight x_ia x_ib (FM: a != b
+only, halved) to the entry (a, b), so every refresh fills all m operators
+with the single product M @ D.
 """
 
 from __future__ import annotations
@@ -24,83 +35,125 @@ from .losses import loss_gradients, targets_for
 from .models import outputs
 
 
+def _row_pairs(X: sp.csr_matrix, kind: str):
+    """Every row's feature pairs: (key, row, weight) with key = a d + b for
+    the pair (a, b) and weight x_ia x_ib (FM: a != b only, halved)."""
+    n, d = X.shape
+    r = np.diff(X.indptr)
+    row_of = np.repeat(np.arange(n), r)     # row of each stored entry
+    width = r[row_of]
+    # pair entry e with each entry f of its row
+    e = np.repeat(np.arange(X.nnz), width)
+    f = np.arange(e.size) - np.repeat(np.cumsum(width) - width - X.indptr[row_of], width)
+    rows = row_of[e]
+    a, b = X.indices[e].astype(np.int64), X.indices[f]
+    w = X.data[e] * X.data[f]
+    if kind == "fm":
+        keep = a != b
+        a, b, w, rows = a[keep], b[keep], 0.5 * w[keep], rows[keep]
+    return a * d + b, rows, w
+
+
 class GradientOperator:
-    """Implicit per-output quadratic forms over a fixed Dataset.
+    """Per-output quadratic forms over a fixed Dataset.
 
     ``refresh`` recomputes the loss-gradient diagonals from a model;
-    everything else is read-only and cheap. ``G`` holds the assembled
-    (m, d, d) operator stack when it fits in X's footprint, else None.
+    everything else is read-only and cheap. ``storage`` names how the
+    operators are held (``dense``, ``sparse`` or ``free``, see the module
+    docstring); for the stored forms ``stack @ h`` gives every A_c h at once
+    and ``blocks[c]`` is A_c.
     """
 
     def __init__(self, ds, kind: str, n_outputs: int | None = None):
         if kind not in ("pn", "fm"):
             raise ValueError(f"unknown model kind {kind!r}")
+        X = ds.X
+        if not X.has_canonical_format:
+            X = X.copy()
+            X.sum_duplicates()
         self.ds = ds
         self.kind = kind
-        self.X = ds.X
-        self.XT = ds.X.T.tocsr()
-        self.n, self.d = ds.X.shape
+        self.X = X
+        self.n, self.d = X.shape
         self.m = ds.m if n_outputs is None else int(n_outputs)
-        self.X2 = ds.X.multiply(ds.X).tocsr() if kind == "fm" else None
         self.D = np.zeros((self.n, self.m))
-        self.S = np.zeros((self.d, self.m)) if kind == "fm" else None
-        self.G = np.zeros((self.m, self.d, self.d)) \
-            if self.m * self.d * self.d <= self.X.nnz else None
+        r = np.diff(X.indptr).astype(np.int64)
+        pairs = int(r @ r) if kind == "pn" else int(r @ (r - 1))
+        if self.m * self.d * self.d <= X.nnz:
+            self.storage = "dense"
+        elif pairs <= 2 * X.nnz:
+            self.storage = "sparse"
+        else:
+            self.storage = "free"
+        self.stack = None
+        if self.storage == "free":
+            self.XT = X.T.tocsr()
+        elif self.storage == "dense":
+            # the pair map: (M @ D)[a d + b, c] is entry (a, b) of A_c
+            keys, rows, w = _row_pairs(X, kind)
+            self.M = sp.csr_matrix((w, (keys, rows)), shape=(self.d * self.d, self.n))
+        else:
+            # the same on the slots of X^T X's pattern, in row-major order
+            keys, rows, w = _row_pairs(X, kind)
+            slots, slot_of = np.unique(keys, return_inverse=True)
+            self.M = sp.csr_matrix((w, (slot_of.ravel(), rows)), shape=(slots.size, self.n))
+            indptr = np.searchsorted(slots, np.arange(self.d + 1) * self.d)
+            self._block = sp.csr_matrix((np.ones(slots.size), slots % self.d, indptr),
+                                        shape=(self.d, self.d))
+            self._stacked = sp.vstack([self._block] * self.m, format="csr")
+        self.set_gradients(self.D)
 
     def refresh(self, model, loss: str | None = None) -> None:
         """Recompute D from the model's outputs and the loss gradients."""
         loss = model.loss if loss is None else loss
-        O = outputs(model, self.X)
+        O = outputs(model, self.X, self.ds.X2 if model.kind == "fm" else None)
         self.set_gradients(loss_gradients(loss, targets_for(loss, self.ds), O))
 
     def set_gradients(self, D: np.ndarray) -> None:
-        """Install loss-gradient diagonals directly (updates FM and Gram caches)."""
+        """Install loss-gradient diagonals directly (updates the stored operators)."""
         D = np.asarray(D, dtype=np.float64)
         if D.shape != (self.n, self.m):
             raise ValueError(f"D has shape {D.shape}, expected {(self.n, self.m)}")
         self.D = D
-        if self.kind == "fm":
-            self.S = np.asarray(self.X2.T @ D)
-        if self.G is not None:
-            self.G = self._assemble(D)
+        if self.storage == "free":
+            if self.kind == "fm":
+                self.S = np.asarray(self.ds.X2.T @ D)
+        elif self.storage == "dense":
+            self.stack = np.ascontiguousarray((self.M @ D).T).reshape(self.m, self.d, self.d)
+            self.blocks = self.stack
+        else:
+            vals = np.ascontiguousarray((self.M @ D).T)
+            B, P = self._stacked, self._block
+            self.stack = sp.csr_matrix((vals.ravel(), B.indices, B.indptr), shape=B.shape)
+            self.blocks = [sp.csr_matrix((v, P.indices, P.indptr), shape=P.shape)
+                           for v in vals]
 
-    def _assemble(self, D: np.ndarray) -> np.ndarray:
-        """Stack of A_c for every output, from one sparse product."""
-        n, d, m = self.n, self.d, self.m
-        X = self.X
-        rows = np.repeat(np.arange(n), np.diff(X.indptr))
-        # Z[i, j*m + c] = x_ij * D[i, c], so (X^T Z)[a, b*m + c] = (X^T diag(D_c) X)[a, b]
-        Z = sp.csr_matrix(((X.data[:, None] * D[rows]).ravel(),
-                           (X.indices[:, None] * m + np.arange(m)).ravel(),
-                           X.indptr * m), shape=(n, d * m))
-        G = np.ascontiguousarray((self.XT @ Z).toarray().reshape(d, d, m).transpose(2, 0, 1))
-        if self.kind == "fm":
-            G[:, np.arange(d), np.arange(d)] -= self.S.T
-            G *= 0.5
-        return G
+    def apply_all(self, h: np.ndarray) -> np.ndarray:
+        """Every output's operator applied to one vector: row c is A_c h."""
+        if self.stack is not None:
+            return (self.stack @ h).reshape(self.m, self.d)
+        T = (self.XT @ (self.D * (self.X @ h)[:, None])).T
+        if self.kind == "pn":
+            return T
+        return 0.5 * (T - self.S.T * h)
 
     def matvec(self, c: int, h: np.ndarray) -> np.ndarray:
         """Apply the output-c operator to a vector."""
-        if self.G is not None:
-            return self.G[c] @ h
+        if self.stack is not None:
+            return self.blocks[c] @ h
         t = self.XT @ (self.D[:, c] * (self.X @ h))
         if self.kind == "pn":
             return t
         return 0.5 * (t - self.S[:, c] * h)
 
     def weighted_matvec(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Apply sum_c w_c A_c to a vector in one pass over X."""
-        if self.G is not None:
-            return w @ (self.G @ h)
-        t = self.XT @ ((self.D @ w) * (self.X @ h))
-        if self.kind == "pn":
-            return t
-        return 0.5 * (t - (self.S @ w) * h)
+        """Apply sum_c w_c A_c to a vector."""
+        return w @ self.apply_all(h)
 
     def quad_values(self, h: np.ndarray) -> np.ndarray:
         """All per-output quadratic forms h^T A_c h as a length-m vector."""
-        if self.G is not None:
-            return self.G @ h @ h
+        if self.stack is not None:
+            return self.apply_all(h) @ h
         z = self.X @ h
         t = (z * z) @ self.D
         if self.kind == "pn":
@@ -112,9 +165,9 @@ class GradientOperator:
         return -self.quad_values(h)
 
     def dense_matrix(self, c: int) -> np.ndarray:
-        """Materialized d x d operator; test/oracle use only (small d)."""
+        """Materialized d x d operator, built from X; test/oracle use only (small d)."""
         Xd = self.X.toarray()
         M = Xd.T @ (self.D[:, c][:, None] * Xd)
         if self.kind == "pn":
             return M
-        return 0.5 * (M - np.diag(self.S[:, c]))
+        return 0.5 * (M - np.diag((Xd * Xd).T @ self.D[:, c]))

@@ -82,23 +82,25 @@ def activation(kind: str, h: np.ndarray, x) -> float:
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def hidden_activations(kind: str, H: np.ndarray, X) -> np.ndarray:
-    """Activation matrix Phi (n x k): Phi[i, r] = sigma(h_r, x_i)."""
-    Z = X @ H.T
-    Z = np.asarray(Z)
+def hidden_activations(kind: str, H: np.ndarray, X, X2=None, Z=None) -> np.ndarray:
+    """Activation matrix Phi (n x k): Phi[i, r] = sigma(h_r, x_i).
+
+    FM reads X∘X from ``X2`` when given (``Dataset.X2`` caches it) and
+    squares X otherwise; ``Z`` passes X H^T when the caller already has it.
+    """
+    Z = np.asarray(X @ H.T if Z is None else Z)
     if kind == "pn":
         return Z * Z
     if kind == "fm":
-        if sp.issparse(X):
-            X2 = X.multiply(X)
-        else:
-            X2 = np.asarray(X) ** 2
+        if X2 is None:
+            X2 = X.multiply(X) if sp.issparse(X) else np.asarray(X) ** 2
         return 0.5 * (Z * Z - np.asarray(X2 @ (H * H).T))
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def outputs(model: Model, X) -> np.ndarray:
-    """Model outputs (n x m); the empty model returns zeros."""
+def outputs(model: Model, X, X2=None) -> np.ndarray:
+    """Model outputs (n x m); the empty model returns zeros. ``X2`` as in
+    ``hidden_activations``."""
     if sp.issparse(X) or np.asarray(X).ndim == 2:
         n = X.shape[0]
     else:
@@ -106,7 +108,7 @@ def outputs(model: Model, X) -> np.ndarray:
         n = 1
     if model.k == 0:
         return np.zeros((n, model.m))
-    return hidden_activations(model.kind, model.H, X) @ model.V
+    return hidden_activations(model.kind, model.H, X, X2) @ model.V
 
 
 def predict_class(model: Model, X) -> np.ndarray:

@@ -31,7 +31,7 @@ class FistaConfig:
 
 def penalized_objective(model: Model, ds) -> float:
     """Total training loss plus lam * Omega(V)."""
-    O = outputs(model, ds.X)
+    O = outputs(model, ds.X, ds.X2 if model.kind == "fm" else None)
     targets = targets_for(model.loss, ds)
     return float(loss_values(model.loss, targets, O).sum()) + \
         model.lam * penalty_value(model.penalty, model.V)
@@ -94,7 +94,8 @@ def refit_output(model: Model, ds, cfg: FistaConfig) -> tuple[Model, list[float]
     """Convex re-fit of V over the fixed basis (penalized, warm-started)."""
     if model.k == 0:
         return model, [penalized_objective(model, ds)]
-    Phi = hidden_activations(model.kind, model.H, ds.X)
+    Phi = hidden_activations(model.kind, model.H, ds.X,
+                             ds.X2 if model.kind == "fm" else None)
     targets = targets_for(model.loss, ds)
     lam = model.lam
 
@@ -120,22 +121,19 @@ def refit_full(model: Model, ds, cfg: FistaConfig) -> tuple[Model, list[float]]:
     if model.k == 0:
         return model, [penalized_objective(model, ds)]
     X = ds.X
-    X2 = X.multiply(X).tocsr() if model.kind == "fm" else None
+    X2 = ds.X2 if model.kind == "fm" else None
     targets = targets_for(model.loss, ds)
     lam = model.lam
 
     def smooth_value(x):
         V, H = x
-        O = hidden_activations(model.kind, H, X) @ V
+        O = hidden_activations(model.kind, H, X, X2) @ V
         return float(loss_values(model.loss, targets, O).sum())
 
     def smooth_grad(x):
         V, H = x
         Z = np.asarray(X @ H.T)
-        if model.kind == "pn":
-            Phi = Z * Z
-        else:
-            Phi = 0.5 * (Z * Z - np.asarray(X2 @ (H * H).T))
+        Phi = hidden_activations(model.kind, H, X, X2, Z)
         G = loss_gradients(model.loss, targets, Phi @ V)
         gV = Phi.T @ G
         W = G @ V.T

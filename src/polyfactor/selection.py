@@ -198,11 +198,18 @@ def refine(op: GradientOperator, h0: np.ndarray, p: int, cfg: SelectConfig,
     steps never decrease the raw f_p, so the iterate sequence is monotone.
     For p = 1 the search direction uses a Huber-smoothed gradient while
     acceptance is still judged on the unsmoothed objective.
+
+    Each step makes one stacked apply, AD = [A_c d] for the direction d.
+    The carried AH = [A_c h] gives the gradient, every trial point is judged
+    from q(h + eta d) = q + 2 eta (AH d) + eta^2 (AD d) in O(m), and an
+    accepted step advances AH by eta AD. The returned quadratic forms are
+    recomputed from the final h.
     """
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
     h = np.asarray(h0, dtype=np.float64)
-    q = op.quad_values(h)
+    AH = op.apply_all(h)
+    q = AH @ h
     f = f_value(q, p)
     trace = [f]
     for _ in range(cfg.refine_max_iter):
@@ -210,7 +217,7 @@ def refine(op: GradientOperator, h0: np.ndarray, p: int, cfg: SelectConfig,
             w = 4.0 * q
         else:
             w = 2.0 * _huber_slope(q, cfg.huber_delta)
-        grad = op.weighted_matvec(w, h)
+        grad = w @ AH
         gnorm = np.linalg.norm(grad)
         if gnorm == 0.0:
             break
@@ -218,11 +225,13 @@ def refine(op: GradientOperator, h0: np.ndarray, p: int, cfg: SelectConfig,
         slope = float(grad @ direction)
         if slope <= 0.0:
             break
+        AD = op.apply_all(direction)
+        cross = 2.0 * (AH @ direction)
+        curve = AD @ direction
         eta = 1.0
         accepted = False
         for _ in range(cfg.armijo_max_backtracks):
-            h_new = h + eta * direction
-            q_new = op.quad_values(h_new)
+            q_new = q + eta * (cross + eta * curve)
             f_new = f_value(q_new, p)
             if f_new >= f + cfg.armijo_slope * eta * slope:
                 accepted = True
@@ -231,12 +240,15 @@ def refine(op: GradientOperator, h0: np.ndarray, p: int, cfg: SelectConfig,
         if not accepted:
             break
         improved = f_new - f
-        h, q, f = h_new, q_new, f_new
+        h = h + eta * direction
+        AH = AH + eta * AD
+        q, f = q_new, f_new
         trace.append(f)
         if improved < 1e-8 * max(abs(f), 1e-30):
             break
-    score = _score_from_quads(q, p)
-    return SelectionResult(h=h, score=score, quad_values=q, method=method, trace=trace)
+    q = op.quad_values(h)
+    return SelectionResult(h=h, score=_score_from_quads(q, p), quad_values=q,
+                           method=method, trace=trace)
 
 
 def select_group(op: GradientOperator, p: int, cfg: SelectConfig) -> SelectionResult:

@@ -77,9 +77,11 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
     Per iteration: refresh the gradient operator, select the best basis
     vector for the penalty's route, append it with a zero output row, refit
     (output layer, optionally the full model), prune dead rows and record
-    the penalized objective. Stops early when no selection scores above
-    ``stop_gap``. ``iteration_hook(t, model)``, when given, sees the pruned
-    model after every iteration.
+    the penalized objective. Stops early on the optimality certificate: the
+    selection's score is the penalty's dual norm of g_h, so once it is at
+    most lam (or ``stop_gap``) the new row would stay at zero.
+    ``iteration_hook(t, model)``, when given, sees the pruned model after
+    every iteration.
     """
     if ds.n < 1:
         raise ConfigError("cannot train on an empty dataset")
@@ -99,7 +101,7 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
                 warnings.warn("zero gradient operator at the first iteration; "
                               "returning the empty model")
             break
-        if sel.score <= cfg.stop_gap:
+        if sel.score <= max(cfg.lam, cfg.stop_gap):
             break
 
         appended = True

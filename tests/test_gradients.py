@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_operator
-from polyfactor.data import make_dataset
+from conftest import SHAPES, random_operator, shaped_operator
+from polyfactor.data import Dataset, make_dataset
 from polyfactor.gradients import GradientOperator
 from polyfactor.losses import loss_gradient, loss_values
 from polyfactor.models import Model, activation, empty_model, hidden_activations
@@ -19,32 +19,82 @@ def eq8_direct(op, h, c):
     return total
 
 
-# (n, d, m, assembled) on each side of the backend rule m*d^2 <= nnz(X)
-SHAPES = [(5, 4, 3, False), (40, 4, 3, True)]
-
-
-def shaped_operator(rng, shape, kind):
-    n, d, m, assembled = shape
-    op, _ = random_operator(rng, n, d, m, kind=kind, density=0.7)
-    assert (op.G is not None) == assembled
-    return op
+def oracle_matrix(Xd, D, c, kind):
+    """A_c from a dense X, independent of the operator's own copy of X."""
+    M = Xd.T @ (D[:, c][:, None] * Xd)
+    if kind == "pn":
+        return M
+    return 0.5 * (M - np.diag((Xd * Xd).T @ D[:, c]))
 
 
 class TestBackend:
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_rule_boundary(self, kind, rng):
-        # dense 6 x 3 X has nnz = m d^2 = 18 with m = 2; one row fewer does not
-        for n, assembled in [(6, True), (5, False)]:
+        # dense 6 x 3 X has nnz = m d^2 = 18 with m = 2; one row fewer does
+        # not, and then its 3-nonzero rows hold more than 2 nnz(X) feature
+        # pairs for PN (r^2 = 9 > 6) but exactly 2 nnz(X) for FM (r(r-1) = 6)
+        for n, storage in [(6, "dense"), (5, "free" if kind == "pn" else "sparse")]:
             ds = make_dataset(rng.standard_normal((n, 3)), np.ones(n, dtype=np.int64), 2)
-            assert (GradientOperator(ds, kind).G is not None) == assembled
+            assert GradientOperator(ds, kind).storage == storage
+
+    @pytest.mark.parametrize("kind, width", [("pn", 2), ("fm", 3)])
+    def test_sparse_rule_boundary(self, kind, width, rng):
+        # rows of `width` nonzeros hold exactly 2 nnz(X) feature pairs
+        # (PN r^2, FM r(r-1)); widening one row by a nonzero tips it over
+        n, d, m = 10, 12, 2
+        X = np.zeros((n, d))
+        for i in range(n):
+            X[i, rng.choice(d, width, replace=False)] = 1.0 + rng.random(width)
+        y = np.ones(n, dtype=np.int64)
+        assert GradientOperator(make_dataset(X, y, m), kind).storage == "sparse"
+        X[0, np.flatnonzero(X[0] == 0.0)[0]] = 1.0
+        assert GradientOperator(make_dataset(X, y, m), kind).storage == "free"
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_new_gradients_reassemble(self, kind, rng):
-        op = shaped_operator(rng, SHAPES[1], kind)
-        op.set_gradients(rng.standard_normal((op.n, op.m)))
-        h = rng.standard_normal(op.d)
-        for c in range(op.m):
-            assert np.abs(op.matvec(c, h) - op.dense_matrix(c) @ h).max() < 1e-12
+        for shape in SHAPES[1:]:
+            op = shaped_operator(rng, shape, kind)
+            op.set_gradients(rng.standard_normal((op.n, op.m)))
+            h = rng.standard_normal(op.d)
+            for c in range(op.m):
+                assert np.abs(op.matvec(c, h) - op.dense_matrix(c) @ h).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_all_zero_design(self, kind, rng):
+        ds = make_dataset(np.zeros((6, 4)), np.ones(6, dtype=np.int64), 2)
+        op = GradientOperator(ds, kind)
+        op.set_gradients(rng.standard_normal((6, 2)))
+        assert op.storage == "sparse"
+        h = rng.standard_normal(4)
+        assert not op.apply_all(h).any()
+        assert not op.matvec(1, h).any()
+        assert not op.quad_values(h).any()
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_single_nonzero_rows(self, kind, rng):
+        n, d, m = 7, 5, 2
+        X = np.zeros((n, d))
+        X[np.arange(n), rng.integers(0, d, n)] = rng.standard_normal(n)
+        op = GradientOperator(make_dataset(X, np.ones(n, dtype=np.int64), m), kind)
+        op.set_gradients(rng.standard_normal((n, m)))
+        assert op.storage == "sparse"
+        h = rng.standard_normal(d)
+        for c in range(m):
+            assert np.abs(op.matvec(c, h) - oracle_matrix(X, op.D, c, kind) @ h).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_non_canonical_csr(self, kind, rng):
+        # duplicate and unsorted column indices, bypassing make_dataset
+        X = sp.csr_matrix((rng.standard_normal(6), np.array([3, 1, 3, 0, 2, 0]),
+                           np.array([0, 3, 6])), shape=(2, 4))
+        ds = Dataset(X=X, y=np.ones(2, dtype=np.int64), m=2, label_map=(1, 2))
+        op = GradientOperator(ds, kind)
+        op.set_gradients(rng.standard_normal((2, 2)))
+        assert op.storage == "sparse"
+        h = rng.standard_normal(4)
+        for c in range(2):
+            assert np.abs(op.matvec(c, h) - oracle_matrix(X.toarray(), op.D, c, kind) @ h).max() \
+                < 1e-12
 
 
 class TestRefresh:
@@ -105,10 +155,20 @@ class TestMatvec:
     def test_matches_dense_assembly(self, kind, rng):
         for shape in SHAPES * 25:
             op = shaped_operator(rng, shape, kind)
-            for c in range(3):
+            for c in range(op.m):
                 M = op.dense_matrix(c)
-                h = rng.standard_normal(4)
+                h = rng.standard_normal(op.d)
                 assert np.abs(op.matvec(c, h) - M @ h).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_apply_all_stacks_every_output(self, kind, rng):
+        for shape in SHAPES:
+            op = shaped_operator(rng, shape, kind)
+            h = rng.standard_normal(op.d)
+            stacked = op.apply_all(h)
+            assert stacked.shape == (op.m, op.d)
+            for c in range(op.m):
+                assert np.abs(stacked[c] - op.dense_matrix(c) @ h).max() < 1e-12
 
     def test_fm_dense_form_disambiguation(self, rng):
         # dense FM operator equals (X^T D_c X - sum_i D_ic diag(x_i)^2) / 2
@@ -136,9 +196,9 @@ class TestMatvec:
     def test_weighted_matvec_is_weighted_sum(self, kind, rng):
         for shape in SHAPES:
             op = shaped_operator(rng, shape, kind)
-            h = rng.standard_normal(4)
-            w = rng.standard_normal(3)
-            expected = sum(w[c] * (op.dense_matrix(c) @ h) for c in range(3))
+            h = rng.standard_normal(op.d)
+            w = rng.standard_normal(op.m)
+            expected = sum(w[c] * (op.dense_matrix(c) @ h) for c in range(op.m))
             assert np.allclose(op.weighted_matvec(w, h), expected, rtol=1e-12, atol=1e-12)
 
 
@@ -174,9 +234,9 @@ class TestGradRow:
         for kind in ("pn", "fm"):
             for shape in SHAPES:
                 op = shaped_operator(rng, shape, kind)
-                h = rng.standard_normal(4)
+                h = rng.standard_normal(op.d)
                 q = op.quad_values(h)
-                for c in range(3):
+                for c in range(op.m):
                     assert q[c] == pytest.approx(h @ op.dense_matrix(c) @ h, rel=1e-10)
 
 

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from polyfactor.data import make_dataset
+from polyfactor.gradients import GradientOperator
 from polyfactor.losses import loss_values
 from polyfactor.models import Model, hidden_activations, outputs
 from polyfactor.refit import (
@@ -158,6 +159,30 @@ class TestFullRefit:
         refitted, trace = refit_full(noisy, ds, CFG)
         assert trace[-1] <= before
         assert penalized_objective(refitted, ds) <= before
+
+
+class TestFeatureSquares:
+    def test_fm_squares_built_once_per_dataset(self, rng, monkeypatch):
+        # every FM refit, objective and gradient refresh reads the dataset's X∘X
+        model, ds = make_problem(rng, kind="fm", n=15)
+        calls = []
+        square = ds.X.multiply
+        monkeypatch.setattr(ds.X, "multiply", lambda other: calls.append(1) or square(other))
+        refit_full(model, ds, FistaConfig(max_iter=20))
+        refit_output(model, ds, FistaConfig(max_iter=20))
+        penalized_objective(model, ds)
+        op = GradientOperator(ds, "fm")
+        assert op.storage == "free"
+        op.refresh(model)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_cached_squares_are_bit_identical(self, kind, rng):
+        model, ds = make_problem(rng, kind=kind)
+        assert ds.X2 is ds.X2
+        assert np.array_equal(hidden_activations(kind, model.H, ds.X, ds.X2),
+                              hidden_activations(kind, model.H, ds.X))
+        assert np.array_equal(outputs(model, ds.X, ds.X2), outputs(model, ds.X))
 
 
 class TestPrune:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_operator
+from conftest import SHAPES, random_operator, shaped_operator
 from polyfactor.data import make_dataset
 from polyfactor.gradients import GradientOperator
 from polyfactor.losses import loss_gradients
@@ -105,7 +105,56 @@ class TestSelectL1:
         assert res.degenerate
 
 
+def reference_refine(op, h0, p, cfg):
+    """The refinement recursion with every trial point's quadratic forms
+    recomputed by quad_values; returns (final h, accepted objective trace)."""
+    h = h0
+    q = op.quad_values(h)
+    f = f_value(q, p)
+    trace = [f]
+    for _ in range(cfg.refine_max_iter):
+        w = 4.0 * q if p == 2 else 2.0 * np.clip(q / cfg.huber_delta, -1.0, 1.0)
+        grad = op.weighted_matvec(w, h)
+        gnorm = np.linalg.norm(grad)
+        if gnorm == 0.0:
+            break
+        direction = grad / gnorm - h
+        slope = float(grad @ direction)
+        if slope <= 0.0:
+            break
+        eta = 1.0
+        for _ in range(cfg.armijo_max_backtracks):
+            q_new = op.quad_values(h + eta * direction)
+            f_new = f_value(q_new, p)
+            if f_new >= f + cfg.armijo_slope * eta * slope:
+                break
+            eta *= cfg.armijo_shrink
+        else:
+            break
+        improved = f_new - f
+        h, q, f = h + eta * direction, q_new, f_new
+        trace.append(f)
+        if improved < 1e-8 * max(abs(f), 1e-30):
+            break
+    return h, trace
+
+
 class TestRefine:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_matches_recomputing_reference(self, kind, p, rng):
+        for shape in SHAPES * 4:
+            op = shaped_operator(rng, shape, kind)
+            h0 = rng.standard_normal(op.d)
+            h0 /= np.linalg.norm(h0)
+            res = refine(op, h0, p, CFG)
+            _, ref_trace = reference_refine(op, h0, p, CFG)
+            assert len(res.trace) == len(ref_trace)
+            assert np.all(np.diff(res.trace) >= 0.0)
+            f = f_value(res.quad_values, p)
+            assert abs(f - ref_trace[-1]) <= 1e-10 * abs(ref_trace[-1])
+            assert np.array_equal(res.quad_values, op.quad_values(res.h))
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_monotone_and_feasible(self, p, rng):
         for seed in range(8):

@@ -50,6 +50,19 @@ class TestFit:
         base = float(loss_values("logistic", ds.y, np.zeros((ds.n, 3))).sum())
         assert trace[-1].objective == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.parametrize("penalty", ["l1", "l1l2", "l1linf"])
+    def test_certificate_stops_at_first_selection(self, penalty):
+        # lambda above the first selection score: the new row would stay at
+        # zero, so fit stops at once instead of re-selecting it k_max times
+        ds = make_multiclass(40, 5, 3, seed=1)
+        _, first = fit(ds, small_config(penalty=penalty, lam=1e-6, k_max=1))
+        lam = 1.5 * first[1].score
+        seen = []
+        model, trace = fit(ds, small_config(penalty=penalty, lam=lam, k_max=10),
+                           iteration_hook=lambda t, m: seen.append(t))
+        assert model.k == 0
+        assert seen == [] and trace[-1].t == 0
+
     def test_trace_objective_non_increasing(self, rng):
         ds = make_multiclass(60, 6, 4, seed=2)
         for penalty in ("l1", "l1l2", "l1linf"):
