@@ -19,7 +19,7 @@ from .mcrank import build_ordinal, evaluate_ranking, expected_relevance, fit_mcr
 from .models import accuracy, load_model, outputs, predict_class, save_model
 from .refit import FistaConfig
 from .selection import OracleLimitError, SelectConfig, compare_methods, f_value
-from .solver import ConfigError, SolverConfig, fit, fit_path
+from .solver import ConfigError, SolverConfig, _one_operator, fit, fit_path, lambda_max
 
 SEP_CHOICES = {"tab": "\t", "::": "::"}
 
@@ -57,7 +57,8 @@ def _add_train_flags(p):
     p.add_argument("--mcrank", action="store_true",
                    help="train the ordinal multi-output reduction on ratings")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.01, help="power-method tolerance")
+    p.add_argument("--eps", type=float, default=0.01,
+                   help="basis-selection eigenpair tolerance in (0,1)")
     p.add_argument("--stop-gap", type=float, default=1e-7)
     p.add_argument("--fista-max-iter", type=int, default=1000)
     p.add_argument("--fista-tol", type=float, default=1e-3)
@@ -213,19 +214,9 @@ def _metric_fn(name: str):
 
 
 def _auto_lambda_grid(ds, cfg: SolverConfig, points: int = 10):
-    """Log grid anchored at the weight that zeroes the first selected atom."""
-    from .gradients import GradientOperator
-    from .losses import output_count
-    from .models import empty_model
-    from .penalties import dual_norm
-    from .selection import select_l1
-
-    m_out = output_count(cfg.loss, ds)
-    model = empty_model(cfg.model, ds.d, m_out, cfg.loss, cfg.penalty, cfg.lam)
-    op = GradientOperator(ds, cfg.model, n_outputs=m_out)
-    op.refresh(model)
-    sel = select_l1(op, cfg.select)
-    top = dual_norm(cfg.penalty, sel.quad_values[None, :])
+    """Log grid from lambda_max, the weight at which the first selected atom
+    stays at zero, down to 1/1000 of it."""
+    top = lambda_max(ds, cfg)
     if not np.isfinite(top) or top <= 0:
         raise UsageError("cannot derive a lambda grid from a zero gradient")
     return tuple(np.geomspace(top, top * 1e-3, points))
@@ -243,14 +234,15 @@ def cmd_path(args) -> int:
     train_ds, valid_ds, _ = split(ds, spec)
     if args.mcrank:
         train_ds = build_ordinal(train_ds)
-    if args.lambdas == "auto":
-        lams = _auto_lambda_grid(train_ds, _solver_config(args, loss))
-    else:
-        lams = [float(v) for v in args.lambdas.split(",")]
     metric, higher = _metric_fn(args.metric)
     cfg = _solver_config(args, loss)
-    model, report = fit_path(train_ds, valid_ds, cfg, lam_grid=lams,
-                             metric_fn=metric, higher_is_better=higher)
+    with _one_operator(train_ds, cfg):
+        if args.lambdas == "auto":
+            lams = _auto_lambda_grid(train_ds, cfg)
+        else:
+            lams = [float(v) for v in args.lambdas.split(",")]
+        model, report = fit_path(train_ds, valid_ds, cfg, lam_grid=lams,
+                                 metric_fn=metric, higher_is_better=higher)
     save_model(model, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -1,8 +1,11 @@
 """Basis-vector selection: approximately maximize ||g_h||_p over the unit ball.
 
-The l1 route runs one power method per output and keeps the best quadratic
-form. The group routes (p = 2 or 1) start from that l1 winner and refine it
-by a normalized-gradient recursion with Armijo backtracking, which never
+Every route starts from the two ends of each output's spectrum: the top and
+bottom eigenpairs of A_c. Dense-stored operators get them exactly from one
+batched eigh over the (m, d, d) stack; sparse and matrix-free operators from
+a seeded Lanczos run with full reorthogonalisation. The l1 route keeps the
+largest quadratic form. The group routes (p = 2 or 1) refine every end by a
+normalized-gradient recursion with Armijo backtracking, which never
 decreases the objective f_p. An exhaustive sign-pattern eigensolver provides
 the exact optimum for small output counts, plus two cheap baselines for
 method comparisons.
@@ -24,8 +27,8 @@ class OracleLimitError(ValueError):
 
 @dataclass(frozen=True)
 class SelectConfig:
-    eps: float = 0.01                 # power-method tolerance in (0, 1)
-    power_max_iter: int = 300
+    eps: float = 0.01                 # eigenpair tolerance in (0, 1)
+    power_max_iter: int = 300         # Lanczos step cap
     refine_max_iter: int = 100
     armijo_slope: float = 1e-4
     armijo_shrink: float = 0.5
@@ -36,6 +39,8 @@ class SelectConfig:
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0,1), got {self.eps}")
+        if self.power_max_iter < 1:
+            raise ValueError(f"power_max_iter must be at least 1, got {self.power_max_iter}")
         if not 0.0 < self.armijo_slope <= 0.5:
             raise ValueError(f"armijo slope must be in (0, 0.5], got {self.armijo_slope}")
         if not 0.0 < self.armijo_shrink < 1.0:
@@ -75,111 +80,72 @@ def _seeded_unit_vector(d: int, seed_key) -> np.ndarray:
     return v / nrm
 
 
-def _radius_estimate(op, c, h, eps, max_iter):
-    """Power iteration on the squared operator: ||A h|| rises monotonically
-    to the spectral radius. The geometric tail still ahead is projected from
-    successive increments; the loop stops once that projection drops below
-    eps/8 of the current value."""
-    rho_hat = 0.0
-    prev = None
-    prev_inc = None
-    for it in range(max_iter):
-        v = op.matvec(c, h)
-        rho = float(np.linalg.norm(v))
-        if rho == 0.0:
-            break
-        rho_hat = max(rho_hat, rho)
-        w = op.matvec(c, v / rho)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        done = False
-        if prev is not None and it >= 12:
-            inc = rho - prev
-            if abs(inc) < 1e-15 * rho:
-                done = True
-            elif prev_inc is not None and 0.0 < inc < prev_inc:
-                ratio = inc / prev_inc
-                done = inc * ratio / (1.0 - ratio) <= 0.05 * eps * rho
-            prev_inc = inc
-        elif prev is not None:
-            prev_inc = rho - prev
-        prev = rho
-        h = w / nw
-        if done:
-            break
-    return rho_hat, h
+def _lanczos_ends(op: GradientOperator, c: int, cfg: SelectConfig):
+    """Top and bottom Ritz pairs of the output-c operator.
 
-
-def _power_candidates(op: GradientOperator, c: int, cfg: SelectConfig):
-    """Eigenvector candidates at both ends of the output-c spectrum.
-
-    Plain power iteration stalls arbitrarily far from the spectral radius
-    when the extreme eigenvalues nearly cancel or the start is almost
-    orthogonal to the top eigenvector, so this runs in two stages, from two
-    independent seeded starts each: first the squared-operator iteration for
-    a monotone radius estimate, then shift-separated iterations (operator
-    plus/minus the estimate) that isolate the most-positive and
-    most-negative eigenvectors. Returns ([(h, quad form)...], degenerate);
-    the flag marks an identically-zero operator.
+    Lanczos with full reorthogonalisation from a seeded start. It stops once
+    both end Ritz residuals beta_k |s_k| are at most 0.05 eps max|theta|, or
+    when the Krylov space is exhausted, after at most min(d, power_max_iter)
+    steps. Returns ((h_top, theta_top), (h_bottom, theta_bottom), degenerate).
     """
-    starts = [_seeded_unit_vector(op.d, (cfg.seed, c, run)) for run in (0, 1)]
-    rho_hat = 0.0
-    warm = []
-    for h0 in starts:
-        rho_run, h_run = _radius_estimate(op, c, h0, cfg.eps, cfg.power_max_iter)
-        rho_hat = max(rho_hat, rho_run)
-        warm.append(h_run)
-    if rho_hat == 0.0:
-        return [(starts[0], 0.0)], True
+    steps = min(op.d, cfg.power_max_iter)
+    Q = np.empty((steps, op.d))           # Lanczos vectors, one per row
+    T = np.zeros((steps, steps))          # their tridiagonal projection of A_c
+    Q[0] = _seeded_unit_vector(op.d, (cfg.seed, c, 0))
+    for k in range(steps):
+        w = op.matvec(c, Q[k])
+        T[k, k] = Q[k] @ w
+        basis = Q[:k + 1]
+        for _ in range(2):  # twice is enough for orthogonality to rounding
+            w = w - basis.T @ (basis @ w)
+        beta = np.linalg.norm(w)
+        theta, S = np.linalg.eigh(T[:k + 1, :k + 1])
+        tol = 0.05 * cfg.eps * max(abs(theta[0]), abs(theta[-1]))
+        if k + 1 == steps or beta * max(abs(S[k, 0]), abs(S[k, -1])) <= tol:
+            break
+        Q[k + 1] = w / beta
+        T[k + 1, k] = T[k, k + 1] = beta
+    ends = []
+    for j in (-1, 0):
+        h = basis.T @ S[:, j]
+        ends.append((h / np.linalg.norm(h), float(theta[j])))
+    return ends[0], ends[1], not theta.any()
 
-    candidates = []
-    best_h, best_q = starts[0], 0.0
-    for h0 in warm:
-        for sign in (1.0, -1.0):
-            h = h0
-            q = 0.0
-            for _ in range(cfg.power_max_iter):
-                Ah = op.matvec(c, h)
-                q = float(h @ Ah)
-                if abs(q) > abs(best_q):
-                    best_h, best_q = h, q
-                v = sign * Ah + rho_hat * h
-                shifted = sign * q + rho_hat
-                if np.linalg.norm(v - shifted * h) <= 0.025 * cfg.eps * abs(shifted):
-                    break  # settled on an eigenvector of this end of the spectrum
-                nrm = np.linalg.norm(v)
-                if nrm == 0.0:
-                    break
-                h = v / nrm
-            candidates.append((h, q))
-    candidates.append((best_h, best_q))
-    # the two starts usually converge to the same ends; drop the copies
-    distinct = []
-    for h, q in candidates:
-        if all(abs(h @ g) < 1.0 - 1e-6 for g, _ in distinct):
-            distinct.append((h, q))
-    return distinct, False
+
+def _spectrum_ends(op: GradientOperator, cfg: SelectConfig, outputs=None):
+    """Per output: ((h_top, q_top), (h_bottom, q_bottom), degenerate).
+
+    q is h^T A_c h, the eigenvalue; degenerate marks an operator whose
+    eigenvalues are all zero. Dense storage takes one batched eigh over the
+    stored Grams; the other storages run Lanczos on the output's matvec.
+    """
+    outputs = range(op.m) if outputs is None else outputs
+    if op.storage != "dense":
+        return [_lanczos_ends(op, c, cfg) for c in outputs]
+    vals, vecs = np.linalg.eigh(op.stack[list(outputs)])
+    vecs = vecs.transpose(0, 2, 1).copy()  # row j is the j-th eigenvector
+    return [((V[-1], float(lam[-1])), (V[0], float(lam[0])), not lam.any())
+            for lam, V in zip(vals, vecs)]
 
 
 def power_method(op: GradientOperator, c: int, cfg: SelectConfig) -> tuple[np.ndarray, float, bool]:
-    """Best dominant-magnitude eigenpair estimate of the output-c operator.
+    """Dominant-magnitude eigenpair of the output-c operator.
 
     Returns (unit vector, quadratic-form value, degenerate flag); the value
     certifies (1 - eps) of the spectral radius.
     """
-    candidates, degenerate = _power_candidates(op, c, cfg)
-    h, q = max(candidates, key=lambda cand: abs(cand[1]))
+    top, bottom, degenerate = _spectrum_ends(op, cfg, [c])[0]
+    h, q = max(top, bottom, key=lambda end: abs(end[1]))
     return h, q, degenerate
 
 
 def select_l1(op: GradientOperator, cfg: SelectConfig) -> SelectionResult:
-    """Best single-output quadratic form: one power method per output."""
+    """Best single-output quadratic form over both spectrum ends of every output."""
     best_h, best_val = None, -1.0
-    for c in range(op.m):
-        h, val, _ = power_method(op, c, cfg)
-        if abs(val) > best_val:
-            best_h, best_val = h, abs(val)
+    for top, bottom, _ in _spectrum_ends(op, cfg):
+        for h, val in (top, bottom):
+            if abs(val) > best_val:
+                best_h, best_val = h, abs(val)
     q = op.quad_values(best_h)
     degenerate = best_val == 0.0
     return SelectionResult(h=best_h, score=_score_from_quads(q, "inf"),
@@ -254,23 +220,22 @@ def refine(op: GradientOperator, h0: np.ndarray, p: int, cfg: SelectConfig,
 def select_group(op: GradientOperator, p: int, cfg: SelectConfig) -> SelectionResult:
     """Group-route selection: l1 initialization then monotone refinement.
 
-    Every spectrum-end eigenvector the per-output power methods produce is
-    refined (not just the single best), and the best refined point by f_p is
-    returned. The single-init guarantee is preserved since that init is one
-    of the candidates; the extra starts only help escape bad basins.
+    Both spectrum-end eigenvectors of every output are refined (not just
+    the single best), and the best refined point by f_p is returned. The
+    single-init guarantee is preserved since that init is one of the
+    candidates; the extra starts only help escape bad basins.
     """
     inits = []
-    for c in range(op.m):
-        candidates, degenerate = _power_candidates(op, c, cfg)
+    for top, bottom, degenerate in _spectrum_ends(op, cfg):
         if not degenerate:
-            inits.extend(candidates)
+            inits.extend((top[0], bottom[0]))
     if not inits:
         zero = select_l1(op, cfg)
         return SelectionResult(h=zero.h, score=_score_from_quads(zero.quad_values, p),
                                quad_values=zero.quad_values, method="l1+refine",
                                degenerate=True)
     distinct = []
-    for h, _ in inits:
+    for h in inits:
         if all(abs(h @ g) < 1.0 - 1e-6 for g in distinct):
             distinct.append(h)
     best = None

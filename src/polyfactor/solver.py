@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,6 +72,44 @@ def _select(op: GradientOperator, cfg: SolverConfig):
     return select_group(op, 2 if cfg.penalty == "l1l2" else 1, select_cfg)
 
 
+_shared = None  # (dataset, operator) while a _one_operator block runs
+
+
+def _operator(ds: Dataset, cfg: SolverConfig) -> GradientOperator:
+    """The gradient operator for a fit on ``ds``: the one a surrounding
+    ``_one_operator`` block holds for that dataset, else a new one."""
+    if ds.n < 1:
+        raise ConfigError("cannot train on an empty dataset")
+    m_out = output_count(cfg.loss, ds)
+    if _shared is not None and _shared[0] is ds \
+            and (_shared[1].kind, _shared[1].m) == (cfg.model, m_out):
+        return _shared[1]
+    return GradientOperator(ds, cfg.model, n_outputs=m_out)
+
+
+@contextmanager
+def _one_operator(ds: Dataset, cfg: SolverConfig):
+    """Every fit and lambda_max on ``ds`` inside the block shares one
+    operator. Each starts with a refresh, which overwrites the operator's
+    whole state, so sharing changes no result and builds the pair map once."""
+    global _shared
+    outer = _shared
+    _shared = (ds, _operator(ds, cfg))
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def lambda_max(ds: Dataset, cfg: SolverConfig) -> float:
+    """The smallest lam at which ``fit`` stops with an empty model: the
+    score of the solver's own first selection, the penalty's dual norm of
+    g_h at the empty model (0.0 for a zero gradient)."""
+    op = _operator(ds, cfg)
+    op.refresh(empty_model(cfg.model, ds.d, op.m, cfg.loss, cfg.penalty, cfg.lam))
+    return _select(op, cfg).score
+
+
 def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, list[TraceRecord]]:
     """Greedy conditional-gradient training on one dataset.
 
@@ -83,12 +122,10 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
     ``iteration_hook(t, model)``, when given, sees the pruned model after
     every iteration.
     """
-    if ds.n < 1:
-        raise ConfigError("cannot train on an empty dataset")
-    m_out = output_count(cfg.loss, ds)
+    op = _operator(ds, cfg)
+    m_out = op.m
     model = empty_model(cfg.model, ds.d, m_out, cfg.loss, cfg.penalty, cfg.lam,
                         label_map=ds.label_map, bias_augmented=ds.bias_augmented)
-    op = GradientOperator(ds, cfg.model, n_outputs=m_out)
 
     start = time.perf_counter()
     trace = [TraceRecord(t=0, objective=penalized_objective(model, ds), score=np.inf,
@@ -171,7 +208,8 @@ def fit_path(train: Dataset, valid: Dataset, cfg: SolverConfig, lam_grid=None,
         model, trace = fit(train, replace(cfg, lam=lam), iteration_hook=hook)
         return snaps, trace
 
-    runs = [run_one(lam) for lam in lams]
+    with _one_operator(train, cfg):
+        runs = [run_one(lam) for lam in lams]
 
     sign = 1.0 if higher_is_better else -1.0
     best = None  # (signed metric, lam, t, model)

@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyfactor
+from conftest import count_operators
 from polyfactor.cli import main
 from polyfactor.data import load_svmlight
 from polyfactor.models import load_model
@@ -183,6 +189,32 @@ class TestPath:
         assert len(lams) == 10
         assert lams == sorted(lams, reverse=True)
         assert lams[0] / lams[-1] == pytest.approx(1000.0, rel=1e-6)
+
+    @pytest.mark.parametrize("penalty", ["l1", "l1l2", "l1linf"])
+    def test_auto_grid_top_learns_nothing(self, penalty, svm_file, tmp_path):
+        # the grid starts at lambda_max, where the first atom stays at zero
+        report_path = tmp_path / "report.json"
+        code = run("path", "--data", svm_file, "--penalty", penalty, "--k-max", 2,
+                   "--out", tmp_path / "best.json", "--report", report_path)
+        assert code == 0
+        top = json.loads(report_path.read_text())["per_lambda"][0]
+        assert top["iterations"] == []
+
+    def test_one_operator_per_auto_path(self, svm_file, tmp_path, monkeypatch):
+        built = count_operators(monkeypatch)
+        code = run("path", "--data", svm_file, "--k-max", 2, "--out", tmp_path / "best.json")
+        assert code == 0
+        assert len(built) == 1
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # scipy.sparse.linalg alone adds ~9 MB of peak RSS to every run
+    src = str(Path(polyfactor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, polyfactor.cli; "
+            "loaded = [m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules]; "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestOracleCompare:

@@ -9,6 +9,7 @@ from polyfactor.selection import (
     OracleLimitError,
     SelectConfig,
     SelectionResult,
+    _spectrum_ends,
     baseline_best_data,
     baseline_random,
     compare_methods,
@@ -40,6 +41,20 @@ def logistic_instance(rng, n, d, m):
     op = GradientOperator(ds, "pn", n_outputs=m)
     op.set_gradients(loss_gradients("logistic", y, np.zeros((n, m))))
     return op, ds
+
+
+# (n, d, m, one_hot): n >= d (dense when m d <= n), n < d (matrix-free),
+# one-hot rows (sparse), d <= 2 shapes (sparse once m d^2 > nnz(X)), and two
+# shapes wide enough that Lanczos stops on its residual test, not on d
+STORAGE_SHAPES = [(30, 8, 1, False), (5, 12, 1, False), (6, 20, 2, False),
+                  (40, 30, 3, True), (60, 6, 1, True), (3, 2, 2, False),
+                  (1, 2, 1, False), (3, 1, 4, False),
+                  (100, 150, 1, False), (400, 200, 2, True)]
+
+
+def storage_operators(rng, kind):
+    return [(shape, random_operator(rng, *shape[:3], kind=kind, one_hot=shape[3])[0])
+            for shape in STORAGE_SHAPES]
 
 
 class TestPowerMethod:
@@ -77,6 +92,46 @@ class TestPowerMethod:
             rho = np.abs(np.linalg.eigvalsh(op.dense_matrix(0))).max()
             assert abs(val) >= (1 - cfg.eps) * rho
             assert np.linalg.norm(h) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_certificate_on_every_storage(self, kind, rng):
+        seen = set()
+        for i, (shape, op) in enumerate(storage_operators(rng, kind) * 3):
+            seen.add(op.storage)
+            cfg = SelectConfig(eps=0.01, seed=i)
+            ends = _spectrum_ends(op, cfg)
+            for c, (top, bottom, degenerate) in enumerate(ends):
+                A = op.dense_matrix(c)
+                vals = np.linalg.eigvalsh(A)
+                rho = np.abs(vals).max()
+                # the oracle rounds an FM d = 1 operator to ~1e-16, not to 0
+                tol = cfg.eps * rho + 1e-12
+                assert degenerate == (rho <= 1e-12), shape
+                for (h, q), exact in ((top, vals[-1]), (bottom, vals[0])):
+                    assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
+                    assert abs(q - h @ A @ h) <= 1e-10 * max(rho, 1.0)
+                    assert abs(q - exact) <= tol, (shape, q, exact)
+                    # both ends meet the Lanczos stop test (exact on eigh)
+                    residual = np.linalg.norm(A @ h - q * h)
+                    assert residual <= 0.05 * cfg.eps * rho * (1 + 1e-6) + 1e-12, shape
+                h, val, _ = power_method(op, c, cfg)
+                assert abs(val) >= (1 - cfg.eps) * rho - 1e-12, shape
+        assert seen == {"dense", "sparse", "free"}
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_zero_operator_degenerate_on_every_storage(self, kind, rng):
+        for shape, op in storage_operators(rng, kind):
+            op.set_gradients(np.zeros((op.n, op.m)))
+            assert all(degenerate for *_, degenerate in _spectrum_ends(op, CFG)), shape
+            assert power_method(op, 0, CFG)[2]
+            assert select_l1(op, CFG).degenerate
+            assert select_group(op, 1, CFG).degenerate
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_select_group_deterministic(self, kind, rng):
+        for shape, op in storage_operators(rng, kind):
+            a, b = select_group(op, 1, CFG), select_group(op, 1, CFG)
+            assert np.array_equal(a.h, b.h), shape
 
 
 class TestSelectL1:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import count_operators
 from polyfactor.data import make_dataset
 from polyfactor.losses import loss_values
 from polyfactor.models import accuracy, outputs
@@ -11,6 +14,7 @@ from polyfactor.solver import (
     SolverConfig,
     fit,
     fit_path,
+    lambda_max,
     support_check,
 )
 from polyfactor.synth import make_multiclass
@@ -113,6 +117,30 @@ class TestFit:
         assert trace[-1].t == 0
 
 
+class TestLambdaMax:
+    @pytest.mark.parametrize("penalty", ["l1", "l1l2", "l1linf"])
+    def test_empty_model_above_atom_below(self, penalty):
+        ds = make_multiclass(60, 6, 4, seed=3)
+        cfg = small_config(penalty=penalty, k_max=3)
+        top = lambda_max(ds, cfg)
+        assert top > 0.0
+        above, trace = fit(ds, replace(cfg, lam=top * (1 + 1e-9)))
+        assert above.k == 0 and trace[-1].t == 0
+        _, trace = fit(ds, replace(cfg, lam=0.5 * top))
+        assert trace[1].k >= 1
+
+    def test_is_the_first_selection_score(self):
+        ds = make_multiclass(60, 6, 4, seed=3)
+        for penalty in ("l1", "l1l2", "l1linf"):
+            cfg = small_config(penalty=penalty, lam=1e-6, k_max=1)
+            _, trace = fit(ds, cfg)
+            assert lambda_max(ds, cfg) == trace[1].score
+
+    def test_zero_gradient(self):
+        ds = make_dataset(np.zeros((6, 4)), np.array([1, 2, 1, 2, 1, 2]), 2)
+        assert lambda_max(ds, small_config()) == 0.0
+
+
 class TestSupportCheck:
     def test_k_bounded_by_iterations(self, rng):
         ds = make_multiclass(40, 5, 3, seed=7)
@@ -168,6 +196,25 @@ class TestFitPath:
         b = fit_path(tr, va, cfg, lam_grid=(0.1, 0.01))
         assert a[1] == b[1]
         assert np.array_equal(a[0].H, b[0].H)
+
+    def test_one_operator_per_path(self, monkeypatch):
+        tr, va = self.two_way(160, 18)
+        cfg = small_config(penalty="l1l2", k_max=3)
+        grid = (0.3, 0.1, 0.03)
+        per_lambda = []
+        for lam in grid:
+            snaps = []
+            fit(tr, replace(cfg, lam=lam),
+                iteration_hook=lambda t, m: snaps.append(
+                    {"t": t, "k": m.k, "metric": accuracy(m, va)}))
+            per_lambda.append(snaps)
+        built = count_operators(monkeypatch)
+        _, report = fit_path(tr, va, cfg, lam_grid=grid)
+        assert len(built) == 1
+        # the shared operator gives each lambda the fresh-operator path
+        assert [entry["iterations"] for entry in report["per_lambda"]] == per_lambda
+        fit(tr, cfg)
+        assert len(built) == 2  # outside a path every fit builds its own
 
     def test_increasing_grid_rejected(self, rng):
         tr, va = self.two_way(40, 16)
