@@ -9,7 +9,8 @@ the package's real loaders in the experiment scripts.
 import argparse
 from pathlib import Path
 
-from polyfactor.synth import make_multiclass, make_ratings, write_movielens, write_svmlight
+from polyfactor.data import save_svmlight
+from polyfactor.synth import make_multiclass, make_ratings, write_movielens
 
 
 def main():
@@ -22,7 +23,7 @@ def main():
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     vowel = make_multiclass(528, 10, 11, n_basis=5, seed=args.seed, margin=0.25)
-    write_svmlight(vowel, args.out_dir / "vowel_like.svm")
+    save_svmlight(vowel, args.out_dir / "vowel_like.svm")
     print(f"wrote {args.out_dir / 'vowel_like.svm'} (n=528, d=10, m=11)")
 
     users, items, ratings = make_ratings(943, 1682, 100_000, rank=4,

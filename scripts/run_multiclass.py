@@ -9,12 +9,12 @@ import argparse
 import time
 from pathlib import Path
 
-from polyfactor.data import SplitSpec, load_svmlight, split
+from polyfactor.data import SplitSpec, load_svmlight, save_svmlight, split
 from polyfactor.models import accuracy
 from polyfactor.refit import FistaConfig
 from polyfactor.selection import SelectConfig
 from polyfactor.solver import SolverConfig, fit_path
-from polyfactor.synth import make_multiclass, write_svmlight
+from polyfactor.synth import make_multiclass
 
 
 def main():
@@ -27,7 +27,7 @@ def main():
 
     if not args.data.exists():
         args.data.parent.mkdir(parents=True, exist_ok=True)
-        write_svmlight(make_multiclass(528, 10, 11, n_basis=5, seed=0, margin=0.25),
+        save_svmlight(make_multiclass(528, 10, 11, n_basis=5, seed=0, margin=0.25),
                        args.data)
     ds = load_svmlight(args.data, augment_bias=True)
     train, valid, test = split(ds, SplitSpec(seed=args.seed))

@@ -19,7 +19,7 @@ from .mcrank import build_ordinal, evaluate_ranking, expected_relevance, fit_mcr
 from .models import accuracy, load_model, outputs, predict_class, save_model
 from .refit import FistaConfig
 from .selection import OracleLimitError, SelectConfig, compare_methods, f_value
-from .solver import ConfigError, SolverConfig, _one_operator, fit, fit_path, lambda_max
+from .solver import ConfigError, SolverConfig, fit, fit_path, lambda_max
 
 SEP_CHOICES = {"tab": "\t", "::": "::"}
 
@@ -59,7 +59,6 @@ def _add_train_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=0.01,
                    help="basis-selection eigenpair tolerance in (0,1)")
-    p.add_argument("--stop-gap", type=float, default=1e-7)
     p.add_argument("--fista-max-iter", type=int, default=1000)
     p.add_argument("--fista-tol", type=float, default=1e-3)
 
@@ -102,7 +101,7 @@ def _solver_config(args, loss: str) -> SolverConfig:
         k_max=args.k_max, refit=args.refit,
         select=SelectConfig(eps=args.eps, seed=args.seed),
         fista=FistaConfig(max_iter=args.fista_max_iter, tol=args.fista_tol),
-        stop_gap=args.stop_gap, seed=args.seed)
+        seed=args.seed)
 
 
 def _write_trace(path, trace, deterministic: bool) -> None:
@@ -236,13 +235,12 @@ def cmd_path(args) -> int:
         train_ds = build_ordinal(train_ds)
     metric, higher = _metric_fn(args.metric)
     cfg = _solver_config(args, loss)
-    with _one_operator(train_ds, cfg):
-        if args.lambdas == "auto":
-            lams = _auto_lambda_grid(train_ds, cfg)
-        else:
-            lams = [float(v) for v in args.lambdas.split(",")]
-        model, report = fit_path(train_ds, valid_ds, cfg, lam_grid=lams,
-                                 metric_fn=metric, higher_is_better=higher)
+    if args.lambdas == "auto":
+        lams = _auto_lambda_grid(train_ds, cfg)
+    else:
+        lams = [float(v) for v in args.lambdas.split(",")]
+    model, report = fit_path(train_ds, valid_ds, cfg, lam_grid=lams,
+                             metric_fn=metric, higher_is_better=higher)
     save_model(model, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -23,7 +23,9 @@ The operators are stored in one of three ways, chosen from X alone:
 Both stored forms come from one pair map M built with the operator: each
 row i contributes its feature pairs (a, b) with weight x_ia x_ib (FM: a != b
 only, halved) to the entry (a, b), so every refresh fills all m operators
-with the single product M @ D.
+with the single product M @ D. The dense storage holds M as a dense
+(d^2, n) array, so construction is one einsum and the refresh one GEMM;
+the sparse storage holds it in CSR on the slots of X^T X's pattern.
 """
 
 from __future__ import annotations
@@ -89,9 +91,13 @@ class GradientOperator:
         if self.storage == "free":
             self.XT = X.T.tocsr()
         elif self.storage == "dense":
-            # the pair map: (M @ D)[a d + b, c] is entry (a, b) of A_c
-            keys, rows, w = _row_pairs(X, kind)
-            self.M = sp.csr_matrix((w, (keys, rows)), shape=(self.d * self.d, self.n))
+            # the pair map, held dense: (M @ D)[a d + b, c] is entry (a, b) of A_c
+            Xd = X.toarray()
+            M = np.einsum("ia,ib->abi", Xd, Xd)
+            if kind == "fm":
+                M[np.arange(self.d), np.arange(self.d)] = 0.0
+                M *= 0.5
+            self.M = M.reshape(self.d * self.d, self.n)
         else:
             # the same on the slots of X^T X's pattern, in row-major order
             keys, rows, w = _row_pairs(X, kind)

@@ -155,11 +155,14 @@ def refit_full(model: Model, ds, cfg: FistaConfig) -> tuple[Model, list[float]]:
     return replace(model, V=V, H=H), trace
 
 
-def prune(model: Model, tol_row: float = 1e-12) -> Model:
+PRUNE_TOL = 1e-12  # a row whose largest output weight is below this is dead
+
+
+def prune(model: Model) -> Model:
     """Drop basis rows whose output weights are (numerically) all zero."""
     if model.k == 0:
         return model
-    keep = np.abs(model.V).max(axis=1) >= tol_row
+    keep = np.abs(model.V).max(axis=1) >= PRUNE_TOL
     if keep.all():
         return model
     return replace(model, V=model.V[keep], H=model.H[keep])

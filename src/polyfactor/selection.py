@@ -25,26 +25,22 @@ class OracleLimitError(ValueError):
     """Exact selection requested for too many outputs (cost is 2^m)."""
 
 
+LANCZOS_MAX_STEPS = 300       # Lanczos step cap (d caps it too)
+REFINE_MAX_STEPS = 100
+ARMIJO_SLOPE = 1e-4           # sufficient-increase share of the slope
+ARMIJO_SHRINK = 0.5
+ARMIJO_MAX_BACKTRACKS = 30
+HUBER_DELTA = 1.0             # smoothing width of the p = 1 search direction
+
+
 @dataclass(frozen=True)
 class SelectConfig:
     eps: float = 0.01                 # eigenpair tolerance in (0, 1)
-    power_max_iter: int = 300         # Lanczos step cap
-    refine_max_iter: int = 100
-    armijo_slope: float = 1e-4
-    armijo_shrink: float = 0.5
-    armijo_max_backtracks: int = 30
-    huber_delta: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0,1), got {self.eps}")
-        if self.power_max_iter < 1:
-            raise ValueError(f"power_max_iter must be at least 1, got {self.power_max_iter}")
-        if not 0.0 < self.armijo_slope <= 0.5:
-            raise ValueError(f"armijo slope must be in (0, 0.5], got {self.armijo_slope}")
-        if not 0.0 < self.armijo_shrink < 1.0:
-            raise ValueError(f"armijo shrink must be in (0,1), got {self.armijo_shrink}")
 
 
 @dataclass
@@ -85,10 +81,10 @@ def _lanczos_ends(op: GradientOperator, c: int, cfg: SelectConfig):
 
     Lanczos with full reorthogonalisation from a seeded start. It stops once
     both end Ritz residuals beta_k |s_k| are at most 0.05 eps max|theta|, or
-    when the Krylov space is exhausted, after at most min(d, power_max_iter)
+    when the Krylov space is exhausted, after at most min(d, LANCZOS_MAX_STEPS)
     steps. Returns ((h_top, theta_top), (h_bottom, theta_bottom), degenerate).
     """
-    steps = min(op.d, cfg.power_max_iter)
+    steps = min(op.d, LANCZOS_MAX_STEPS)
     Q = np.empty((steps, op.d))           # Lanczos vectors, one per row
     T = np.zeros((steps, steps))          # their tridiagonal projection of A_c
     Q[0] = _seeded_unit_vector(op.d, (cfg.seed, c, 0))
@@ -152,10 +148,6 @@ def select_l1(op: GradientOperator, cfg: SelectConfig) -> SelectionResult:
                            quad_values=q, method="l1", degenerate=degenerate)
 
 
-def _huber_slope(q: np.ndarray, delta: float) -> np.ndarray:
-    return np.clip(q / delta, -1.0, 1.0)
-
-
 def refine(op: GradientOperator, h0: np.ndarray, p: int, cfg: SelectConfig,
            method: str = "refine") -> SelectionResult:
     """Ascend f_p from h0 by h <- (1-eta) h + eta grad/||grad||.
@@ -178,11 +170,11 @@ def refine(op: GradientOperator, h0: np.ndarray, p: int, cfg: SelectConfig,
     q = AH @ h
     f = f_value(q, p)
     trace = [f]
-    for _ in range(cfg.refine_max_iter):
+    for _ in range(REFINE_MAX_STEPS):
         if p == 2:
             w = 4.0 * q
         else:
-            w = 2.0 * _huber_slope(q, cfg.huber_delta)
+            w = 2.0 * np.clip(q / HUBER_DELTA, -1.0, 1.0)
         grad = w @ AH
         gnorm = np.linalg.norm(grad)
         if gnorm == 0.0:
@@ -196,13 +188,13 @@ def refine(op: GradientOperator, h0: np.ndarray, p: int, cfg: SelectConfig,
         curve = AD @ direction
         eta = 1.0
         accepted = False
-        for _ in range(cfg.armijo_max_backtracks):
+        for _ in range(ARMIJO_MAX_BACKTRACKS):
             q_new = q + eta * (cross + eta * curve)
             f_new = f_value(q_new, p)
-            if f_new >= f + cfg.armijo_slope * eta * slope:
+            if f_new >= f + ARMIJO_SLOPE * eta * slope:
                 accepted = True
                 break
-            eta *= cfg.armijo_shrink
+            eta *= ARMIJO_SHRINK
         if not accepted:
             break
         improved = f_new - f

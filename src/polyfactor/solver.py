@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +21,7 @@ from .refit import FistaConfig, penalized_objective, prune, refit_full, refit_ou
 from .selection import SelectConfig, select_group, select_l1
 
 DUPLICATE_COS = 1.0 - 1e-8
+STOP_GAP = 1e-7  # floor of the stopping certificate for tiny lam
 
 
 class ConfigError(ValueError):
@@ -38,7 +38,6 @@ class SolverConfig:
     refit: str = "output"
     select: SelectConfig = field(default_factory=SelectConfig)
     fista: FistaConfig = field(default_factory=FistaConfig)
-    stop_gap: float = 1e-7
     seed: int = 0
 
     def __post_init__(self):
@@ -72,33 +71,11 @@ def _select(op: GradientOperator, cfg: SolverConfig):
     return select_group(op, 2 if cfg.penalty == "l1l2" else 1, select_cfg)
 
 
-_shared = None  # (dataset, operator) while a _one_operator block runs
-
-
 def _operator(ds: Dataset, cfg: SolverConfig) -> GradientOperator:
-    """The gradient operator for a fit on ``ds``: the one a surrounding
-    ``_one_operator`` block holds for that dataset, else a new one."""
+    """A new gradient operator for a fit on ``ds``; the caller refreshes it."""
     if ds.n < 1:
         raise ConfigError("cannot train on an empty dataset")
-    m_out = output_count(cfg.loss, ds)
-    if _shared is not None and _shared[0] is ds \
-            and (_shared[1].kind, _shared[1].m) == (cfg.model, m_out):
-        return _shared[1]
-    return GradientOperator(ds, cfg.model, n_outputs=m_out)
-
-
-@contextmanager
-def _one_operator(ds: Dataset, cfg: SolverConfig):
-    """Every fit and lambda_max on ``ds`` inside the block shares one
-    operator. Each starts with a refresh, which overwrites the operator's
-    whole state, so sharing changes no result and builds the pair map once."""
-    global _shared
-    outer = _shared
-    _shared = (ds, _operator(ds, cfg))
-    try:
-        yield
-    finally:
-        _shared = outer
+    return GradientOperator(ds, cfg.model, n_outputs=output_count(cfg.loss, ds))
 
 
 def lambda_max(ds: Dataset, cfg: SolverConfig) -> float:
@@ -118,7 +95,7 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
     (output layer, optionally the full model), prune dead rows and record
     the penalized objective. Stops early on the optimality certificate: the
     selection's score is the penalty's dual norm of g_h, so once it is at
-    most lam (or ``stop_gap``) the new row would stay at zero.
+    most lam (or ``STOP_GAP``) the new row would stay at zero.
     ``iteration_hook(t, model)``, when given, sees the pruned model after
     every iteration.
     """
@@ -138,7 +115,7 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
                 warnings.warn("zero gradient operator at the first iteration; "
                               "returning the empty model")
             break
-        if sel.score <= max(cfg.lam, cfg.stop_gap):
+        if sel.score <= max(cfg.lam, STOP_GAP):
             break
 
         appended = True
@@ -208,8 +185,7 @@ def fit_path(train: Dataset, valid: Dataset, cfg: SolverConfig, lam_grid=None,
         model, trace = fit(train, replace(cfg, lam=lam), iteration_hook=hook)
         return snaps, trace
 
-    with _one_operator(train, cfg):
-        runs = [run_one(lam) for lam in lams]
+    runs = [run_one(lam) for lam in lams]
 
     sign = 1.0 if higher_is_better else -1.0
     best = None  # (signed metric, lam, t, model)

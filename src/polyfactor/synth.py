@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset, make_dataset
+from .data import save_svmlight as write_svmlight  # perfbench/workloads.py imports this name
 
 
 def make_multiclass(n: int, d: int, m: int, n_basis: int = 6, seed: int = 0,
@@ -50,16 +51,6 @@ def make_multiclass(n: int, d: int, m: int, n_basis: int = 6, seed: int = 0,
         bad = rng.random(n) < flip
         y[bad] = rng.integers(1, m + 1, size=int(bad.sum()))
     return make_dataset(X, y, m)
-
-
-def write_svmlight(ds: Dataset, path) -> None:
-    """Plain svmlight dump using the 1..m labels (dense rows stay sparse-coded)."""
-    X = ds.X
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in range(ds.n):
-            lo, hi = X.indptr[r], X.indptr[r + 1]
-            feats = " ".join(f"{X.indices[p] + 1}:{float(X.data[p])!r}" for p in range(lo, hi))
-            fh.write(f"{int(ds.y[r])} {feats}".rstrip() + "\n")
 
 
 def make_ratings(n_users: int, n_items: int, n_ratings: int, rank: int = 4,

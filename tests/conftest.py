@@ -44,21 +44,6 @@ def shaped_operator(rng, shape, kind):
     return op
 
 
-def count_operators(monkeypatch):
-    """Make the solver record every gradient operator it builds."""
-    from polyfactor import solver
-
-    built = []
-    real = solver.GradientOperator
-
-    def counting(*args, **kwargs):
-        built.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "GradientOperator", counting)
-    return built
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -16,7 +16,8 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from polyfactor.cli import main as cli_main
-from polyfactor.data import SplitSpec, load_movielens, load_svmlight, make_dataset, split, take_rows
+from polyfactor.data import (SplitSpec, load_movielens, load_svmlight, make_dataset, save_svmlight,
+                             split, take_rows)
 from polyfactor.gradients import GradientOperator
 from polyfactor.losses import LOSSES, loss_gradient, loss_gradients, loss_value
 from polyfactor.mcrank import build_ordinal, evaluate_ranking, fit_mcrank
@@ -35,7 +36,7 @@ from polyfactor.selection import (
     select_l1,
 )
 from polyfactor.solver import SolverConfig, fit, fit_path, support_check
-from polyfactor.synth import make_multiclass, make_ratings, write_movielens, write_svmlight
+from polyfactor.synth import make_multiclass, make_ratings, write_movielens
 
 pytestmark = pytest.mark.acceptance
 
@@ -67,7 +68,7 @@ def vowel_like(tmp_path_factory):
     """Vowel-shaped rows plus a large fresh pool from the same planted model,
     round-tripped through the svmlight loader with the bias feature."""
     path = tmp_path_factory.mktemp("vowel") / "vowel_like.svm"
-    write_svmlight(make_multiclass(4528, 10, 11, n_basis=5, seed=0, margin=0.25), path)
+    save_svmlight(make_multiclass(4528, 10, 11, n_basis=5, seed=0, margin=0.25), path)
     loaded = load_svmlight(path, augment_bias=True)
     ds = take_rows(loaded, np.arange(528))
     pool = take_rows(loaded, np.arange(528, 4528))
@@ -180,7 +181,7 @@ def test_criterion_2_eigensolver_suite():
         d = int(rng.integers(5, 51))
         n = int(rng.integers(d, 3 * d))
         op, _ = random_op(rng, n, d, 1, "fm" if i % 2 else "pn")
-        cfg = SelectConfig(eps=eps, power_max_iter=300, seed=int(rng.integers(0, 2**31)))
+        cfg = SelectConfig(eps=eps, seed=int(rng.integers(0, 2**31)))
         _, val, _ = power_method(op, 0, cfg)
         rho = np.abs(np.linalg.eigvalsh(op.dense_matrix(0))).max()
         ratio = abs(val) / rho

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from conftest import SHAPES, random_operator, shaped_operator
 from polyfactor.data import Dataset, make_dataset
-from polyfactor.gradients import GradientOperator
+from polyfactor.gradients import GradientOperator, _row_pairs
 from polyfactor.losses import loss_gradient, loss_values
 from polyfactor.models import Model, activation, empty_model, hidden_activations
 from polyfactor.mcrank import build_ordinal
@@ -58,6 +58,14 @@ class TestBackend:
             h = rng.standard_normal(op.d)
             for c in range(op.m):
                 assert np.abs(op.matvec(c, h) - op.dense_matrix(c) @ h).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_dense_pair_map_is_row_pairs_densified(self, kind, rng):
+        # the dense storage's einsum map holds each row-pair weight exactly
+        op = shaped_operator(rng, SHAPES[1], kind)
+        keys, rows, w = _row_pairs(op.X, kind)
+        ref = sp.csr_matrix((w, (keys, rows)), shape=(op.d * op.d, op.n)).toarray()
+        assert np.array_equal(op.M, ref)
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_all_zero_design(self, kind, rng):

@@ -6,6 +6,11 @@ from polyfactor.data import make_dataset
 from polyfactor.gradients import GradientOperator
 from polyfactor.losses import loss_gradients
 from polyfactor.selection import (
+    ARMIJO_MAX_BACKTRACKS,
+    ARMIJO_SHRINK,
+    ARMIJO_SLOPE,
+    HUBER_DELTA,
+    REFINE_MAX_STEPS,
     OracleLimitError,
     SelectConfig,
     SelectionResult,
@@ -160,15 +165,15 @@ class TestSelectL1:
         assert res.degenerate
 
 
-def reference_refine(op, h0, p, cfg):
+def reference_refine(op, h0, p):
     """The refinement recursion with every trial point's quadratic forms
     recomputed by quad_values; returns (final h, accepted objective trace)."""
     h = h0
     q = op.quad_values(h)
     f = f_value(q, p)
     trace = [f]
-    for _ in range(cfg.refine_max_iter):
-        w = 4.0 * q if p == 2 else 2.0 * np.clip(q / cfg.huber_delta, -1.0, 1.0)
+    for _ in range(REFINE_MAX_STEPS):
+        w = 4.0 * q if p == 2 else 2.0 * np.clip(q / HUBER_DELTA, -1.0, 1.0)
         grad = op.weighted_matvec(w, h)
         gnorm = np.linalg.norm(grad)
         if gnorm == 0.0:
@@ -178,12 +183,12 @@ def reference_refine(op, h0, p, cfg):
         if slope <= 0.0:
             break
         eta = 1.0
-        for _ in range(cfg.armijo_max_backtracks):
+        for _ in range(ARMIJO_MAX_BACKTRACKS):
             q_new = op.quad_values(h + eta * direction)
             f_new = f_value(q_new, p)
-            if f_new >= f + cfg.armijo_slope * eta * slope:
+            if f_new >= f + ARMIJO_SLOPE * eta * slope:
                 break
-            eta *= cfg.armijo_shrink
+            eta *= ARMIJO_SHRINK
         else:
             break
         improved = f_new - f
@@ -203,7 +208,7 @@ class TestRefine:
             h0 = rng.standard_normal(op.d)
             h0 /= np.linalg.norm(h0)
             res = refine(op, h0, p, CFG)
-            _, ref_trace = reference_refine(op, h0, p, CFG)
+            _, ref_trace = reference_refine(op, h0, p)
             assert len(res.trace) == len(ref_trace)
             assert np.all(np.diff(res.trace) >= 0.0)
             f = f_value(res.quad_values, p)
