@@ -179,14 +179,15 @@ def load_svmlight(path, augment_bias: bool = False) -> Dataset:
 def save_svmlight(ds: Dataset, path) -> None:
     """Write a Dataset back to svmlight text (exact round-trip of values)."""
     X = ds.X
+    # integral labels are written as integers ("4", not "4.0")
+    labels = [str(int(v)) if v.is_integer() else repr(v) for v in map(float, ds.label_map)]
     with open(path, "w", encoding="utf-8") as fh:
         for r in range(ds.n):
             lo, hi = X.indptr[r], X.indptr[r + 1]
-            label = float(ds.label_map[int(ds.y[r]) - 1])
             feats = " ".join(
                 f"{X.indices[p] + 1}:{float(X.data[p])!r}" for p in range(lo, hi)
             )
-            fh.write(f"{label!r} {feats}".rstrip() + "\n")
+            fh.write(f"{labels[int(ds.y[r]) - 1]} {feats}".rstrip() + "\n")
 
 
 def load_movielens(path, sep: str = "\t") -> Dataset:

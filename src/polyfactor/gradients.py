@@ -20,12 +20,14 @@ The operators are stored in one of three ways, chosen from X alone:
   user/item ratings with two nonzeros per row);
 - ``free``: matrix-free applies, O(nnz(X)) each, for everything else.
 
-Both stored forms come from one pair map M built with the operator: each
-row i contributes its feature pairs (a, b) with weight x_ia x_ib (FM: a != b
-only, halved) to the entry (a, b), so every refresh fills all m operators
-with the single product M @ D. The dense storage holds M as a dense
-(d^2, n) array, so construction is one einsum and the refresh one GEMM;
-the sparse storage holds it in CSR on the slots of X^T X's pattern.
+The dense storage keeps no state beyond X: each refresh fills the stack with
+X^T (D[:, c] o X) for all outputs in one GEMM per block of rows, densifying
+at most DENSE_BLOCK entries of the scaled copy at a time (FM: diagonal zeroed,
+then halved), so its memory stays within X plus the stack. The sparse
+storage keeps a pair map M built with the operator: each row i contributes
+its feature pairs (a, b) with weight x_ia x_ib (FM: a != b only, halved) to
+the slot of (a, b) in X^T X's pattern, so every refresh fills all m operators
+with the single product M @ D.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ import scipy.sparse as sp
 
 from .losses import loss_gradients, targets_for
 from .models import outputs
+
+# entries of the scaled row block X_b (x) D_b a dense-storage refresh holds at once
+DENSE_BLOCK = 1 << 18
 
 
 def _row_pairs(X: sp.csr_matrix, kind: str):
@@ -90,16 +95,9 @@ class GradientOperator:
         self.stack = None
         if self.storage == "free":
             self.XT = X.T.tocsr()
-        elif self.storage == "dense":
-            # the pair map, held dense: (M @ D)[a d + b, c] is entry (a, b) of A_c
-            Xd = X.toarray()
-            M = np.einsum("ia,ib->abi", Xd, Xd)
-            if kind == "fm":
-                M[np.arange(self.d), np.arange(self.d)] = 0.0
-                M *= 0.5
-            self.M = M.reshape(self.d * self.d, self.n)
-        else:
-            # the same on the slots of X^T X's pattern, in row-major order
+        elif self.storage == "sparse":
+            # the pair map on the slots of X^T X's pattern, in row-major order:
+            # (M @ D)[s, c] is the slot-s entry of A_c
             keys, rows, w = _row_pairs(X, kind)
             slots, slot_of = np.unique(keys, return_inverse=True)
             self.M = sp.csr_matrix((w, (slot_of.ravel(), rows)), shape=(slots.size, self.n))
@@ -125,7 +123,7 @@ class GradientOperator:
             if self.kind == "fm":
                 self.S = np.asarray(self.ds.X2.T @ D)
         elif self.storage == "dense":
-            self.stack = np.ascontiguousarray((self.M @ D).T).reshape(self.m, self.d, self.d)
+            self.stack = self._dense_stack(D)
             self.blocks = self.stack
         else:
             vals = np.ascontiguousarray((self.M @ D).T)
@@ -133,6 +131,20 @@ class GradientOperator:
             self.stack = sp.csr_matrix((vals.ravel(), B.indices, B.indptr), shape=B.shape)
             self.blocks = [sp.csr_matrix((v, P.indices, P.indptr), shape=P.shape)
                            for v in vals]
+
+    def _dense_stack(self, D: np.ndarray) -> np.ndarray:
+        """The (m, d, d) stack of A_c, summed over blocks of rows."""
+        n, d, m = self.n, self.d, self.m
+        T = np.zeros((d, m * d))
+        step = max(1, DENSE_BLOCK // (m * d))
+        for lo in range(0, n, step):
+            Xb = self.X[lo:lo + step].toarray()
+            T += Xb.T @ (D[lo:lo + step, :, None] * Xb[:, None, :]).reshape(-1, m * d)
+        stack = np.ascontiguousarray(T.reshape(d, m, d).transpose(1, 0, 2))
+        if self.kind == "fm":
+            stack[:, np.arange(d), np.arange(d)] = 0.0
+            stack *= 0.5
+        return stack
 
     def apply_all(self, h: np.ndarray) -> np.ndarray:
         """Every output's operator applied to one vector: row c is A_c h."""

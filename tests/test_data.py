@@ -69,6 +69,9 @@ class TestSvmlight:
         assert (back.X != ds.X).nnz == 0
         assert np.array_equal(back.y, ds.y)
         assert back.label_map == ds.label_map
+        # integral labels are written as integers, the rest exactly
+        assert {line.split(" ", 1)[0] for line in path.read_text().splitlines()} == \
+            {"-2", "5", "9.5"}
 
 
 class TestMovielens:

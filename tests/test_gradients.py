@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import SHAPES, random_operator, shaped_operator
 from polyfactor.data import Dataset, make_dataset
-from polyfactor.gradients import GradientOperator, _row_pairs
+from polyfactor.gradients import DENSE_BLOCK, GradientOperator
 from polyfactor.losses import loss_gradient, loss_values
 from polyfactor.models import Model, activation, empty_model, hidden_activations
 from polyfactor.mcrank import build_ordinal
@@ -60,12 +62,36 @@ class TestBackend:
                 assert np.abs(op.matvec(c, h) - op.dense_matrix(c) @ h).max() < 1e-12
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
-    def test_dense_pair_map_is_row_pairs_densified(self, kind, rng):
-        # the dense storage's einsum map holds each row-pair weight exactly
+    @pytest.mark.parametrize("block", [1, 84])
+    def test_dense_stack_in_row_blocks(self, kind, block, rng, monkeypatch):
+        # the dense shape (n = 40, m d = 12) refreshes in 40 one-row blocks,
+        # or in 7-row blocks with a short last one
+        monkeypatch.setattr("polyfactor.gradients.DENSE_BLOCK", block)
         op = shaped_operator(rng, SHAPES[1], kind)
-        keys, rows, w = _row_pairs(op.X, kind)
-        ref = sp.csr_matrix((w, (keys, rows)), shape=(op.d * op.d, op.n)).toarray()
-        assert np.array_equal(op.M, ref)
+        op.set_gradients(rng.standard_normal((op.n, op.m)))
+        h = rng.standard_normal(op.d)
+        for c in range(op.m):
+            assert np.abs(op.matvec(c, h) - op.dense_matrix(c) @ h).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_dense_storage_memory_on_sparse_x(self, kind, rng):
+        # sparse X (25% density) that still meets the dense rule: building and
+        # refreshing allocate nothing near an n x d^2 pair map (25.6 MB here)
+        n, d, m = 2000, 40, 2
+        X = sp.random(n, d, density=0.25, random_state=1, format="csr")
+        ds = make_dataset(X, np.ones(n, dtype=np.int64), m)
+        D = rng.standard_normal((n, m))
+        tracemalloc.start()
+        try:
+            op = GradientOperator(ds, kind)
+            op.set_gradients(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.storage == "dense"
+        assert peak < 8 * DENSE_BLOCK + 8 * n * d
+        h = rng.standard_normal(d)
+        assert np.abs(op.matvec(1, h) - oracle_matrix(X.toarray(), D, 1, kind) @ h).max() < 1e-12
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_all_zero_design(self, kind, rng):
