@@ -42,8 +42,7 @@ def main():
             cfg = SolverConfig(model="pn", loss="logistic", penalty=penalty,
                                lam=grid[0], k_max=args.k_max, refit=refit,
                                select=SelectConfig(eps=0.01, seed=args.seed),
-                               fista=FistaConfig(max_iter=1000, tol=1e-3),
-                               seed=args.seed)
+                               fista=FistaConfig(max_iter=1000, tol=1e-3))
             t0 = time.perf_counter()
             model, report = fit_path(train, valid, cfg, lam_grid=grid)
             best = report["best"]

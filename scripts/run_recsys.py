@@ -38,7 +38,7 @@ def main():
 
     common = dict(penalty=args.penalty, lam=args.lam, k_max=args.k_max,
                   refit="output", select=SelectConfig(eps=0.01, seed=args.seed),
-                  fista=FistaConfig(max_iter=1000, tol=1e-3), seed=args.seed)
+                  fista=FistaConfig(max_iter=1000, tol=1e-3))
 
     t0 = time.perf_counter()
     multi, _ = fit_mcrank(build_ordinal(train), SolverConfig(

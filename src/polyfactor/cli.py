@@ -100,8 +100,7 @@ def _solver_config(args, loss: str) -> SolverConfig:
         model=args.model, loss=loss, penalty=args.penalty, lam=args.lam,
         k_max=args.k_max, refit=args.refit,
         select=SelectConfig(eps=args.eps, seed=args.seed),
-        fista=FistaConfig(max_iter=args.fista_max_iter, tol=args.fista_tol),
-        seed=args.seed)
+        fista=FistaConfig(max_iter=args.fista_max_iter, tol=args.fista_tol))
 
 
 def _write_trace(path, trace, deterministic: bool) -> None:
@@ -154,17 +153,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_dims(model, ds) -> None:
+def _load_saved(args):
+    """The saved model and the data it is applied to, with matching d."""
+    model = load_model(args.model)
+    ds = _load(args, model.bias_augmented and args.format == "svmlight")
     if model.d != ds.d:
         raise RuntimeError(f"model expects d={model.d} features but the data "
                            f"has d={ds.d}")
+    return model, ds
 
 
 def cmd_predict(args) -> int:
-    model = load_model(args.model)
-    augment = model.bias_augmented and args.format == "svmlight"
-    ds = _load(args, augment)
-    _check_dims(model, ds)
+    model, ds = _load_saved(args)
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
         if model.loss == "binary-logistic":
@@ -184,10 +184,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
-    augment = model.bias_augmented and args.format == "svmlight"
-    ds = _load(args, augment)
-    _check_dims(model, ds)
+    model, ds = _load_saved(args)
     if model.loss in ("binary-logistic", "squared"):
         ks = (1, 5) if ds.group_ids is not None else ()
         report = evaluate_ranking(model, ds, ks=ks)

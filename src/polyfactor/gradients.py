@@ -178,10 +178,6 @@ class GradientOperator:
             return np.asarray(t)
         return 0.5 * (np.asarray(t) - (h * h) @ self.S)
 
-    def grad_row(self, h: np.ndarray) -> np.ndarray:
-        """Negative-gradient row g_h (length m): g_{h,c} = -h^T A_c h."""
-        return -self.quad_values(h)
-
     def dense_matrix(self, c: int) -> np.ndarray:
         """Materialized d x d operator, built from X; test/oracle use only (small d)."""
         Xd = self.X.toarray()

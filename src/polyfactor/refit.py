@@ -5,7 +5,8 @@ The convex step re-optimizes the output matrix V over the fixed activation
 features; the optional non-convex step descends jointly in (V, H) with V
 going through the penalty prox and H rows projected back onto the unit ball.
 A function-value restart guard keeps every recorded objective trace
-non-increasing.
+non-increasing. Each refit hands FISTA one smooth oracle (loss value plus a
+gradient from the same forward pass) and every point is evaluated once.
 """
 
 from __future__ import annotations
@@ -45,10 +46,20 @@ def _combine(xs, a, ys):
     return tuple(x + a * y for x, y in zip(xs, ys))
 
 
-def _fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, cfg: FistaConfig):
-    """Monotone FISTA over a tuple of arrays; returns (x, objective trace)."""
+def _fista(x0, smooth, model: Model, cfg: FistaConfig):
+    """Monotone FISTA over a tuple of arrays; returns (x, objective trace).
+
+    ``smooth(x)`` returns the loss at x and a thunk for its gradient from the
+    same forward pass. The penalty's prox acts on ``x[0]`` (V); further
+    blocks are projected onto unit rows. Each point is evaluated once: the
+    accepted point keeps its value and thunk for when y is x.
+    """
+    def objective(x, value):
+        return value + model.lam * penalty_value(model.penalty, x[0])
+
     x = tuple(np.array(a) for a in x0)
-    obj = smooth_value(x) + nonsmooth_value(x)
+    fx, grad_x = smooth(x)
+    obj = objective(x, fx)
     trace = [obj]
     y = x
     t = 1.0
@@ -57,18 +68,20 @@ def _fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, cfg: Fista
         L = max(L * 0.5, 1e-10)
         restarted = False
         while True:
-            fy = smooth_value(y)
-            gy = smooth_grad(y)
-            cand = None
+            fy, grad_y = (fx, grad_x) if y is x else smooth(y)
+            gy = grad_y()
             for _ in range(80):
                 step = 1.0 / L
-                cand = prox_step(_combine(y, -step, gy), step)
+                z = _combine(y, -step, gy)
+                cand = (prox(model.penalty, z[0], model.lam * step),) + \
+                    tuple(project_unit_rows(b) for b in z[1:])
                 diff = tuple(c - yy for c, yy in zip(cand, y))
                 bound = fy + _dot(gy, diff) + 0.5 * L * _dot(diff, diff)
-                if smooth_value(cand) <= bound + 1e-12 * max(abs(fy), 1.0):
+                fc, grad_c = smooth(cand)
+                if fc <= bound + 1e-12 * max(abs(fy), 1.0):
                     break
                 L *= 2.0
-            cand_obj = smooth_value(cand) + nonsmooth_value(cand)
+            cand_obj = objective(cand, fc)
             if not np.isfinite(cand_obj):
                 raise FloatingPointError(f"non-finite objective {cand_obj} at a FISTA candidate")
             if cand_obj <= obj + 1e-12 * max(abs(obj), 1.0) or restarted:
@@ -78,10 +91,11 @@ def _fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, cfg: Fista
             t = 1.0
             restarted = True
         if cand_obj > obj:
-            cand, cand_obj = x, obj  # floating-point stall: keep the best point
+            # floating-point stall: keep the best point
+            cand, cand_obj, fc, grad_c = x, obj, fx, grad_x
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = _combine(cand, (t - 1.0) / t_next, tuple(c - xx for c, xx in zip(cand, x)))
-        x, t = cand, t_next
+        x, fx, grad_x, t = cand, fc, grad_c, t_next
         stop = abs(trace[-1] - cand_obj) < cfg.tol * max(abs(cand_obj), 1.0)
         obj = cand_obj
         trace.append(obj)
@@ -97,22 +111,13 @@ def refit_output(model: Model, ds, cfg: FistaConfig) -> tuple[Model, list[float]
     Phi = hidden_activations(model.kind, model.H, ds.X,
                              ds.X2 if model.kind == "fm" else None)
     targets = targets_for(model.loss, ds)
-    lam = model.lam
 
-    def smooth_value(x):
-        return float(loss_values(model.loss, targets, Phi @ x[0]).sum())
+    def smooth(x):
+        O = Phi @ x[0]
+        return (float(loss_values(model.loss, targets, O).sum()),
+                lambda: (Phi.T @ loss_gradients(model.loss, targets, O),))
 
-    def smooth_grad(x):
-        return (Phi.T @ loss_gradients(model.loss, targets, Phi @ x[0]),)
-
-    def prox_step(x, step):
-        return (prox(model.penalty, x[0], lam * step),)
-
-    def nonsmooth_value(x):
-        return lam * penalty_value(model.penalty, x[0])
-
-    (V,), trace = _fista((model.V,), smooth_value, smooth_grad, prox_step,
-                         nonsmooth_value, cfg)
+    (V,), trace = _fista((model.V,), smooth, model, cfg)
     return replace(model, V=V), trace
 
 
@@ -123,35 +128,26 @@ def refit_full(model: Model, ds, cfg: FistaConfig) -> tuple[Model, list[float]]:
     X = ds.X
     X2 = ds.X2 if model.kind == "fm" else None
     targets = targets_for(model.loss, ds)
-    lam = model.lam
 
-    def smooth_value(x):
-        V, H = x
-        O = hidden_activations(model.kind, H, X, X2) @ V
-        return float(loss_values(model.loss, targets, O).sum())
-
-    def smooth_grad(x):
+    def smooth(x):
         V, H = x
         Z = np.asarray(X @ H.T)
         Phi = hidden_activations(model.kind, H, X, X2, Z)
-        G = loss_gradients(model.loss, targets, Phi @ V)
-        gV = Phi.T @ G
-        W = G @ V.T
-        gH = np.asarray(X.T @ (Z * W)).T
-        if model.kind == "fm":
-            gH = gH - H * np.asarray(X2.T @ W).T
-        else:
-            gH = 2.0 * gH
-        return gV, gH
+        O = Phi @ V
 
-    def prox_step(x, step):
-        return prox(model.penalty, x[0], lam * step), project_unit_rows(x[1])
+        def grad():
+            G = loss_gradients(model.loss, targets, O)
+            W = G @ V.T
+            gH = np.asarray(X.T @ (Z * W)).T
+            if model.kind == "fm":
+                gH = gH - H * np.asarray(X2.T @ W).T
+            else:
+                gH = 2.0 * gH
+            return Phi.T @ G, gH
 
-    def nonsmooth_value(x):
-        return lam * penalty_value(model.penalty, x[0])
+        return float(loss_values(model.loss, targets, O).sum()), grad
 
-    (V, H), trace = _fista((model.V, model.H), smooth_value, smooth_grad,
-                           prox_step, nonsmooth_value, cfg)
+    (V, H), trace = _fista((model.V, model.H), smooth, model, cfg)
     return replace(model, V=V, H=H), trace
 
 

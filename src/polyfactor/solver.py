@@ -38,7 +38,6 @@ class SolverConfig:
     refit: str = "output"
     select: SelectConfig = field(default_factory=SelectConfig)
     fista: FistaConfig = field(default_factory=FistaConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
@@ -65,10 +64,9 @@ class TraceRecord:
 
 
 def _select(op: GradientOperator, cfg: SolverConfig):
-    select_cfg = replace(cfg.select, seed=cfg.seed)
     if cfg.penalty == "l1":
-        return select_l1(op, select_cfg)
-    return select_group(op, 2 if cfg.penalty == "l1l2" else 1, select_cfg)
+        return select_l1(op, cfg.select)
+    return select_group(op, 2 if cfg.penalty == "l1l2" else 1, cfg.select)
 
 
 def _operator(ds: Dataset, cfg: SolverConfig) -> GradientOperator:

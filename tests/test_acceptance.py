@@ -115,7 +115,7 @@ def test_criterion_1_oracle_equivalence_suite():
             op, _ = random_op(rng, 10, 6, 3, kind)
             h = rng.standard_normal(6)
             h /= np.linalg.norm(h)
-            g = op.grad_row(h)
+            g = -op.quad_values(h)
             for c in range(3):
                 direct = -sum(activation(kind, h, op.X.getrow(i).toarray().ravel()) * op.D[i, c]
                               for i in range(op.n))
@@ -266,7 +266,7 @@ def test_criterion_4_monotone_traces():
         for refit_mode in ("output", "full"):
             cfg = SolverConfig(model="pn", loss="logistic", penalty=penalty,
                                lam=0.05, k_max=6, refit=refit_mode,
-                               select=SelectConfig(seed=0), seed=0)
+                               select=SelectConfig(seed=0))
             _, trace = fit(ds, cfg)
             assert non_increasing([r.objective for r in trace])
             checked += 1
@@ -281,7 +281,7 @@ def test_criterion_5_multiclass_desk_scale(vowel_like):
 
     cfg = SolverConfig(model="pn", loss="logistic", penalty="l1l2", lam=0.1,
                        k_max=25, refit="full", select=SelectConfig(eps=0.01, seed=0),
-                       fista=FistaConfig(max_iter=1000, tol=1e-3), seed=0)
+                       fista=FistaConfig(max_iter=1000, tol=1e-3))
     best, _ = fit_path(train, valid, cfg, lam_grid=grid)
     acc_full = accuracy(best, test)
 
@@ -292,7 +292,7 @@ def test_criterion_5_multiclass_desk_scale(vowel_like):
         cfg_out = SolverConfig(model="pn", loss="logistic", penalty=penalty,
                                lam=0.1, k_max=25, refit="output",
                                select=SelectConfig(eps=0.01, seed=0),
-                               fista=FistaConfig(max_iter=1000, tol=1e-3), seed=0)
+                               fista=FistaConfig(max_iter=1000, tol=1e-3))
         model, _ = fit_path(train, valid, cfg_out, lam_grid=grid)
         pool_acc[penalty] = accuracy(model, pool)
 
@@ -311,7 +311,7 @@ def test_criterion_6_support_bounds(vowel_like):
     results = []
     for penalty in PENALTIES:
         cfg = SolverConfig(model="pn", loss="logistic", penalty=penalty,
-                           lam=0.05, k_max=8, select=SelectConfig(seed=0), seed=0)
+                           lam=0.05, k_max=8, select=SelectConfig(seed=0))
         model, trace = fit(train, cfg)
         rep = support_check(model, train, iterations=trace[-1].t)
         assert rep["k"] <= rep["iterations"], "k exceeded iteration count"
@@ -335,7 +335,7 @@ def test_criterion_7_recommender_desk_scale(ml100k_like, tmp_path):
             cfg = SolverConfig(model="fm", loss=loss, penalty="l1linf", lam=lam,
                                k_max=50, refit="output",
                                select=SelectConfig(eps=0.01, seed=0),
-                               fista=FistaConfig(max_iter=1000, tol=1e-3), seed=0)
+                               fista=FistaConfig(max_iter=1000, tol=1e-3))
             if loss == "binary-logistic":
                 model, _ = fit_mcrank(build_ordinal(train), cfg)
             else:

@@ -1,0 +1,42 @@
+"""The benchmark under perfbench/ reaches into the package by name: its
+tracer wraps functions at the places their callers look them up, and its
+workloads call package functions directly. A deleted or renamed name must
+fail here, not in the middle of a traced benchmark run."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_and_restores_every_target():
+    tracing = load("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patched)
+        assert len(patched) == sum(map(len, tracing.SPAN_TARGETS.values()))
+    finally:
+        tracer.uninstall()
+    for owner, attr, raw in patched:
+        assert owner.__dict__[attr] is raw
+
+
+def test_workloads_use_existing_package_names():
+    workloads = load("workloads")
+    modules = {"cli", "data", "models", "refit", "synth"}
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert used
+    for module, attr in sorted(used):
+        assert hasattr(getattr(workloads, module), attr), f"polyfactor.{module}.{attr}"

@@ -125,9 +125,10 @@ class TestPredictEval:
     def test_dimension_mismatch_is_runtime_error(self, trained, tmp_path, capsys):
         bad = tmp_path / "wide.svm"
         save_svmlight(make_multiclass(4, 12, 3, seed=6), bad)
-        code = run("eval", "--model", trained, "--data", bad)
-        assert code == 1
-        assert "d=" in capsys.readouterr().err
+        for command in ("eval", "predict"):
+            assert run(command, "--model", trained, "--data", bad) == 1
+            assert capsys.readouterr().err == ("error: model expects d=7 features "
+                                               "but the data has d=13\n")
 
     def test_single_output_regression_baseline(self, ml_file, tmp_path, capsys):
         # the squared-loss FM baseline used in the recommender comparison

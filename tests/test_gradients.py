@@ -239,7 +239,7 @@ class TestMatvec:
 class TestGradRow:
     def test_zero_vector(self, rng):
         op, _ = random_operator(rng, 6, 4, 3)
-        assert np.allclose(op.grad_row(np.zeros(4)), 0.0)
+        assert np.allclose(-op.quad_values(np.zeros(4)), 0.0)
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_single_sample_expansion(self, kind, rng):
@@ -249,7 +249,7 @@ class TestGradRow:
         op = GradientOperator(ds, kind)
         op.set_gradients(np.array([[delta, 0.0]]))
         h = rng.standard_normal(5)
-        g = op.grad_row(h)
+        g = -op.quad_values(h)
         assert g[0] == pytest.approx(-delta * activation(kind, h, x), rel=1e-12)
         assert g[1] == 0.0
 
@@ -259,7 +259,7 @@ class TestGradRow:
             op, _ = random_operator(rng, 8, 5, 3, kind=kind)
             h = rng.standard_normal(5)
             h /= max(np.linalg.norm(h), 1.0)
-            g = op.grad_row(h)
+            g = -op.quad_values(h)
             for c in range(3):
                 direct = eq8_direct(op, h, c)
                 assert abs(g[c] - direct) <= 1e-10 * max(1.0, abs(direct))
@@ -292,7 +292,7 @@ class TestChainRule:
         h = rng.standard_normal(d)
         h /= np.linalg.norm(h)
         v = rng.standard_normal(m)
-        g = op.grad_row(h)
+        g = -op.quad_values(h)
 
         def objective(eps):
             ext = Model(kind, np.vstack([model.H, h[None, :]]),

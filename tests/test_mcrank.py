@@ -178,7 +178,7 @@ class TestFitMcrank:
         ds = make_dataset(X, np.ones(20, dtype=np.int64), 1)
         cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf",
                            lam=0.1, k_max=2, select=SelectConfig(seed=0),
-                           fista=FistaConfig(max_iter=200, tol=1e-6), seed=0)
+                           fista=FistaConfig(max_iter=200, tol=1e-6))
         model, _ = fit_mcrank(ds, cfg)
         assert model.m == 1
 
@@ -196,7 +196,7 @@ class TestFitMcrank:
         ds = make_dataset(X, ratings, 5, group_ids=users - 1)
         cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf",
                            lam=1e-3, k_max=8, select=SelectConfig(seed=1),
-                           fista=FistaConfig(max_iter=500, tol=1e-8), seed=1)
+                           fista=FistaConfig(max_iter=500, tol=1e-8))
         model, _ = fit_mcrank(build_ordinal(ds), cfg)
         scores = expected_relevance(model, ds.X)
         assert np.all(np.abs(scores - 4.0) < 0.75)
@@ -214,7 +214,7 @@ class TestFitMcrank:
         ds = make_dataset(X, ratings, int(ratings.max()), group_ids=users - 1)
         cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf",
                            lam=1e-2, k_max=4, select=SelectConfig(seed=2),
-                           fista=FistaConfig(max_iter=300, tol=1e-6), seed=2)
+                           fista=FistaConfig(max_iter=300, tol=1e-6))
         model, _ = fit_mcrank(build_ordinal(ds), cfg)
         report = evaluate_ranking(model, ds)
         assert set(report) == {"rmse", "ndcg@1", "ndcg@5"}

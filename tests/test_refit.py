@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from polyfactor import refit
 from polyfactor.data import make_dataset
 from polyfactor.gradients import GradientOperator
 from polyfactor.losses import loss_values
 from polyfactor.models import Model, hidden_activations, outputs
+from polyfactor.penalties import penalty_value, project_unit_rows, prox
 from polyfactor.refit import (
     FistaConfig,
     _fista,
@@ -28,6 +30,105 @@ def make_problem(rng, kind="pn", n=25, d=6, m=3, k=4, loss="logistic",
     V = 0.3 * rng.standard_normal((k, m))
     model = Model(kind, H, V, loss, penalty, lam)
     return model, ds
+
+
+def capture_fista(monkeypatch, refit_fn, model, ds, cfg=CFG):
+    """Run ``refit_fn`` and return its result plus every ``_fista`` call's
+    (x0, smooth, model, cfg)."""
+    calls = []
+    real = refit._fista
+
+    def spy(x0, smooth, model, cfg):
+        calls.append((x0, smooth, model, cfg))
+        return real(x0, smooth, model, cfg)
+
+    monkeypatch.setattr(refit, "_fista", spy)
+    return refit_fn(model, ds, cfg), calls
+
+
+def reference_fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, cfg):
+    """The monotone FISTA loop with separate value, gradient, prox and penalty
+    oracles, re-evaluating every point it needs (candidates twice, and the
+    accepted point again as the next y)."""
+    x = tuple(np.array(a) for a in x0)
+    obj = smooth_value(x) + nonsmooth_value(x)
+    trace = [obj]
+    y = x
+    t = 1.0
+    L = 1.0
+    for _ in range(cfg.max_iter):
+        L = max(L * 0.5, 1e-10)
+        restarted = False
+        while True:
+            fy = smooth_value(y)
+            gy = smooth_grad(y)
+            for _ in range(80):
+                step = 1.0 / L
+                cand = prox_step(refit._combine(y, -step, gy), step)
+                diff = tuple(c - yy for c, yy in zip(cand, y))
+                bound = fy + refit._dot(gy, diff) + 0.5 * L * refit._dot(diff, diff)
+                if smooth_value(cand) <= bound + 1e-12 * max(abs(fy), 1.0):
+                    break
+                L *= 2.0
+            cand_obj = smooth_value(cand) + nonsmooth_value(cand)
+            if cand_obj <= obj + 1e-12 * max(abs(obj), 1.0) or restarted:
+                break
+            y = x
+            t = 1.0
+            restarted = True
+        if cand_obj > obj:
+            cand, cand_obj = x, obj
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = refit._combine(cand, (t - 1.0) / t_next, tuple(c - xx for c, xx in zip(cand, x)))
+        x, t = cand, t_next
+        stop = abs(trace[-1] - cand_obj) < cfg.tol * max(abs(cand_obj), 1.0)
+        obj = cand_obj
+        trace.append(obj)
+        if stop:
+            break
+    return x, trace
+
+
+class TestOneOracle:
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    @pytest.mark.parametrize("penalty", ["l1", "l1l2", "l1linf"])
+    @pytest.mark.parametrize("refit_fn", [refit_output, refit_full])
+    def test_matches_reference_loop(self, refit_fn, penalty, kind, monkeypatch):
+        for seed in (0, 1):  # both seeds restart in some of the cases
+            model, ds = make_problem(np.random.default_rng(seed), kind=kind, penalty=penalty)
+            (refitted, trace), [(x0, smooth, seen, cfg)] = capture_fista(
+                monkeypatch, refit_fn, model, ds, FistaConfig(max_iter=300, tol=1e-7))
+            assert seen is model
+
+            def prox_step(x, step):
+                return (prox(penalty, x[0], model.lam * step),) + \
+                    tuple(project_unit_rows(b) for b in x[1:])
+
+            x, ref_trace = reference_fista(
+                x0, lambda x: smooth(x)[0], lambda x: smooth(x)[1](), prox_step,
+                lambda x: model.lam * penalty_value(penalty, x[0]), cfg)
+            assert trace == ref_trace
+            assert np.array_equal(refitted.V, x[0])
+            assert np.array_equal(refitted.H, x[1] if len(x) > 1 else model.H)
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_no_point_evaluated_twice(self, kind, monkeypatch):
+        model, ds = make_problem(np.random.default_rng(3), kind=kind)
+        real = refit._fista
+        points = []  # every x passed to smooth, kept alive so ids stay unique
+
+        def spy(x0, smooth, model, cfg):
+            def counted(x):
+                assert not any(x is p for p in points), "point evaluated twice"
+                points.append(x)
+                return smooth(x)
+            return real(x0, counted, model, cfg)
+
+        monkeypatch.setattr(refit, "_fista", spy)
+        for refit_fn in (refit_output, refit_full):
+            _, trace = refit_fn(model, ds, CFG)
+            assert len(trace) > 2
+        assert len(points) > 10
 
 
 class TestOutputRefit:
@@ -115,40 +216,26 @@ class TestFullRefit:
         assert np.array_equal(refitted.V, V)
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
-    def test_hidden_gradient_matches_finite_differences(self, kind, rng):
-        from polyfactor.losses import targets_for
-
-        model, ds = make_problem(rng, kind=kind, loss="logistic")
-        targets = targets_for(model.loss, ds)
-
-        def value(H):
-            Phi = hidden_activations(kind, H, ds.X)
-            return float(loss_values(model.loss, targets, Phi @ model.V).sum())
-
-        # analytic gradient identical to the one refit_full uses
-        X = ds.X
-        X2 = X.multiply(X).tocsr()
-        Z = np.asarray(X @ model.H.T)
-        Phi = hidden_activations(kind, model.H, ds.X)
-        from polyfactor.losses import loss_gradients
-
-        G = loss_gradients(model.loss, targets, Phi @ model.V)
-        W = G @ model.V.T
-        gH = np.asarray(X.T @ (Z * W)).T
-        if kind == "fm":
-            gH = gH - model.H * np.asarray(X2.T @ W).T
-        else:
-            gH = 2.0 * gH
-
+    def test_hidden_gradient_matches_finite_differences(self, kind, monkeypatch):
+        # the gradient each refit's own smooth oracle hands to _fista
+        model, ds = make_problem(np.random.default_rng(5), kind=kind, loss="logistic")
         eps = 1e-6
-        for r in range(model.k):
-            for j in range(model.d):
-                Hp = model.H.copy()
-                Hm = model.H.copy()
-                Hp[r, j] += eps
-                Hm[r, j] -= eps
-                fd = (value(Hp) - value(Hm)) / (2 * eps)
-                assert fd == pytest.approx(gH[r, j], rel=1e-4, abs=1e-7)
+        for refit_fn in (refit_output, refit_full):
+            _, [(x0, smooth, _, _)] = capture_fista(monkeypatch, refit_fn, model, ds,
+                                                    FistaConfig(max_iter=1))
+            value, grad = smooth(x0)
+            assert value == pytest.approx(float(loss_values(
+                model.loss, ds.y, outputs(model, ds.X)).sum()), rel=1e-12)
+            grads = grad()
+            assert len(grads) == len(x0)
+            for b, g in enumerate(grads):
+                for idx in np.ndindex(*x0[b].shape):
+                    xp = [a.copy() for a in x0]
+                    xm = [a.copy() for a in x0]
+                    xp[b][idx] += eps
+                    xm[b][idx] -= eps
+                    fd = (smooth(tuple(xp))[0] - smooth(tuple(xm))[0]) / (2 * eps)
+                    assert fd == pytest.approx(g[idx], rel=1e-4, abs=1e-7)
 
     def test_descent_from_perturbed_model(self, rng):
         model, ds = make_problem(rng)
@@ -210,10 +297,11 @@ class TestFista:
         # must raise, not slip into the trace
         calls = []
 
-        def smooth_value(x):
+        def smooth(x):
             calls.append(1)
-            return 1.0 if len(calls) == 1 else float("nan")
+            return (1.0 if len(calls) == 1 else float("nan")), lambda: (x[0],)
 
+        V = np.array([[1.0, -2.0]])
+        model = Model("pn", np.zeros((1, 2)), V, "logistic", "l1", 0.0)
         with pytest.raises(FloatingPointError, match="non-finite"):
-            _fista((np.array([1.0, -2.0]),), smooth_value, lambda x: (x[0],),
-                   lambda x, step: x, lambda x: 0.0, FistaConfig(max_iter=5))
+            _fista((V,), smooth, model, FistaConfig(max_iter=5))

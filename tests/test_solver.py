@@ -34,7 +34,7 @@ def xor_dataset():
 def small_config(**kw):
     base = dict(model="pn", loss="logistic", penalty="l1", lam=1e-3, k_max=6,
                 refit="output", select=SelectConfig(eps=0.01, seed=0),
-                fista=FistaConfig(max_iter=500, tol=1e-6), seed=0)
+                fista=FistaConfig(max_iter=500, tol=1e-6))
     base.update(kw)
     return SolverConfig(**base)
 
@@ -81,7 +81,8 @@ class TestFit:
 
     def test_deterministic_given_seed(self, rng):
         ds = make_multiclass(50, 6, 3, seed=4)
-        cfg = small_config(penalty="l1l2", lam=0.02, seed=11)
+        cfg = small_config(penalty="l1l2", lam=0.02,
+                           select=SelectConfig(eps=0.01, seed=11))
         model_a, trace_a = fit(ds, cfg)
         model_b, trace_b = fit(ds, cfg)
         assert np.array_equal(model_a.H, model_b.H)
@@ -190,7 +191,7 @@ class TestFitPath:
 
     def test_reproducible_selection(self, rng):
         tr, va = self.two_way(120, 14)
-        cfg = small_config(penalty="l1l2", k_max=4, seed=21)
+        cfg = small_config(penalty="l1l2", k_max=4, select=SelectConfig(eps=0.01, seed=21))
         a = fit_path(tr, va, cfg, lam_grid=(0.1, 0.01))
         b = fit_path(tr, va, cfg, lam_grid=(0.1, 0.01))
         assert a[1] == b[1]
