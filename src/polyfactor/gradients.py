@@ -28,6 +28,12 @@ storage keeps a pair map M built with the operator: each row i contributes
 its feature pairs (a, b) with weight x_ia x_ib (FM: a != b only, halved) to
 the slot of (a, b) in X^T X's pattern, so every refresh fills all m operators
 with the single product M @ D.
+
+Selection applies the operators through ``apply_all`` (one vector, all
+outputs) and ``apply_block`` (a (b, d) block of vectors, all outputs, in one
+call). Item j of a block is apply_all of row j bit for bit and in the same
+memory layout, so that a lockstep recursion over b starts reproduces b
+single-start recursions exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ import scipy.sparse as sp
 from .losses import loss_gradients, targets_for
 from .models import outputs
 
-# entries of the scaled row block X_b (x) D_b a dense-storage refresh holds at once
+# entries of the scaled copy held at once: the row block X_b (x) D_b of a
+# dense-storage refresh, or the (n, m, chunk) block of a matrix-free apply_block
 DENSE_BLOCK = 1 << 18
 
 
@@ -154,6 +161,30 @@ class GradientOperator:
         if self.kind == "pn":
             return T
         return 0.5 * (T - self.S.T * h)
+
+    def apply_block(self, H: np.ndarray) -> np.ndarray:
+        """Every output's operator applied to a (b, d) block of vectors.
+
+        Item j of the (b, m, d) result is apply_all(H[j]) bit for bit, in the
+        same memory layout, so that per-item BLAS products on it take the
+        single-vector path. The matrix-free form runs in chunks of vectors
+        whose (n, m, chunk) scaled copy holds at most DENSE_BLOCK entries.
+        """
+        b, n, d, m = H.shape[0], self.n, self.d, self.m
+        if self.storage == "dense":
+            # one GEMV per (vector, output): the GEMM stack @ H.T rounds differently
+            return np.matmul(self.stack, H[:, None, :, None]).reshape(b, m, d)
+        if self.storage == "sparse":
+            return np.ascontiguousarray((self.stack @ H.T).T).reshape(b, m, d)
+        Z = self.X @ H.T
+        T = np.empty((b, d, m))  # apply_all's output is the F-ordered transpose of T[j]
+        step = max(1, DENSE_BLOCK // (n * m))
+        for lo in range(0, b, step):
+            Y = (Z[:, lo:lo + step, None] * self.D[:, None, :]).reshape(n, -1)
+            T[lo:lo + step] = (self.XT @ Y).reshape(d, -1, m).transpose(1, 0, 2)
+        if self.kind == "fm":
+            T = 0.5 * (T - self.S * H[:, :, None])
+        return T.transpose(0, 2, 1)
 
     def matvec(self, c: int, h: np.ndarray) -> np.ndarray:
         """Apply the output-c operator to a vector."""

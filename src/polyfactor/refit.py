@@ -127,6 +127,8 @@ def refit_full(model: Model, ds, cfg: FistaConfig) -> tuple[Model, list[float]]:
         return model, [penalized_objective(model, ds)]
     X = ds.X
     X2 = ds.X2 if model.kind == "fm" else None
+    XT = X.T  # bound once: X.T builds a new CSC view at every call
+    X2T = X2.T if X2 is not None else None
     targets = targets_for(model.loss, ds)
 
     def smooth(x):
@@ -138,9 +140,9 @@ def refit_full(model: Model, ds, cfg: FistaConfig) -> tuple[Model, list[float]]:
         def grad():
             G = loss_gradients(model.loss, targets, O)
             W = G @ V.T
-            gH = np.asarray(X.T @ (Z * W)).T
+            gH = np.asarray(XT @ (Z * W)).T
             if model.kind == "fm":
-                gH = gH - H * np.asarray(X2.T @ W).T
+                gH = gH - H * np.asarray(X2T @ W).T
             else:
                 gH = 2.0 * gH
             return Phi.T @ G, gH

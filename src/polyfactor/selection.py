@@ -4,11 +4,13 @@ Every route starts from the two ends of each output's spectrum: the top and
 bottom eigenpairs of A_c. Dense-stored operators get them exactly from one
 batched eigh over the (m, d, d) stack; sparse and matrix-free operators from
 a seeded Lanczos run with full reorthogonalisation. The l1 route keeps the
-largest quadratic form. The group routes (p = 2 or 1) refine every end by a
-normalized-gradient recursion with Armijo backtracking, which never
-decreases the objective f_p. An exhaustive sign-pattern eigensolver provides
-the exact optimum for small output counts, plus two cheap baselines for
-method comparisons.
+largest quadratic form. The group routes (p = 2 or 1) refine every distinct
+end by a normalized-gradient recursion with Armijo backtracking, which never
+decreases the objective f_p. All starts run in lockstep as one (b, d) block
+with one stacked apply per step; a start leaves the block when its own
+recursion stops, and every start's result is bit-identical to refining it
+alone. An exhaustive sign-pattern eigensolver provides the exact optimum for
+small output counts, plus two cheap baselines for method comparisons.
 """
 
 from __future__ import annotations
@@ -148,6 +150,93 @@ def select_l1(op: GradientOperator, cfg: SelectConfig) -> SelectionResult:
                            quad_values=q, method="l1", degenerate=degenerate)
 
 
+def _rowdots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Item j is A[j] @ B[j] for (b, d) blocks, by the dot an unbatched
+    product makes (np.einsum and norm(axis=1) round differently)."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _matvecs(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Item j is M[j] @ V[j] for a (b, m, d) stack, by the same GEMV."""
+    return np.matmul(M, V[:, :, None])[:, :, 0]
+
+
+def _f_rows(Q: np.ndarray, p: int) -> np.ndarray:
+    """f_value of every row of Q, rounded as f_value rounds one row."""
+    return np.abs(Q).sum(axis=1) if p == 1 else _rowdots(Q, Q)
+
+
+def _refine_starts(op: GradientOperator, H0: np.ndarray, p: int):
+    """Refine a (b, d) block of starts in lockstep; returns (H, traces).
+
+    Row j of H and traces[j] are what the recursion documented at ``refine``
+    gives from H0[j] alone, bit for bit: every per-start product is the same
+    BLAS call on the same layout, and the Armijo search runs per row with
+    exact halvings. The active starts carry H, AH = [A_c h], q and f. Each
+    step makes one apply_block on their directions and judges every trial
+    point in O(m b). A start retires, and the arrays are compacted, when it
+    meets a stop condition: zero gradient, no ascent direction, a failed
+    Armijo search, or a flat step.
+    """
+    if p not in (1, 2):
+        raise ValueError(f"p must be 1 or 2, got {p}")
+    H = np.array(H0, dtype=np.float64, order="C")
+    out = np.empty_like(H)
+    active = np.arange(H.shape[0])
+    AH = op.apply_block(H)
+    Q = _matvecs(AH, H)
+    F = _f_rows(Q, p)
+    traces = [[float(f)] for f in F]
+
+    def retire(stop, *arrays):
+        out[active[stop]] = H[stop]
+        keep = ~stop
+        return [active[keep]] + [a[keep] for a in arrays]
+
+    for _ in range(REFINE_MAX_STEPS):
+        W = 4.0 * Q if p == 2 else 2.0 * np.clip(Q / HUBER_DELTA, -1.0, 1.0)
+        G = np.matmul(W[:, None, :], AH)[:, 0]
+        gnorm = np.sqrt(_rowdots(G, G))
+        zero = gnorm == 0.0
+        direction = G / np.where(zero, 1.0, gnorm)[:, None] - H
+        slope = _rowdots(G, direction)
+        stop = zero | (slope <= 0.0)
+        if stop.any():
+            active, H, AH, Q, F, direction, slope = retire(
+                stop, H, AH, Q, F, direction, slope)
+            if not active.size:
+                break
+        AD = op.apply_block(direction)
+        cross = 2.0 * _matvecs(AH, direction)
+        curve = _matvecs(AD, direction)
+        eta = np.ones(active.size)
+        for _ in range(ARMIJO_MAX_BACKTRACKS):
+            Q_new = Q + eta[:, None] * (cross + eta[:, None] * curve)
+            F_new = _f_rows(Q_new, p)
+            accepted = F_new >= F + ARMIJO_SLOPE * eta * slope
+            if accepted.all():
+                break
+            eta = np.where(accepted, eta, eta * ARMIJO_SHRINK)
+        if not accepted.all():
+            active, H, AH, Q, F, direction, AD, eta, Q_new, F_new = retire(
+                ~accepted, H, AH, Q, F, direction, AD, eta, Q_new, F_new)
+            if not active.size:
+                break
+        improved = F_new - F
+        H = H + eta[:, None] * direction
+        AH = AH + eta[:, None, None] * AD
+        Q, F = Q_new, F_new
+        for j, f in zip(active, F):
+            traces[j].append(float(f))
+        stop = improved < 1e-8 * np.maximum(np.abs(F), 1e-30)
+        if stop.any():
+            active, H, AH, Q, F = retire(stop, H, AH, Q, F)
+            if not active.size:
+                break
+    out[active] = H
+    return out, traces
+
+
 def refine(op: GradientOperator, h0: np.ndarray, p: int, cfg: SelectConfig,
            method: str = "refine") -> SelectionResult:
     """Ascend f_p from h0 by h <- (1-eta) h + eta grad/||grad||.
@@ -155,58 +244,22 @@ def refine(op: GradientOperator, h0: np.ndarray, p: int, cfg: SelectConfig,
     The step eta starts at 1 and backtracks under an Armijo test; accepted
     steps never decrease the raw f_p, so the iterate sequence is monotone.
     For p = 1 the search direction uses a Huber-smoothed gradient while
-    acceptance is still judged on the unsmoothed objective.
+    acceptance is still judged on the unsmoothed objective. The recursion
+    stops on a zero gradient, a direction with no ascent, an Armijo search
+    that fails ARMIJO_MAX_BACKTRACKS times, a step that gains less than
+    1e-8 f, or after REFINE_MAX_STEPS steps.
 
     Each step makes one stacked apply, AD = [A_c d] for the direction d.
     The carried AH = [A_c h] gives the gradient, every trial point is judged
     from q(h + eta d) = q + 2 eta (AH d) + eta^2 (AD d) in O(m), and an
     accepted step advances AH by eta AD. The returned quadratic forms are
-    recomputed from the final h.
+    recomputed from the final h. This is the one-start case of the lockstep
+    block recursion that ``select_group`` runs over all its starts.
     """
-    if p not in (1, 2):
-        raise ValueError(f"p must be 1 or 2, got {p}")
-    h = np.asarray(h0, dtype=np.float64)
-    AH = op.apply_all(h)
-    q = AH @ h
-    f = f_value(q, p)
-    trace = [f]
-    for _ in range(REFINE_MAX_STEPS):
-        if p == 2:
-            w = 4.0 * q
-        else:
-            w = 2.0 * np.clip(q / HUBER_DELTA, -1.0, 1.0)
-        grad = w @ AH
-        gnorm = np.linalg.norm(grad)
-        if gnorm == 0.0:
-            break
-        direction = grad / gnorm - h
-        slope = float(grad @ direction)
-        if slope <= 0.0:
-            break
-        AD = op.apply_all(direction)
-        cross = 2.0 * (AH @ direction)
-        curve = AD @ direction
-        eta = 1.0
-        accepted = False
-        for _ in range(ARMIJO_MAX_BACKTRACKS):
-            q_new = q + eta * (cross + eta * curve)
-            f_new = f_value(q_new, p)
-            if f_new >= f + ARMIJO_SLOPE * eta * slope:
-                accepted = True
-                break
-            eta *= ARMIJO_SHRINK
-        if not accepted:
-            break
-        improved = f_new - f
-        h = h + eta * direction
-        AH = AH + eta * AD
-        q, f = q_new, f_new
-        trace.append(f)
-        if improved < 1e-8 * max(abs(f), 1e-30):
-            break
-    q = op.quad_values(h)
-    return SelectionResult(h=h, score=_score_from_quads(q, p), quad_values=q,
-                           method=method, trace=trace)
+    H, traces = _refine_starts(op, np.asarray(h0, dtype=np.float64)[None], p)
+    q = op.quad_values(H[0])
+    return SelectionResult(h=H[0], score=_score_from_quads(q, p), quad_values=q,
+                           method=method, trace=traces[0])
 
 
 def select_group(op: GradientOperator, p: int, cfg: SelectConfig) -> SelectionResult:
@@ -216,6 +269,11 @@ def select_group(op: GradientOperator, p: int, cfg: SelectConfig) -> SelectionRe
     the single best), and the best refined point by f_p is returned. The
     single-init guarantee is preserved since that init is one of the
     candidates; the extra starts only help escape bad basins.
+
+    The distinct starts (|h_i . h_j| < 1 - 1e-6) are refined together as
+    one (b, d) block, with one stacked apply per step for all of them; a
+    start leaves the block when its own recursion stops. Every start's
+    result is bit-identical to refining it alone with ``refine``.
     """
     inits = []
     for top, bottom, degenerate in _spectrum_ends(op, cfg):
@@ -230,13 +288,16 @@ def select_group(op: GradientOperator, p: int, cfg: SelectConfig) -> SelectionRe
     for h in inits:
         if all(abs(h @ g) < 1.0 - 1e-6 for g in distinct):
             distinct.append(h)
+    H, traces = _refine_starts(op, np.array(distinct), p)
     best = None
-    for h in distinct:
-        result = refine(op, h, p, cfg, method="l1+refine")
-        f = f_value(result.quad_values, p)
+    for h, trace in zip(H, traces):
+        q = op.quad_values(h)
+        f = f_value(q, p)
         if best is None or f > best[0]:
-            best = (f, result)
-    return best[1]
+            best = (f, h, q, trace)
+    _, h, q, trace = best
+    return SelectionResult(h=h, score=_score_from_quads(q, p), quad_values=q,
+                           method="l1+refine", trace=trace)
 
 
 def exact_oracle_linf(op: GradientOperator, limit: int = 12) -> SelectionResult:

@@ -7,6 +7,9 @@ import ast
 import importlib.util
 from pathlib import Path
 
+from conftest import SHAPES, shaped_operator
+from polyfactor import selection, solver
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -40,3 +43,22 @@ def test_workloads_use_existing_package_names():
     assert used
     for module, attr in sorted(used):
         assert hasattr(getattr(workloads, module), attr), f"polyfactor.{module}.{attr}"
+
+
+def test_tracer_payloads_read_selection_results(rng):
+    # the tracer reads len(result.trace) - 1 from every refine it wraps
+    tracing = load("tracing")
+    tracer = tracing.Tracer()
+    op = shaped_operator(rng, SHAPES[1], "pn")
+    cfg = selection.SelectConfig()
+    try:
+        tracer.install()
+        tracer.enabled = True
+        refined = selection.refine(op, selection.select_l1(op, cfg).h, 1, cfg)
+        solver.select_group(op, 2, cfg)
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    payloads = dict(zip(tracer.names, tracer.results))
+    assert payloads["selection.refine"] == len(refined.trace) - 1 >= 0
+    assert tracer.names.count("selection.select") == 2

@@ -74,6 +74,17 @@ class TestBackend:
             assert np.abs(op.matvec(c, h) - op.dense_matrix(c) @ h).max() < 1e-12
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
+    @pytest.mark.parametrize("block", [1, 40])
+    def test_free_block_in_chunks(self, kind, block, rng, monkeypatch):
+        # the matrix-free shape (n m = 15) applies 7 vectors one at a time,
+        # or in chunks of 2 with a short last one
+        op = shaped_operator(rng, SHAPES[0], kind)
+        H = rng.standard_normal((7, op.d))
+        whole = op.apply_block(H)
+        monkeypatch.setattr("polyfactor.gradients.DENSE_BLOCK", block)
+        assert np.array_equal(op.apply_block(H), whole)
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_dense_storage_memory_on_sparse_x(self, kind, rng):
         # sparse X (25% density) that still meets the dense rule: building and
         # refreshing allocate nothing near an n x d^2 pair map (25.6 MB here)

@@ -4,6 +4,7 @@ import pytest
 from conftest import SHAPES, random_operator, shaped_operator
 from polyfactor.data import make_dataset
 from polyfactor.gradients import GradientOperator
+from polyfactor import selection
 from polyfactor.losses import loss_gradients
 from polyfactor.selection import (
     ARMIJO_MAX_BACKTRACKS,
@@ -14,6 +15,7 @@ from polyfactor.selection import (
     OracleLimitError,
     SelectConfig,
     SelectionResult,
+    _refine_starts,
     _spectrum_ends,
     baseline_best_data,
     baseline_random,
@@ -139,6 +141,24 @@ class TestPowerMethod:
             assert np.array_equal(a.h, b.h), shape
 
 
+class TestApplyBlock:
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_rows_are_single_applies(self, kind, rng):
+        # item j equals apply_all(H[j]) bit for bit and in the same layout
+        seen = set()
+        for shape, op in storage_operators(rng, kind):
+            seen.add(op.storage)
+            H = rng.standard_normal((5, op.d))
+            block = op.apply_block(H)
+            assert block.shape == (5, op.m, op.d)
+            for j in range(5):
+                single = op.apply_all(H[j])
+                assert np.array_equal(block[j], single), shape
+                layout = [(a.flags.c_contiguous, a.flags.f_contiguous) for a in (block[j], single)]
+                assert layout[0] == layout[1], shape
+        assert seen == {"dense", "sparse", "free"}
+
+
 class TestSelectL1:
     def test_single_output_equals_power_method(self, rng):
         op, _ = random_operator(rng, 10, 6, 1)
@@ -257,7 +277,93 @@ class TestRefine:
         assert f_value(res.quad_values, 1) >= 0.99 * best_restart
 
 
+def per_start_refine(op, h0, p):
+    """One start through the refinement recursion on its own, with
+    single-vector applies: the body ``refine`` had before starts ran in
+    lockstep. Returns (h, quad_values, trace, (stop reason, step))."""
+    h = np.asarray(h0, dtype=np.float64)
+    AH = op.apply_all(h)
+    q = AH @ h
+    f = f_value(q, p)
+    trace = [f]
+    stop = ("steps", REFINE_MAX_STEPS)
+    for step in range(REFINE_MAX_STEPS):
+        w = 4.0 * q if p == 2 else 2.0 * np.clip(q / HUBER_DELTA, -1.0, 1.0)
+        grad = w @ AH
+        gnorm = np.linalg.norm(grad)
+        if gnorm == 0.0:
+            stop = ("gnorm", step)
+            break
+        direction = grad / gnorm - h
+        slope = float(grad @ direction)
+        if slope <= 0.0:
+            stop = ("slope", step)
+            break
+        AD = op.apply_all(direction)
+        cross = 2.0 * (AH @ direction)
+        curve = AD @ direction
+        eta = 1.0
+        for _ in range(selection.ARMIJO_MAX_BACKTRACKS):
+            q_new = q + eta * (cross + eta * curve)
+            f_new = f_value(q_new, p)
+            if f_new >= f + selection.ARMIJO_SLOPE * eta * slope:
+                break
+            eta *= ARMIJO_SHRINK
+        else:
+            stop = ("armijo", step)
+            break
+        improved = f_new - f
+        h = h + eta * direction
+        AH = AH + eta * AD
+        q, f = q_new, f_new
+        trace.append(f)
+        if improved < 1e-8 * max(abs(f), 1e-30):
+            stop = ("flat", step)
+            break
+    return h, op.quad_values(h), trace, stop
+
+
 class TestSelectGroup:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: shape[-1])
+    def test_lockstep_matches_per_start_loop(self, shape, kind, p, rng, monkeypatch):
+        op = shaped_operator(rng, shape, kind)
+        # select_group against refining its distinct starts one at a time
+        distinct = []
+        for top, bottom, degenerate in _spectrum_ends(op, CFG):
+            for h in () if degenerate else (top[0], bottom[0]):
+                if all(abs(h @ g) < 1.0 - 1e-6 for g in distinct):
+                    distinct.append(h)
+        best = None
+        for h0 in distinct:
+            h, q, trace, _ = per_start_refine(op, h0, p)
+            if best is None or f_value(q, p) > best[0]:
+                best = (f_value(q, p), h, q, trace)
+        res = select_group(op, p, CFG)
+        assert np.array_equal(res.h, best[1])
+        assert np.array_equal(res.quad_values, best[2])
+        assert res.trace == best[3]
+        # a block whose starts retire at different steps and for different
+        # reasons: a zero start (gnorm == 0) and starts of several norms; then
+        # the same block under a search that asks more than the slope gives
+        # (gain >= 4 eta slope, two trials), so that first searches fail
+        H0 = np.vstack([distinct, np.zeros(op.d),
+                        rng.standard_normal((8, op.d)) * np.geomspace(0.05, 2.0, 8)[:, None]])
+        for backtracks, armijo_slope in ((ARMIJO_MAX_BACKTRACKS, ARMIJO_SLOPE), (2, 4.0)):
+            monkeypatch.setattr(selection, "ARMIJO_MAX_BACKTRACKS", backtracks)
+            monkeypatch.setattr(selection, "ARMIJO_SLOPE", armijo_slope)
+            H, traces = _refine_starts(op, H0, p)
+            stops = set()
+            for j, h0 in enumerate(H0):
+                h, _, trace, stop = per_start_refine(op, h0, p)
+                assert np.array_equal(H[j], h), (j, stop)
+                assert traces[j] == trace, (j, stop)
+                stops.add(stop)
+            assert ("gnorm", 0) in stops
+            assert len({step for _, step in stops}) >= 2
+        assert ("armijo", 0) in stops
+
     def test_single_output_matches_l1_route(self, rng):
         op, _ = random_operator(rng, 10, 5, 1)
         group = select_group(op, 1, CFG)
