@@ -11,8 +11,6 @@ from pathlib import Path
 
 from polyfactor.data import SplitSpec, load_svmlight, save_svmlight, split
 from polyfactor.models import accuracy
-from polyfactor.refit import FistaConfig
-from polyfactor.selection import SelectConfig
 from polyfactor.solver import SolverConfig, fit_path
 from polyfactor.synth import make_multiclass
 
@@ -41,8 +39,7 @@ def main():
         for penalty in ("l1", "l1l2", "l1linf"):
             cfg = SolverConfig(model="pn", loss="logistic", penalty=penalty,
                                lam=grid[0], k_max=args.k_max, refit=refit,
-                               select=SelectConfig(eps=0.01, seed=args.seed),
-                               fista=FistaConfig(max_iter=1000, tol=1e-3))
+                               seed=args.seed)
             t0 = time.perf_counter()
             model, report = fit_path(train, valid, cfg, lam_grid=grid)
             best = report["best"]

@@ -11,8 +11,6 @@ from pathlib import Path
 
 from polyfactor.data import SplitSpec, load_movielens, split
 from polyfactor.mcrank import build_ordinal, evaluate_ranking, fit_mcrank
-from polyfactor.refit import FistaConfig
-from polyfactor.selection import SelectConfig
 from polyfactor.solver import SolverConfig, fit
 from polyfactor.synth import make_ratings, write_movielens
 
@@ -37,8 +35,7 @@ def main():
           f"{train.n}/{valid.n}/{test.n}")
 
     common = dict(penalty=args.penalty, lam=args.lam, k_max=args.k_max,
-                  refit="output", select=SelectConfig(eps=0.01, seed=args.seed),
-                  fista=FistaConfig(max_iter=1000, tol=1e-3))
+                  refit="output", seed=args.seed)
 
     t0 = time.perf_counter()
     multi, _ = fit_mcrank(build_ordinal(train), SolverConfig(

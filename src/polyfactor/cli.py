@@ -12,16 +12,14 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .data import DataError, SplitSpec, load_movielens, load_svmlight, make_dataset, split
+from .data import (MOVIELENS_SEPARATORS, DataError, SplitSpec, load_movielens, load_svmlight,
+                   make_dataset, split)
 from .gradients import GradientOperator
 from .losses import LOSSES, MULTICLASS_LOSSES
 from .mcrank import build_ordinal, evaluate_ranking, expected_relevance, fit_mcrank
 from .models import accuracy, load_model, outputs, predict_class, save_model
-from .refit import FistaConfig
-from .selection import OracleLimitError, SelectConfig, compare_methods, f_value
+from .selection import OracleLimitError, compare_methods, f_value
 from .solver import ConfigError, SolverConfig, fit, fit_path, lambda_max
-
-SEP_CHOICES = {"tab": "\t", "::": "::"}
 
 
 class UsageError(Exception):
@@ -39,7 +37,7 @@ def _sha256(path) -> str:
 def _add_data_flags(p):
     p.add_argument("--data", required=True, help="input data file")
     p.add_argument("--format", choices=("svmlight", "movielens"), default="svmlight")
-    p.add_argument("--sep", choices=sorted(SEP_CHOICES), default="tab",
+    p.add_argument("--sep", choices=sorted(MOVIELENS_SEPARATORS), default="tab",
                    help="movielens field separator")
     p.add_argument("--augment-bias", choices=("auto", "on", "off"), default="auto",
                    help="prepend a constant-1 feature (auto: on for svmlight PN "
@@ -57,10 +55,6 @@ def _add_train_flags(p):
     p.add_argument("--mcrank", action="store_true",
                    help="train the ordinal multi-output reduction on ratings")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.01,
-                   help="basis-selection eigenpair tolerance in (0,1)")
-    p.add_argument("--fista-max-iter", type=int, default=1000)
-    p.add_argument("--fista-tol", type=float, default=1e-3)
 
 
 def _resolve_loss(args) -> str:
@@ -91,16 +85,13 @@ def _resolve_augment(args, loss: str) -> bool:
 
 def _load(args, augment: bool):
     if args.format == "movielens":
-        return load_movielens(args.data, sep=SEP_CHOICES[args.sep])
+        return load_movielens(args.data, sep=MOVIELENS_SEPARATORS[args.sep])
     return load_svmlight(args.data, augment_bias=augment)
 
 
 def _solver_config(args, loss: str) -> SolverConfig:
-    return SolverConfig(
-        model=args.model, loss=loss, penalty=args.penalty, lam=args.lam,
-        k_max=args.k_max, refit=args.refit,
-        select=SelectConfig(eps=args.eps, seed=args.seed),
-        fista=FistaConfig(max_iter=args.fista_max_iter, tol=args.fista_tol))
+    return SolverConfig(model=args.model, loss=loss, penalty=args.penalty, lam=args.lam,
+                        k_max=args.k_max, refit=args.refit, seed=args.seed)
 
 
 def _write_trace(path, trace, deterministic: bool) -> None:
@@ -126,7 +117,6 @@ def _write_manifest(args, cfg: SolverConfig, augment: bool, artifacts: dict) -> 
             "deterministic_trace": bool(getattr(args, "deterministic_trace", False)),
         },
         "data": {"path": args.data, "sha256": _sha256(args.data)},
-        "seed": args.seed,
         "artifacts": artifacts,
     }
     path = artifacts["model"] + ".manifest.json"
@@ -265,8 +255,7 @@ def cmd_oracle_compare(args) -> int:
     rows = []
 
     def run(tag, op, ds):
-        cfg = SelectConfig(eps=args.eps, seed=args.seed)
-        results = compare_methods(op, cfg, ds=ds, oracle_limit=args.oracle_limit)
+        results = compare_methods(op, args.seed, ds=ds, oracle_limit=args.oracle_limit)
         exact = results.pop("exact")
         denom = max(exact.score, 1e-300)
         rows.append((tag, "exact", exact.score, 1.0))
@@ -351,14 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "approximation factors against the exact oracle)")
     p.add_argument("--data", default=None, help="optional dataset to include")
     p.add_argument("--format", choices=("svmlight", "movielens"), default="svmlight")
-    p.add_argument("--sep", choices=sorted(SEP_CHOICES), default="tab")
+    p.add_argument("--sep", choices=sorted(MOVIELENS_SEPARATORS), default="tab")
     p.add_argument("--model", choices=("pn", "fm"), default="pn")
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--n", type=int, default=40, help="samples per random instance")
     p.add_argument("--d", type=int, default=12, help="features per random instance")
     p.add_argument("--m-max", type=int, default=8)
     p.add_argument("--oracle-limit", type=int, default=12)
-    p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_oracle_compare)

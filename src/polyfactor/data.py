@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-MOVIELENS_SEPARATORS = ("\t", "::")
+MOVIELENS_SEPARATORS = {"tab": "\t", "::": "::"}  # name -> field separator
 
 
 class DataError(ValueError):
@@ -198,8 +198,9 @@ def load_movielens(path, sep: str = "\t") -> Dataset:
     ones, so every row has exactly two unit entries. Ratings become the
     label levels 1..m with m = max rating.
     """
-    if sep not in MOVIELENS_SEPARATORS:
-        raise DataError(f"unknown separator {sep!r}; expected one of {MOVIELENS_SEPARATORS}")
+    if sep not in MOVIELENS_SEPARATORS.values():
+        raise DataError(f"unknown separator {sep!r}; expected one of "
+                        f"{tuple(MOVIELENS_SEPARATORS.values())}")
     users = []
     items = []
     ratings = []

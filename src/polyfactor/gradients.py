@@ -29,11 +29,11 @@ its feature pairs (a, b) with weight x_ia x_ib (FM: a != b only, halved) to
 the slot of (a, b) in X^T X's pattern, so every refresh fills all m operators
 with the single product M @ D.
 
-Selection applies the operators through ``apply_all`` (one vector, all
-outputs) and ``apply_block`` (a (b, d) block of vectors, all outputs, in one
-call). Item j of a block is apply_all of row j bit for bit and in the same
-memory layout, so that a lockstep recursion over b starts reproduces b
-single-start recursions exactly.
+Selection applies the operators through ``apply_block`` (a (b, d) block of
+vectors, all outputs, in one call); ``apply_all`` is its one-vector case.
+Item j of a block depends on row j alone, bit for bit and in the same memory
+layout, so that a lockstep recursion over b starts reproduces b single-start
+recursions exactly.
 """
 
 from __future__ import annotations
@@ -114,11 +114,10 @@ class GradientOperator:
             self._stacked = sp.vstack([self._block] * self.m, format="csr")
         self.set_gradients(self.D)
 
-    def refresh(self, model, loss: str | None = None) -> None:
-        """Recompute D from the model's outputs and the loss gradients."""
-        loss = model.loss if loss is None else loss
+    def refresh(self, model) -> None:
+        """Recompute D from the model's outputs and its loss's gradients."""
         O = outputs(model, self.X, self.ds.X2 if model.kind == "fm" else None)
-        self.set_gradients(loss_gradients(loss, targets_for(loss, self.ds), O))
+        self.set_gradients(loss_gradients(model.loss, targets_for(model.loss, self.ds), O))
 
     def set_gradients(self, D: np.ndarray) -> None:
         """Install loss-gradient diagonals directly (updates the stored operators)."""
@@ -155,18 +154,15 @@ class GradientOperator:
 
     def apply_all(self, h: np.ndarray) -> np.ndarray:
         """Every output's operator applied to one vector: row c is A_c h."""
-        if self.stack is not None:
-            return (self.stack @ h).reshape(self.m, self.d)
-        T = (self.XT @ (self.D * (self.X @ h)[:, None])).T
-        if self.kind == "pn":
-            return T
-        return 0.5 * (T - self.S.T * h)
+        return self.apply_block(h[None])[0]
 
     def apply_block(self, H: np.ndarray) -> np.ndarray:
         """Every output's operator applied to a (b, d) block of vectors.
 
-        Item j of the (b, m, d) result is apply_all(H[j]) bit for bit, in the
-        same memory layout, so that per-item BLAS products on it take the
+        Item j of the (b, m, d) result depends on H[j] alone: it is
+        apply_all(H[j]) bit for bit and in the same memory layout (C-ordered
+        for the stored forms, F-ordered matrix-free), so that a block of starts
+        matches single starts and per-item BLAS products on it take the
         single-vector path. The matrix-free form runs in chunks of vectors
         whose (n, m, chunk) scaled copy holds at most DENSE_BLOCK entries.
         """
@@ -177,7 +173,7 @@ class GradientOperator:
         if self.storage == "sparse":
             return np.ascontiguousarray((self.stack @ H.T).T).reshape(b, m, d)
         Z = self.X @ H.T
-        T = np.empty((b, d, m))  # apply_all's output is the F-ordered transpose of T[j]
+        T = np.empty((b, d, m))  # item j is the F-ordered transpose of T[j]
         step = max(1, DENSE_BLOCK // (n * m))
         for lo in range(0, b, step):
             Y = (Z[:, lo:lo + step, None] * self.D[:, None, :]).reshape(n, -1)

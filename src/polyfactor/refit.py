@@ -11,7 +11,7 @@ gradient from the same forward pass) and every point is evaluated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,14 +20,8 @@ from .models import Model, hidden_activations, outputs
 from .penalties import penalty_value, prox, project_unit_rows
 
 
-@dataclass(frozen=True)
-class FistaConfig:
-    max_iter: int = 1000
-    tol: float = 1e-3
-
-    def __post_init__(self):
-        if self.max_iter < 1 or self.tol <= 0:
-            raise ValueError("max_iter and tol must be positive")
+FISTA_MAX_ITER = 1000  # iteration cap of every refit
+FISTA_TOL = 1e-3       # stop once an iteration changes the objective by less (relative)
 
 
 def penalized_objective(model: Model, ds) -> float:
@@ -46,8 +40,11 @@ def _combine(xs, a, ys):
     return tuple(x + a * y for x, y in zip(xs, ys))
 
 
-def _fista(x0, smooth, model: Model, cfg: FistaConfig):
+def _fista(x0, smooth, model: Model):
     """Monotone FISTA over a tuple of arrays; returns (x, objective trace).
+
+    It runs at most FISTA_MAX_ITER iterations and stops once one changes
+    the objective by less than FISTA_TOL relative to max(|objective|, 1).
 
     ``smooth(x)`` returns the loss at x and a thunk for its gradient from the
     same forward pass. The penalty's prox acts on ``x[0]`` (V); further
@@ -64,7 +61,7 @@ def _fista(x0, smooth, model: Model, cfg: FistaConfig):
     y = x
     t = 1.0
     L = 1.0
-    for _ in range(cfg.max_iter):
+    for _ in range(FISTA_MAX_ITER):
         L = max(L * 0.5, 1e-10)
         restarted = False
         while True:
@@ -96,7 +93,7 @@ def _fista(x0, smooth, model: Model, cfg: FistaConfig):
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = _combine(cand, (t - 1.0) / t_next, tuple(c - xx for c, xx in zip(cand, x)))
         x, fx, grad_x, t = cand, fc, grad_c, t_next
-        stop = abs(trace[-1] - cand_obj) < cfg.tol * max(abs(cand_obj), 1.0)
+        stop = abs(trace[-1] - cand_obj) < FISTA_TOL * max(abs(cand_obj), 1.0)
         obj = cand_obj
         trace.append(obj)
         if stop:
@@ -104,8 +101,9 @@ def _fista(x0, smooth, model: Model, cfg: FistaConfig):
     return x, trace
 
 
-def refit_output(model: Model, ds, cfg: FistaConfig) -> tuple[Model, list[float]]:
-    """Convex re-fit of V over the fixed basis (penalized, warm-started)."""
+def refit_output(model: Model, ds) -> tuple[Model, list[float]]:
+    """Convex re-fit of V over the fixed basis (penalized, warm-started),
+    by ``_fista`` at its module-level iteration cap and tolerance."""
     if model.k == 0:
         return model, [penalized_objective(model, ds)]
     Phi = hidden_activations(model.kind, model.H, ds.X,
@@ -117,11 +115,11 @@ def refit_output(model: Model, ds, cfg: FistaConfig) -> tuple[Model, list[float]
         return (float(loss_values(model.loss, targets, O).sum()),
                 lambda: (Phi.T @ loss_gradients(model.loss, targets, O),))
 
-    (V,), trace = _fista((model.V,), smooth, model, cfg)
+    (V,), trace = _fista((model.V,), smooth, model)
     return replace(model, V=V), trace
 
 
-def refit_full(model: Model, ds, cfg: FistaConfig) -> tuple[Model, list[float]]:
+def refit_full(model: Model, ds) -> tuple[Model, list[float]]:
     """Joint proximal-gradient descent in (V, H); H rows stay in the unit ball."""
     if model.k == 0:
         return model, [penalized_objective(model, ds)]
@@ -149,7 +147,7 @@ def refit_full(model: Model, ds, cfg: FistaConfig) -> tuple[Model, list[float]]:
 
         return float(loss_values(model.loss, targets, O).sum()), grad
 
-    (V, H), trace = _fista((model.V, model.H), smooth, model, cfg)
+    (V, H), trace = _fista((model.V, model.H), smooth, model)
     return replace(model, V=V, H=H), trace
 
 

@@ -27,6 +27,7 @@ class OracleLimitError(ValueError):
     """Exact selection requested for too many outputs (cost is 2^m)."""
 
 
+LANCZOS_EPS = 0.01            # eigenpair accuracy in (0, 1), see _lanczos_ends
 LANCZOS_MAX_STEPS = 300       # Lanczos step cap (d caps it too)
 REFINE_MAX_STEPS = 100
 ARMIJO_SLOPE = 1e-4           # sufficient-increase share of the slope
@@ -35,22 +36,11 @@ ARMIJO_MAX_BACKTRACKS = 30
 HUBER_DELTA = 1.0             # smoothing width of the p = 1 search direction
 
 
-@dataclass(frozen=True)
-class SelectConfig:
-    eps: float = 0.01                 # eigenpair tolerance in (0, 1)
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must be in (0,1), got {self.eps}")
-
-
 @dataclass
 class SelectionResult:
     h: np.ndarray
     score: float               # ||g_h||_p for the route's p
     quad_values: np.ndarray    # per-output h^T A_c h (g_h = -quad_values)
-    method: str
     degenerate: bool = False
     trace: list | None = None  # accepted objective values (refinement only)
 
@@ -62,11 +52,10 @@ def f_value(quad_values: np.ndarray, p: int) -> float:
 
 
 def _score_from_quads(q: np.ndarray, p) -> float:
-    if p == 1:
-        return float(np.abs(q).sum())
-    if p == 2:
-        return float(np.linalg.norm(q))
-    return float(np.abs(q).max())  # p = inf (l1 route)
+    """||q||_p: f_1 for p = 1, sqrt(f_2) for p = 2, max |q_c| for the l1 route."""
+    if p == "inf":
+        return float(np.abs(q).max())
+    return f_value(q, 1) if p == 1 else float(np.sqrt(f_value(q, 2)))
 
 
 def _seeded_unit_vector(d: int, seed_key) -> np.ndarray:
@@ -78,18 +67,18 @@ def _seeded_unit_vector(d: int, seed_key) -> np.ndarray:
     return v / nrm
 
 
-def _lanczos_ends(op: GradientOperator, c: int, cfg: SelectConfig):
+def _lanczos_ends(op: GradientOperator, c: int, seed: int):
     """Top and bottom Ritz pairs of the output-c operator.
 
     Lanczos with full reorthogonalisation from a seeded start. It stops once
-    both end Ritz residuals beta_k |s_k| are at most 0.05 eps max|theta|, or
+    both end Ritz residuals beta_k |s_k| are at most 0.05 LANCZOS_EPS max|theta|, or
     when the Krylov space is exhausted, after at most min(d, LANCZOS_MAX_STEPS)
     steps. Returns ((h_top, theta_top), (h_bottom, theta_bottom), degenerate).
     """
     steps = min(op.d, LANCZOS_MAX_STEPS)
     Q = np.empty((steps, op.d))           # Lanczos vectors, one per row
     T = np.zeros((steps, steps))          # their tridiagonal projection of A_c
-    Q[0] = _seeded_unit_vector(op.d, (cfg.seed, c, 0))
+    Q[0] = _seeded_unit_vector(op.d, (seed, c, 0))
     for k in range(steps):
         w = op.matvec(c, Q[k])
         T[k, k] = Q[k] @ w
@@ -98,7 +87,7 @@ def _lanczos_ends(op: GradientOperator, c: int, cfg: SelectConfig):
             w = w - basis.T @ (basis @ w)
         beta = np.linalg.norm(w)
         theta, S = np.linalg.eigh(T[:k + 1, :k + 1])
-        tol = 0.05 * cfg.eps * max(abs(theta[0]), abs(theta[-1]))
+        tol = 0.05 * LANCZOS_EPS * max(abs(theta[0]), abs(theta[-1]))
         if k + 1 == steps or beta * max(abs(S[k, 0]), abs(S[k, -1])) <= tol:
             break
         Q[k + 1] = w / beta
@@ -110,7 +99,7 @@ def _lanczos_ends(op: GradientOperator, c: int, cfg: SelectConfig):
     return ends[0], ends[1], not theta.any()
 
 
-def _spectrum_ends(op: GradientOperator, cfg: SelectConfig, outputs=None):
+def _spectrum_ends(op: GradientOperator, seed: int, outputs=None):
     """Per output: ((h_top, q_top), (h_bottom, q_bottom), degenerate).
 
     q is h^T A_c h, the eigenvalue; degenerate marks an operator whose
@@ -119,35 +108,35 @@ def _spectrum_ends(op: GradientOperator, cfg: SelectConfig, outputs=None):
     """
     outputs = range(op.m) if outputs is None else outputs
     if op.storage != "dense":
-        return [_lanczos_ends(op, c, cfg) for c in outputs]
+        return [_lanczos_ends(op, c, seed) for c in outputs]
     vals, vecs = np.linalg.eigh(op.stack[list(outputs)])
     vecs = vecs.transpose(0, 2, 1).copy()  # row j is the j-th eigenvector
     return [((V[-1], float(lam[-1])), (V[0], float(lam[0])), not lam.any())
             for lam, V in zip(vals, vecs)]
 
 
-def power_method(op: GradientOperator, c: int, cfg: SelectConfig) -> tuple[np.ndarray, float, bool]:
+def power_method(op: GradientOperator, c: int, seed: int) -> tuple[np.ndarray, float, bool]:
     """Dominant-magnitude eigenpair of the output-c operator.
 
     Returns (unit vector, quadratic-form value, degenerate flag); the value
-    certifies (1 - eps) of the spectral radius.
+    certifies (1 - LANCZOS_EPS) of the spectral radius.
     """
-    top, bottom, degenerate = _spectrum_ends(op, cfg, [c])[0]
+    top, bottom, degenerate = _spectrum_ends(op, seed, [c])[0]
     h, q = max(top, bottom, key=lambda end: abs(end[1]))
     return h, q, degenerate
 
 
-def select_l1(op: GradientOperator, cfg: SelectConfig) -> SelectionResult:
+def select_l1(op: GradientOperator, seed: int) -> SelectionResult:
     """Best single-output quadratic form over both spectrum ends of every output."""
     best_h, best_val = None, -1.0
-    for top, bottom, _ in _spectrum_ends(op, cfg):
+    for top, bottom, _ in _spectrum_ends(op, seed):
         for h, val in (top, bottom):
             if abs(val) > best_val:
                 best_h, best_val = h, abs(val)
     q = op.quad_values(best_h)
     degenerate = best_val == 0.0
     return SelectionResult(h=best_h, score=_score_from_quads(q, "inf"),
-                           quad_values=q, method="l1", degenerate=degenerate)
+                           quad_values=q, degenerate=degenerate)
 
 
 def _rowdots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -237,8 +226,7 @@ def _refine_starts(op: GradientOperator, H0: np.ndarray, p: int):
     return out, traces
 
 
-def refine(op: GradientOperator, h0: np.ndarray, p: int, cfg: SelectConfig,
-           method: str = "refine") -> SelectionResult:
+def refine(op: GradientOperator, h0: np.ndarray, p: int) -> SelectionResult:
     """Ascend f_p from h0 by h <- (1-eta) h + eta grad/||grad||.
 
     The step eta starts at 1 and backtracks under an Armijo test; accepted
@@ -247,7 +235,8 @@ def refine(op: GradientOperator, h0: np.ndarray, p: int, cfg: SelectConfig,
     acceptance is still judged on the unsmoothed objective. The recursion
     stops on a zero gradient, a direction with no ascent, an Armijo search
     that fails ARMIJO_MAX_BACKTRACKS times, a step that gains less than
-    1e-8 f, or after REFINE_MAX_STEPS steps.
+    1e-8 f, or after REFINE_MAX_STEPS steps. Its only settings are those
+    module constants.
 
     Each step makes one stacked apply, AD = [A_c d] for the direction d.
     The carried AH = [A_c h] gives the gradient, every trial point is judged
@@ -259,12 +248,13 @@ def refine(op: GradientOperator, h0: np.ndarray, p: int, cfg: SelectConfig,
     H, traces = _refine_starts(op, np.asarray(h0, dtype=np.float64)[None], p)
     q = op.quad_values(H[0])
     return SelectionResult(h=H[0], score=_score_from_quads(q, p), quad_values=q,
-                           method=method, trace=traces[0])
+                           trace=traces[0])
 
 
-def select_group(op: GradientOperator, p: int, cfg: SelectConfig) -> SelectionResult:
+def select_group(op: GradientOperator, p: int, seed: int) -> SelectionResult:
     """Group-route selection: l1 initialization then monotone refinement.
 
+    ``seed`` seeds the Lanczos starts (sparse and matrix-free storages).
     Both spectrum-end eigenvectors of every output are refined (not just
     the single best), and the best refined point by f_p is returned. The
     single-init guarantee is preserved since that init is one of the
@@ -273,16 +263,19 @@ def select_group(op: GradientOperator, p: int, cfg: SelectConfig) -> SelectionRe
     The distinct starts (|h_i . h_j| < 1 - 1e-6) are refined together as
     one (b, d) block, with one stacked apply per step for all of them; a
     start leaves the block when its own recursion stops. Every start's
-    result is bit-identical to refining it alone with ``refine``.
+    result is bit-identical to refining it alone with ``refine``. When
+    every output is degenerate, the top end of output 0 (the l1 route's
+    pick) comes back unrefined with ``degenerate`` set.
     """
+    ends = _spectrum_ends(op, seed)
     inits = []
-    for top, bottom, degenerate in _spectrum_ends(op, cfg):
+    for top, bottom, degenerate in ends:
         if not degenerate:
             inits.extend((top[0], bottom[0]))
     if not inits:
-        zero = select_l1(op, cfg)
-        return SelectionResult(h=zero.h, score=_score_from_quads(zero.quad_values, p),
-                               quad_values=zero.quad_values, method="l1+refine",
+        h = ends[0][0][0]  # what select_l1 picks when every eigenvalue is 0
+        q = op.quad_values(h)
+        return SelectionResult(h=h, score=_score_from_quads(q, p), quad_values=q,
                                degenerate=True)
     distinct = []
     for h in inits:
@@ -297,7 +290,7 @@ def select_group(op: GradientOperator, p: int, cfg: SelectConfig) -> SelectionRe
             best = (f, h, q, trace)
     _, h, q, trace = best
     return SelectionResult(h=h, score=_score_from_quads(q, p), quad_values=q,
-                           method="l1+refine", trace=trace)
+                           trace=trace)
 
 
 def exact_oracle_linf(op: GradientOperator, limit: int = 12) -> SelectionResult:
@@ -321,7 +314,7 @@ def exact_oracle_linf(op: GradientOperator, limit: int = 12) -> SelectionResult:
         f = float(np.abs(q).sum())
         if f > best_f:
             best_h, best_q, best_f = h, q, f
-    return SelectionResult(h=best_h, score=best_f, quad_values=best_q, method="exact")
+    return SelectionResult(h=best_h, score=best_f, quad_values=best_q)
 
 
 def baseline_best_data(op: GradientOperator, ds) -> SelectionResult:
@@ -341,29 +334,28 @@ def baseline_best_data(op: GradientOperator, ds) -> SelectionResult:
     if best_h is None:
         z = np.zeros(op.d)
         return SelectionResult(h=z, score=0.0, quad_values=np.zeros(op.m),
-                               method="best-data", degenerate=True)
-    return SelectionResult(h=best_h, score=best_f, quad_values=best_q, method="best-data")
+                               degenerate=True)
+    return SelectionResult(h=best_h, score=best_f, quad_values=best_q)
 
 
 _RANDOM_BASELINE_STREAM = 0x5EED
 
-def baseline_random(op: GradientOperator, cfg: SelectConfig) -> SelectionResult:
+def baseline_random(op: GradientOperator, seed: int) -> SelectionResult:
     """A seeded random unit vector, evaluated as-is."""
-    h = _seeded_unit_vector(op.d, (cfg.seed, _RANDOM_BASELINE_STREAM))
+    h = _seeded_unit_vector(op.d, (seed, _RANDOM_BASELINE_STREAM))
     q = op.quad_values(h)
-    return SelectionResult(h=h, score=f_value(q, 1), quad_values=q, method="random")
+    return SelectionResult(h=h, score=f_value(q, 1), quad_values=q)
 
 
-def compare_methods(op: GradientOperator, cfg: SelectConfig, ds=None,
+def compare_methods(op: GradientOperator, seed: int, ds=None,
                     oracle_limit: int = 12) -> dict[str, SelectionResult]:
     """Run every selection method (plus the exact oracle) on one instance."""
     results = {
-        "l1-init+refine": select_group(op, 1, cfg),
-        "l1-init": select_l1(op, cfg),
-        "random-init": baseline_random(op, cfg),
+        "l1-init+refine": select_group(op, 1, seed),
+        "l1-init": select_l1(op, seed),
+        "random-init": baseline_random(op, seed),
     }
-    results["random-init+refine"] = refine(op, results["random-init"].h, 1, cfg,
-                                           method="random-init+refine")
+    results["random-init+refine"] = refine(op, results["random-init"].h, 1)
     if ds is not None:
         results["best-data"] = baseline_best_data(op, ds)
     results["exact"] = exact_oracle_linf(op, limit=oracle_limit)

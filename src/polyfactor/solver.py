@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from .gradients import GradientOperator
 from .losses import LOSSES, output_count
 from .models import MODEL_KINDS, Model, accuracy, check_model, copy_model, empty_model
 from .penalties import PENALTIES
-from .refit import FistaConfig, penalized_objective, prune, refit_full, refit_output
-from .selection import SelectConfig, select_group, select_l1
+from .refit import penalized_objective, prune, refit_full, refit_output
+from .selection import select_group, select_l1
 
 DUPLICATE_COS = 1.0 - 1e-8
 STOP_GAP = 1e-7  # floor of the stopping certificate for tiny lam
@@ -36,8 +36,7 @@ class SolverConfig:
     lam: float = 1e-3
     k_max: int = 30
     refit: str = "output"
-    select: SelectConfig = field(default_factory=SelectConfig)
-    fista: FistaConfig = field(default_factory=FistaConfig)
+    seed: int = 0  # Lanczos starts of the sparse and matrix-free storages
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
@@ -65,8 +64,8 @@ class TraceRecord:
 
 def _select(op: GradientOperator, cfg: SolverConfig):
     if cfg.penalty == "l1":
-        return select_l1(op, cfg.select)
-    return select_group(op, 2 if cfg.penalty == "l1l2" else 1, cfg.select)
+        return select_l1(op, cfg.seed)
+    return select_group(op, 2 if cfg.penalty == "l1l2" else 1, cfg.seed)
 
 
 def _operator(ds: Dataset, cfg: SolverConfig) -> GradientOperator:
@@ -127,9 +126,9 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
                             H=np.vstack([model.H, sel.h[None, :]]),
                             V=np.vstack([model.V, np.zeros((1, m_out))]))
 
-        model, _ = refit_output(model, ds, cfg.fista)
+        model, _ = refit_output(model, ds)
         if cfg.refit == "full":
-            model, _ = refit_full(model, ds, cfg.fista)
+            model, _ = refit_full(model, ds)
         model = prune(model)
 
         objective = penalized_objective(model, ds)

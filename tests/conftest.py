@@ -3,12 +3,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from polyfactor import refit
 from polyfactor.data import make_dataset
 from polyfactor.gradients import GradientOperator
 
 hypothesis.settings.register_profile("ci", max_examples=60, deadline=None)
 hypothesis.settings.register_profile("fast", max_examples=15, deadline=None)
 hypothesis.settings.load_profile("ci")
+
+
+def set_fista(monkeypatch, max_iter, tol):
+    """Run the FISTA refits with another iteration cap and tolerance."""
+    monkeypatch.setattr(refit, "FISTA_MAX_ITER", max_iter)
+    monkeypatch.setattr(refit, "FISTA_TOL", tol)
 
 
 def random_operator(rng, n, d, m, kind="pn", density=1.0, one_hot=False):

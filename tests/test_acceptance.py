@@ -23,9 +23,8 @@ from polyfactor.losses import LOSSES, loss_gradient, loss_gradients, loss_value
 from polyfactor.mcrank import build_ordinal, evaluate_ranking, fit_mcrank
 from polyfactor.models import accuracy, activation
 from polyfactor.penalties import PENALTIES, prox, row_norm
-from polyfactor.refit import FistaConfig, refit_full, refit_output
+from polyfactor.refit import refit_full, refit_output
 from polyfactor.selection import (
-    SelectConfig,
     baseline_best_data,
     baseline_random,
     exact_oracle_linf,
@@ -181,8 +180,8 @@ def test_criterion_2_eigensolver_suite():
         d = int(rng.integers(5, 51))
         n = int(rng.integers(d, 3 * d))
         op, _ = random_op(rng, n, d, 1, "fm" if i % 2 else "pn")
-        cfg = SelectConfig(eps=eps, seed=int(rng.integers(0, 2**31)))
-        _, val, _ = power_method(op, 0, cfg)
+        seed = int(rng.integers(0, 2**31))
+        _, val, _ = power_method(op, 0, seed)
         rho = np.abs(np.linalg.eigvalsh(op.dense_matrix(0))).max()
         ratio = abs(val) / rho
         worst = min(worst, ratio)
@@ -204,17 +203,17 @@ def test_criterion_3_subproblem_approximation():
         m = int(rng.integers(2, 9))
         d = int(rng.integers(6, 21))
         op, ds = logistic_op(rng, int(rng.integers(2 * d, 4 * d)), d, m)
-        cfg = SelectConfig(eps=eps, seed=int(rng.integers(0, 2**31)))
-        ours = f_value(select_group(op, 1, cfg).quad_values, 1)
+        seed = int(rng.integers(0, 2**31))
+        ours = f_value(select_group(op, 1, seed).quad_values, 1)
         exact = exact_oracle_linf(op).score
         nu = ours / exact
         nus.append(nu)
         if nu < (1.0 - eps) / m:
             hard_ok = False
-        rand = baseline_random(op, cfg)
+        rand = baseline_random(op, seed)
         rivals = [
-            f_value(refine(op, rand.h, 1, cfg).quad_values, 1),
-            f_value(select_l1(op, cfg).quad_values, 1),
+            f_value(refine(op, rand.h, 1).quad_values, 1),
+            f_value(select_l1(op, seed).quad_values, 1),
             f_value(rand.quad_values, 1),
             f_value(baseline_best_data(op, ds).quad_values, 1),
         ]
@@ -242,7 +241,7 @@ def test_criterion_4_monotone_traces():
             op, _ = logistic_op(np.random.default_rng(seed), 30, 8, 4)
             h0 = rng.standard_normal(8)
             h0 /= np.linalg.norm(h0)
-            res = refine(op, h0, p, SelectConfig(seed=seed))
+            res = refine(op, h0, p)
             assert res.trace == sorted(res.trace), "refinement trace decreased"
             checked += 1
 
@@ -256,8 +255,8 @@ def test_criterion_4_monotone_traces():
         for penalty in PENALTIES:
             model = Model(kind, H, 0.3 * rng.standard_normal((4, 4)),
                           "logistic", penalty, 0.05)
-            _, tr1 = refit_output(model, ds, FistaConfig())
-            _, tr2 = refit_full(model, ds, FistaConfig())
+            _, tr1 = refit_output(model, ds)
+            _, tr2 = refit_full(model, ds)
             assert non_increasing(tr1) and non_increasing(tr2)
             checked += 2
 
@@ -265,8 +264,7 @@ def test_criterion_4_monotone_traces():
     for penalty in PENALTIES:
         for refit_mode in ("output", "full"):
             cfg = SolverConfig(model="pn", loss="logistic", penalty=penalty,
-                               lam=0.05, k_max=6, refit=refit_mode,
-                               select=SelectConfig(seed=0))
+                               lam=0.05, k_max=6, refit=refit_mode, seed=0)
             _, trace = fit(ds, cfg)
             assert non_increasing([r.objective for r in trace])
             checked += 1
@@ -280,8 +278,7 @@ def test_criterion_5_multiclass_desk_scale(vowel_like):
     grid = (0.3, 0.1, 0.03, 0.01)
 
     cfg = SolverConfig(model="pn", loss="logistic", penalty="l1l2", lam=0.1,
-                       k_max=25, refit="full", select=SelectConfig(eps=0.01, seed=0),
-                       fista=FistaConfig(max_iter=1000, tol=1e-3))
+                       k_max=25, refit="full", seed=0)
     best, _ = fit_path(train, valid, cfg, lam_grid=grid)
     acc_full = accuracy(best, test)
 
@@ -290,9 +287,7 @@ def test_criterion_5_multiclass_desk_scale(vowel_like):
     pool_acc = {}
     for penalty in ("l1l2", "l1"):
         cfg_out = SolverConfig(model="pn", loss="logistic", penalty=penalty,
-                               lam=0.1, k_max=25, refit="output",
-                               select=SelectConfig(eps=0.01, seed=0),
-                               fista=FistaConfig(max_iter=1000, tol=1e-3))
+                               lam=0.1, k_max=25, refit="output", seed=0)
         model, _ = fit_path(train, valid, cfg_out, lam_grid=grid)
         pool_acc[penalty] = accuracy(model, pool)
 
@@ -311,7 +306,7 @@ def test_criterion_6_support_bounds(vowel_like):
     results = []
     for penalty in PENALTIES:
         cfg = SolverConfig(model="pn", loss="logistic", penalty=penalty,
-                           lam=0.05, k_max=8, select=SelectConfig(seed=0))
+                           lam=0.05, k_max=8, seed=0)
         model, trace = fit(train, cfg)
         rep = support_check(model, train, iterations=trace[-1].t)
         assert rep["k"] <= rep["iterations"], "k exceeded iteration count"
@@ -333,9 +328,7 @@ def test_criterion_7_recommender_desk_scale(ml100k_like, tmp_path):
         best = None
         for lam in (5.0, 2.0):
             cfg = SolverConfig(model="fm", loss=loss, penalty="l1linf", lam=lam,
-                               k_max=50, refit="output",
-                               select=SelectConfig(eps=0.01, seed=0),
-                               fista=FistaConfig(max_iter=1000, tol=1e-3))
+                               k_max=50, refit="output", seed=0)
             if loss == "binary-logistic":
                 model, _ = fit_mcrank(build_ordinal(train), cfg)
             else:

@@ -50,12 +50,11 @@ def test_tracer_payloads_read_selection_results(rng):
     tracing = load("tracing")
     tracer = tracing.Tracer()
     op = shaped_operator(rng, SHAPES[1], "pn")
-    cfg = selection.SelectConfig()
     try:
         tracer.install()
         tracer.enabled = True
-        refined = selection.refine(op, selection.select_l1(op, cfg).h, 1, cfg)
-        solver.select_group(op, 2, cfg)
+        refined = selection.refine(op, selection.select_l1(op, 0).h, 1)
+        solver.select_group(op, 2, 0)
     finally:
         tracer.enabled = False
         tracer.uninstall()

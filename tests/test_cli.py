@@ -10,8 +10,9 @@ import pytest
 
 import polyfactor
 from polyfactor.cli import main
-from polyfactor.data import load_svmlight, save_svmlight
-from polyfactor.models import load_model
+from polyfactor.data import load_movielens, load_svmlight, save_svmlight
+from polyfactor.mcrank import expected_relevance
+from polyfactor.models import load_model, outputs
 from polyfactor.synth import make_multiclass, make_ratings, write_movielens
 
 
@@ -47,6 +48,7 @@ class TestTrain:
         manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
         assert manifest["data"]["sha256"]
         assert manifest["config"]["k_max"] == 4
+        assert manifest["config"]["seed"] == 0 and "seed" not in manifest
 
     def test_missing_data_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -145,6 +147,25 @@ class TestPredictEval:
         report = json.loads(capsys.readouterr().out)
         assert {"rmse", "ndcg@1", "ndcg@5"} <= set(report)
 
+    @pytest.mark.parametrize("flags", [("--mcrank",), ("--loss", "squared")])
+    def test_predict_rating_models(self, flags, ml_file, tmp_path, capsys):
+        # mcrank models predict the expected rating, squared ones the raw output
+        out = tmp_path / "m.json"
+        assert run("train", "--data", ml_file, "--format", "movielens", *flags,
+                   "--model", "fm", "--penalty", "l1linf", "--k-max", 3,
+                   "--lambda", "0.05", "--out", out) == 0
+        capsys.readouterr()
+        assert run("predict", "--model", out, "--data", ml_file,
+                   "--format", "movielens") == 0
+        got = [float(v) for v in capsys.readouterr().out.split()]
+        model, ds = load_model(out), load_movielens(ml_file)
+        assert model.k > 0
+        if model.loss == "binary-logistic":
+            want = expected_relevance(model, ds.X)
+        else:
+            want = outputs(model, ds.X)[:, 0]
+        assert got == want.tolist()
+
     def test_mcrank_eval_reports_ranking_metrics(self, ml_file, tmp_path, capsys):
         out = tmp_path / "mc.json"
         run("train", "--data", ml_file, "--format", "movielens", "--mcrank",
@@ -190,6 +211,29 @@ class TestPath:
         assert lams == sorted(lams, reverse=True)
         assert lams[0] / lams[-1] == pytest.approx(1000.0, rel=1e-6)
 
+    @pytest.mark.parametrize("flags, metric, best_of", [
+        (("--mcrank",), "ndcg@1", max),
+        (("--loss", "squared"), "rmse", min),
+    ])
+    def test_rating_metrics_select_best(self, flags, metric, best_of, ml_file, tmp_path,
+                                        capsys):
+        out = tmp_path / "best.json"
+        report_path = tmp_path / "report.json"
+        code = run("path", "--data", ml_file, "--format", "movielens", *flags,
+                   "--model", "fm", "--penalty", "l1linf", "--lambdas", "0.5,0.05",
+                   "--k-max", 3, "--metric", metric, "--out", out,
+                   "--report", report_path)
+        assert code == 0
+        best = json.loads(capsys.readouterr().out)
+        report = json.loads(report_path.read_text())
+        metrics = [entry["metric"] for per in report["per_lambda"]
+                   for entry in per["iterations"]]
+        assert len(metrics) > 1
+        assert best["metric"] == best_of(metrics)
+        model = load_model(out)
+        assert model.k == best["k"]
+        assert model.m == (5 if "--mcrank" in flags else 1)
+
     @pytest.mark.parametrize("penalty", ["l1", "l1l2", "l1linf"])
     def test_auto_grid_top_learns_nothing(self, penalty, svm_file, tmp_path):
         # the grid starts at lambda_max, where the first atom stays at zero
@@ -229,6 +273,20 @@ class TestOracleCompare:
             medians[method] = float(np.median(nus))
         best = max(medians, key=medians.get)
         assert medians["l1-init+refine"] >= medians[best] - 1e-9
+
+    def test_dataset_rows(self, svm_file, tmp_path):
+        # the dataset's logistic gradient at the zero model as one more instance
+        out = tmp_path / "nu.csv"
+        code = run("oracle-compare", "--data", svm_file, "--instances", 0,
+                   "--out", out, "--seed", 3)
+        assert code == 0
+        rows = list(csv.DictReader(out.open()))
+        assert {r["instance"] for r in rows} == {"dataset"}
+        assert [r["method"] for r in rows] == [
+            "exact", "l1-init+refine", "l1-init", "random-init",
+            "random-init+refine", "best-data"]
+        assert rows[0]["nu_hat"] == "1.0"
+        assert all(0.0 < float(r["nu_hat"]) <= 1.0 + 1e-9 for r in rows)
 
     def test_m_over_limit_refused(self, tmp_path, capsys):
         code = run("oracle-compare", "--m-max", 13, "--out", tmp_path / "x.csv")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import set_fista
 from polyfactor.data import make_dataset
 from polyfactor.mcrank import (
     RankingGroups,
@@ -14,8 +15,6 @@ from polyfactor.mcrank import (
     threshold_probabilities,
 )
 from polyfactor.models import Model
-from polyfactor.refit import FistaConfig
-from polyfactor.selection import SelectConfig
 from polyfactor.solver import ConfigError, SolverConfig
 from polyfactor.synth import make_ratings
 
@@ -172,17 +171,17 @@ class TestFitMcrank:
         with pytest.raises(ConfigError):
             fit_mcrank(ds, SolverConfig(model="fm", loss="logistic"))
 
-    def test_single_level_reduces_to_binary_classifier(self, rng):
+    def test_single_level_reduces_to_binary_classifier(self, rng, monkeypatch):
         # m=1: the threshold matrix is all +1 and training is plain binary
         X = rng.standard_normal((20, 4))
         ds = make_dataset(X, np.ones(20, dtype=np.int64), 1)
+        set_fista(monkeypatch, 200, 1e-6)
         cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf",
-                           lam=0.1, k_max=2, select=SelectConfig(seed=0),
-                           fista=FistaConfig(max_iter=200, tol=1e-6))
+                           lam=0.1, k_max=2, seed=0)
         model, _ = fit_mcrank(ds, cfg)
         assert model.m == 1
 
-    def test_constant_ratings_score_near_the_constant(self, rng):
+    def test_constant_ratings_score_near_the_constant(self, rng, monkeypatch):
         users, items, _ = make_ratings(12, 15, 80, seed=3)
         ratings = np.full(users.size, 4)
         rows = np.arange(users.size)
@@ -194,14 +193,14 @@ class TestFitMcrank:
               np.concatenate([[u - 1, 11 + i] for u, i in zip(users, items)]))),
             shape=(users.size, 27))
         ds = make_dataset(X, ratings, 5, group_ids=users - 1)
+        set_fista(monkeypatch, 500, 1e-8)
         cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf",
-                           lam=1e-3, k_max=8, select=SelectConfig(seed=1),
-                           fista=FistaConfig(max_iter=500, tol=1e-8))
+                           lam=1e-3, k_max=8, seed=1)
         model, _ = fit_mcrank(build_ordinal(ds), cfg)
         scores = expected_relevance(model, ds.X)
         assert np.all(np.abs(scores - 4.0) < 0.75)
 
-    def test_evaluate_ranking_report_keys(self, rng):
+    def test_evaluate_ranking_report_keys(self, rng, monkeypatch):
         users, items, ratings = make_ratings(10, 12, 70, seed=5)
         import scipy.sparse as sp
 
@@ -212,9 +211,9 @@ class TestFitMcrank:
               np.concatenate([[u - 1, 9 + i] for u, i in zip(users, items)]))),
             shape=(users.size, 22))
         ds = make_dataset(X, ratings, int(ratings.max()), group_ids=users - 1)
+        set_fista(monkeypatch, 300, 1e-6)
         cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf",
-                           lam=1e-2, k_max=4, select=SelectConfig(seed=2),
-                           fista=FistaConfig(max_iter=300, tol=1e-6))
+                           lam=1e-2, k_max=4, seed=2)
         model, _ = fit_mcrank(build_ordinal(ds), cfg)
         report = evaluate_ranking(model, ds)
         assert set(report) == {"rmse", "ndcg@1", "ndcg@5"}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from conftest import set_fista
 from polyfactor import refit
 from polyfactor.data import make_dataset
 from polyfactor.gradients import GradientOperator
@@ -9,7 +10,6 @@ from polyfactor.losses import loss_values
 from polyfactor.models import Model, hidden_activations, outputs
 from polyfactor.penalties import penalty_value, project_unit_rows, prox
 from polyfactor.refit import (
-    FistaConfig,
     _fista,
     penalized_objective,
     prune,
@@ -17,7 +17,11 @@ from polyfactor.refit import (
     refit_output,
 )
 
-CFG = FistaConfig(max_iter=1000, tol=1e-7)
+
+@pytest.fixture(autouse=True)
+def tight_fista(monkeypatch):
+    # a tighter refit than the package's 1000 iterations at 1e-3
+    set_fista(monkeypatch, 1000, 1e-7)
 
 
 def make_problem(rng, kind="pn", n=25, d=6, m=3, k=4, loss="logistic",
@@ -32,21 +36,21 @@ def make_problem(rng, kind="pn", n=25, d=6, m=3, k=4, loss="logistic",
     return model, ds
 
 
-def capture_fista(monkeypatch, refit_fn, model, ds, cfg=CFG):
+def capture_fista(monkeypatch, refit_fn, model, ds):
     """Run ``refit_fn`` and return its result plus every ``_fista`` call's
-    (x0, smooth, model, cfg)."""
+    (x0, smooth, model)."""
     calls = []
     real = refit._fista
 
-    def spy(x0, smooth, model, cfg):
-        calls.append((x0, smooth, model, cfg))
-        return real(x0, smooth, model, cfg)
+    def spy(x0, smooth, model):
+        calls.append((x0, smooth, model))
+        return real(x0, smooth, model)
 
     monkeypatch.setattr(refit, "_fista", spy)
-    return refit_fn(model, ds, cfg), calls
+    return refit_fn(model, ds), calls
 
 
-def reference_fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, cfg):
+def reference_fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, max_iter, tol):
     """The monotone FISTA loop with separate value, gradient, prox and penalty
     oracles, re-evaluating every point it needs (candidates twice, and the
     accepted point again as the next y)."""
@@ -56,7 +60,7 @@ def reference_fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, c
     y = x
     t = 1.0
     L = 1.0
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         L = max(L * 0.5, 1e-10)
         restarted = False
         while True:
@@ -81,7 +85,7 @@ def reference_fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, c
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = refit._combine(cand, (t - 1.0) / t_next, tuple(c - xx for c, xx in zip(cand, x)))
         x, t = cand, t_next
-        stop = abs(trace[-1] - cand_obj) < cfg.tol * max(abs(cand_obj), 1.0)
+        stop = abs(trace[-1] - cand_obj) < tol * max(abs(cand_obj), 1.0)
         obj = cand_obj
         trace.append(obj)
         if stop:
@@ -96,8 +100,9 @@ class TestOneOracle:
     def test_matches_reference_loop(self, refit_fn, penalty, kind, monkeypatch):
         for seed in (0, 1):  # both seeds restart in some of the cases
             model, ds = make_problem(np.random.default_rng(seed), kind=kind, penalty=penalty)
-            (refitted, trace), [(x0, smooth, seen, cfg)] = capture_fista(
-                monkeypatch, refit_fn, model, ds, FistaConfig(max_iter=300, tol=1e-7))
+            set_fista(monkeypatch, 300, 1e-7)
+            (refitted, trace), [(x0, smooth, seen)] = capture_fista(
+                monkeypatch, refit_fn, model, ds)
             assert seen is model
 
             def prox_step(x, step):
@@ -106,7 +111,7 @@ class TestOneOracle:
 
             x, ref_trace = reference_fista(
                 x0, lambda x: smooth(x)[0], lambda x: smooth(x)[1](), prox_step,
-                lambda x: model.lam * penalty_value(penalty, x[0]), cfg)
+                lambda x: model.lam * penalty_value(penalty, x[0]), 300, 1e-7)
             assert trace == ref_trace
             assert np.array_equal(refitted.V, x[0])
             assert np.array_equal(refitted.H, x[1] if len(x) > 1 else model.H)
@@ -117,16 +122,16 @@ class TestOneOracle:
         real = refit._fista
         points = []  # every x passed to smooth, kept alive so ids stay unique
 
-        def spy(x0, smooth, model, cfg):
+        def spy(x0, smooth, model):
             def counted(x):
                 assert not any(x is p for p in points), "point evaluated twice"
                 points.append(x)
                 return smooth(x)
-            return real(x0, counted, model, cfg)
+            return real(x0, counted, model)
 
         monkeypatch.setattr(refit, "_fista", spy)
         for refit_fn in (refit_output, refit_full):
-            _, trace = refit_fn(model, ds, CFG)
+            _, trace = refit_fn(model, ds)
             assert len(trace) > 2
         assert len(points) > 10
 
@@ -136,17 +141,17 @@ class TestOutputRefit:
         for seed in range(5):
             model, ds = make_problem(np.random.default_rng(seed))
             before = penalized_objective(model, ds)
-            refitted, trace = refit_output(model, ds, CFG)
+            refitted, trace = refit_output(model, ds)
             assert trace == sorted(trace, reverse=True) or \
                 all(b - a >= -1e-9 * max(abs(a), 1.0) for a, b in zip(trace[1:], trace[:-1]))
             assert penalized_objective(refitted, ds) <= before + 1e-9
 
     def test_huge_lambda_kills_all_rows(self, rng):
         model, ds = make_problem(rng, lam=1e9)
-        refitted, _ = refit_output(model, ds, CFG)
+        refitted, _ = refit_output(model, ds)
         assert np.all(refitted.V == 0.0)
 
-    def test_matches_scalar_line_search(self, rng):
+    def test_matches_scalar_line_search(self, rng, monkeypatch):
         # k=1, m=1: the penalized fit reduces to a 1-D convex problem
         n, d = 30, 4
         X = rng.standard_normal((n, d))
@@ -157,7 +162,8 @@ class TestOutputRefit:
         h /= np.linalg.norm(h)
         lam = 0.7
         model = Model("pn", h[None, :], np.zeros((1, 1)), "binary-logistic", "l1", lam)
-        refitted, _ = refit_output(model, ds, FistaConfig(max_iter=5000, tol=1e-12))
+        set_fista(monkeypatch, 5000, 1e-12)
+        refitted, _ = refit_output(model, ds)
 
         phi = hidden_activations("pn", model.H, ds.X)[:, 0]
 
@@ -172,14 +178,15 @@ class TestOutputRefit:
     def test_empty_model_noop(self, rng):
         model, ds = make_problem(rng, k=0)
         model = Model("pn", np.zeros((0, 6)), np.zeros((0, 3)), "logistic", "l1l2", 0.1)
-        refitted, trace = refit_output(model, ds, CFG)
+        refitted, trace = refit_output(model, ds)
         assert refitted.k == 0 and len(trace) == 1
 
-    def test_zero_lambda_approaches_unpenalized_minimum(self, rng):
+    def test_zero_lambda_approaches_unpenalized_minimum(self, rng, monkeypatch):
         # k = n spanning activations: the unpenalized minimum is zero loss
         model, ds = make_problem(rng, n=8, d=8, k=8, lam=1e-12,
                                  loss="squared-hinge", penalty="l1")
-        refitted, trace = refit_output(model, ds, FistaConfig(max_iter=5000, tol=1e-14))
+        set_fista(monkeypatch, 5000, 1e-14)
+        refitted, trace = refit_output(model, ds)
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))
         O = outputs(refitted, ds.X)
@@ -191,14 +198,14 @@ class TestFullRefit:
         for kind in ("pn", "fm"):
             model, ds = make_problem(rng, kind=kind)
             before = penalized_objective(model, ds)
-            refitted, trace = refit_full(model, ds, CFG)
+            refitted, trace = refit_full(model, ds)
             diffs = np.diff(trace)
             assert np.all(diffs <= 1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))
             assert penalized_objective(refitted, ds) <= before + 1e-9
 
     def test_basis_rows_stay_feasible(self, rng):
         model, ds = make_problem(rng, kind="fm")
-        refitted, _ = refit_full(model, ds, CFG)
+        refitted, _ = refit_full(model, ds)
         assert np.all(np.linalg.norm(refitted.H, axis=1) <= 1.0 + 1e-9)
 
     def test_stationary_point_returned_unchanged(self, rng):
@@ -211,7 +218,7 @@ class TestFullRefit:
         V = np.array([[10.0, -10.0], [-10.0, 10.0], [-10.0, 10.0]])
         model = Model("pn", H, V, "squared-hinge", "l1", 1e-300)
         assert float(loss_values("squared-hinge", y, outputs(model, ds.X)).sum()) == 0.0
-        refitted, _ = refit_full(model, ds, CFG)
+        refitted, _ = refit_full(model, ds)
         assert np.array_equal(refitted.H, H)
         assert np.array_equal(refitted.V, V)
 
@@ -220,9 +227,9 @@ class TestFullRefit:
         # the gradient each refit's own smooth oracle hands to _fista
         model, ds = make_problem(np.random.default_rng(5), kind=kind, loss="logistic")
         eps = 1e-6
+        set_fista(monkeypatch, 1, 1e-3)
         for refit_fn in (refit_output, refit_full):
-            _, [(x0, smooth, _, _)] = capture_fista(monkeypatch, refit_fn, model, ds,
-                                                    FistaConfig(max_iter=1))
+            _, [(x0, smooth, _)] = capture_fista(monkeypatch, refit_fn, model, ds)
             value, grad = smooth(x0)
             assert value == pytest.approx(float(loss_values(
                 model.loss, ds.y, outputs(model, ds.X)).sum()), rel=1e-12)
@@ -239,11 +246,11 @@ class TestFullRefit:
 
     def test_descent_from_perturbed_model(self, rng):
         model, ds = make_problem(rng)
-        fitted, _ = refit_output(model, ds, CFG)
+        fitted, _ = refit_output(model, ds)
         noisy = Model(model.kind, fitted.H, fitted.V + 0.5 * rng.standard_normal(fitted.V.shape),
                       model.loss, model.penalty, model.lam)
         before = penalized_objective(noisy, ds)
-        refitted, trace = refit_full(noisy, ds, CFG)
+        refitted, trace = refit_full(noisy, ds)
         assert trace[-1] <= before
         assert penalized_objective(refitted, ds) <= before
 
@@ -255,8 +262,9 @@ class TestFeatureSquares:
         calls = []
         square = ds.X.multiply
         monkeypatch.setattr(ds.X, "multiply", lambda other: calls.append(1) or square(other))
-        refit_full(model, ds, FistaConfig(max_iter=20))
-        refit_output(model, ds, FistaConfig(max_iter=20))
+        set_fista(monkeypatch, 20, 1e-3)
+        refit_full(model, ds)
+        refit_output(model, ds)
         penalized_objective(model, ds)
         op = GradientOperator(ds, "fm")
         assert op.storage == "free"
@@ -287,12 +295,12 @@ class TestPrune:
 
     def test_huge_lambda_then_prune_empties_model(self, rng):
         model, ds = make_problem(rng, lam=1e9)
-        refitted, _ = refit_output(model, ds, CFG)
+        refitted, _ = refit_output(model, ds)
         assert prune(refitted).k == 0
 
 
 class TestFista:
-    def test_nan_candidate_objective_raises(self):
+    def test_nan_candidate_objective_raises(self, monkeypatch):
         # finite at the start only: NaN fails both acceptance comparisons and
         # must raise, not slip into the trace
         calls = []
@@ -303,5 +311,6 @@ class TestFista:
 
         V = np.array([[1.0, -2.0]])
         model = Model("pn", np.zeros((1, 2)), V, "logistic", "l1", 0.0)
+        set_fista(monkeypatch, 5, 1e-3)
         with pytest.raises(FloatingPointError, match="non-finite"):
-            _fista((V,), smooth, model, FistaConfig(max_iter=5))
+            _fista((V,), smooth, model)

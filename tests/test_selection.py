@@ -11,9 +11,9 @@ from polyfactor.selection import (
     ARMIJO_SHRINK,
     ARMIJO_SLOPE,
     HUBER_DELTA,
+    LANCZOS_EPS,
     REFINE_MAX_STEPS,
     OracleLimitError,
-    SelectConfig,
     SelectionResult,
     _refine_starts,
     _spectrum_ends,
@@ -28,7 +28,7 @@ from polyfactor.selection import (
     select_l1,
 )
 
-CFG = SelectConfig(eps=0.01, seed=7)
+SEED = 7
 
 
 def diag_operator(diags):
@@ -67,26 +67,26 @@ def storage_operators(rng, kind):
 class TestPowerMethod:
     def test_identity_operator(self, rng):
         op = diag_operator(np.ones((5, 1)))
-        h, val, degenerate = power_method(op, 0, CFG)
+        h, val, degenerate = power_method(op, 0, SEED)
         assert not degenerate
         assert val == pytest.approx(1.0, rel=1e-6)
         assert np.linalg.norm(h) == pytest.approx(1.0)
 
     def test_dominant_diagonal(self):
         op = diag_operator(np.array([[3.0], [1.0]]))
-        h, val, _ = power_method(op, 0, CFG)
+        h, val, _ = power_method(op, 0, SEED)
         assert abs(val) == pytest.approx(3.0, rel=1e-4)
         assert abs(h[0]) == pytest.approx(1.0, abs=1e-3)
 
     def test_zero_operator_flagged(self, rng):
         op, _ = random_operator(rng, 6, 4, 2)
         op.set_gradients(np.zeros((6, 2)))
-        h, val, degenerate = power_method(op, 0, CFG)
+        h, val, degenerate = power_method(op, 0, SEED)
         assert degenerate and val == 0.0
 
     def test_negative_dominant_eigenvalue(self):
         op = diag_operator(np.array([[-4.0], [2.0]]))
-        h, val, _ = power_method(op, 0, CFG)
+        h, val, _ = power_method(op, 0, SEED)
         assert val == pytest.approx(-4.0, rel=1e-4)
 
     def test_certificate_against_dense_eigensolver(self, rng):
@@ -94,10 +94,9 @@ class TestPowerMethod:
             d = int(rng.integers(4, 30))
             op, _ = random_operator(rng, int(rng.integers(d, 2 * d)), d, 1,
                                     kind="fm" if i % 2 else "pn")
-            cfg = SelectConfig(eps=0.01, seed=i)
-            h, val, _ = power_method(op, 0, cfg)
+            h, val, _ = power_method(op, 0, i)
             rho = np.abs(np.linalg.eigvalsh(op.dense_matrix(0))).max()
-            assert abs(val) >= (1 - cfg.eps) * rho
+            assert abs(val) >= (1 - LANCZOS_EPS) * rho
             assert np.linalg.norm(h) <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
@@ -105,14 +104,13 @@ class TestPowerMethod:
         seen = set()
         for i, (shape, op) in enumerate(storage_operators(rng, kind) * 3):
             seen.add(op.storage)
-            cfg = SelectConfig(eps=0.01, seed=i)
-            ends = _spectrum_ends(op, cfg)
+            ends = _spectrum_ends(op, i)
             for c, (top, bottom, degenerate) in enumerate(ends):
                 A = op.dense_matrix(c)
                 vals = np.linalg.eigvalsh(A)
                 rho = np.abs(vals).max()
                 # the oracle rounds an FM d = 1 operator to ~1e-16, not to 0
-                tol = cfg.eps * rho + 1e-12
+                tol = LANCZOS_EPS * rho + 1e-12
                 assert degenerate == (rho <= 1e-12), shape
                 for (h, q), exact in ((top, vals[-1]), (bottom, vals[0])):
                     assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
@@ -120,31 +118,32 @@ class TestPowerMethod:
                     assert abs(q - exact) <= tol, (shape, q, exact)
                     # both ends meet the Lanczos stop test (exact on eigh)
                     residual = np.linalg.norm(A @ h - q * h)
-                    assert residual <= 0.05 * cfg.eps * rho * (1 + 1e-6) + 1e-12, shape
-                h, val, _ = power_method(op, c, cfg)
-                assert abs(val) >= (1 - cfg.eps) * rho - 1e-12, shape
+                    assert residual <= 0.05 * LANCZOS_EPS * rho * (1 + 1e-6) + 1e-12, shape
+                h, val, _ = power_method(op, c, i)
+                assert abs(val) >= (1 - LANCZOS_EPS) * rho - 1e-12, shape
         assert seen == {"dense", "sparse", "free"}
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_zero_operator_degenerate_on_every_storage(self, kind, rng):
         for shape, op in storage_operators(rng, kind):
             op.set_gradients(np.zeros((op.n, op.m)))
-            assert all(degenerate for *_, degenerate in _spectrum_ends(op, CFG)), shape
-            assert power_method(op, 0, CFG)[2]
-            assert select_l1(op, CFG).degenerate
-            assert select_group(op, 1, CFG).degenerate
+            assert all(degenerate for *_, degenerate in _spectrum_ends(op, SEED)), shape
+            assert power_method(op, 0, SEED)[2]
+            assert select_l1(op, SEED).degenerate
+            assert select_group(op, 1, SEED).degenerate
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_select_group_deterministic(self, kind, rng):
         for shape, op in storage_operators(rng, kind):
-            a, b = select_group(op, 1, CFG), select_group(op, 1, CFG)
+            a, b = select_group(op, 1, SEED), select_group(op, 1, SEED)
             assert np.array_equal(a.h, b.h), shape
 
 
 class TestApplyBlock:
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_rows_are_single_applies(self, kind, rng):
-        # item j equals apply_all(H[j]) bit for bit and in the same layout
+        # row c of item j is matvec(c, H[j]) bit for bit, in the layout the
+        # storage documents (C-ordered stored, F-ordered matrix-free)
         seen = set()
         for shape, op in storage_operators(rng, kind):
             seen.add(op.storage)
@@ -152,36 +151,38 @@ class TestApplyBlock:
             block = op.apply_block(H)
             assert block.shape == (5, op.m, op.d)
             for j in range(5):
-                single = op.apply_all(H[j])
-                assert np.array_equal(block[j], single), shape
-                layout = [(a.flags.c_contiguous, a.flags.f_contiguous) for a in (block[j], single)]
-                assert layout[0] == layout[1], shape
+                for c in range(op.m):
+                    assert np.array_equal(block[j, c], op.matvec(c, H[j])), shape
+                    assert np.allclose(block[j, c], op.dense_matrix(c) @ H[j],
+                                       rtol=1e-10, atol=1e-10), shape
+                flags = block[j].flags
+                assert flags.f_contiguous if op.storage == "free" else flags.c_contiguous, shape
         assert seen == {"dense", "sparse", "free"}
 
 
 class TestSelectL1:
     def test_single_output_equals_power_method(self, rng):
         op, _ = random_operator(rng, 10, 6, 1)
-        res = select_l1(op, CFG)
-        h, val, _ = power_method(op, 0, CFG)
+        res = select_l1(op, SEED)
+        h, val, _ = power_method(op, 0, SEED)
         assert res.score == pytest.approx(abs(val), rel=1e-12)
         assert abs(res.h @ h) == pytest.approx(1.0, abs=1e-9)
 
     def test_picks_strongest_output(self):
         op = diag_operator(np.array([[3.0, 0.0], [1.0, 2.0]]))
-        res = select_l1(op, CFG)
+        res = select_l1(op, SEED)
         assert res.score == pytest.approx(3.0, rel=1e-4)
         assert abs(res.h[0]) == pytest.approx(1.0, abs=1e-3)
 
     def test_score_is_inf_norm_of_quads(self, rng):
         op, _ = random_operator(rng, 12, 5, 4)
-        res = select_l1(op, CFG)
+        res = select_l1(op, SEED)
         assert res.score == pytest.approx(np.abs(res.quad_values).max(), abs=1e-10)
 
     def test_all_zero_outputs_degenerate(self, rng):
         op, _ = random_operator(rng, 5, 4, 3)
         op.set_gradients(np.zeros((5, 3)))
-        res = select_l1(op, CFG)
+        res = select_l1(op, SEED)
         assert res.degenerate
 
 
@@ -227,7 +228,7 @@ class TestRefine:
             op = shaped_operator(rng, shape, kind)
             h0 = rng.standard_normal(op.d)
             h0 /= np.linalg.norm(h0)
-            res = refine(op, h0, p, CFG)
+            res = refine(op, h0, p)
             _, ref_trace = reference_refine(op, h0, p)
             assert len(res.trace) == len(ref_trace)
             assert np.all(np.diff(res.trace) >= 0.0)
@@ -242,7 +243,7 @@ class TestRefine:
             h0 = rng.standard_normal(8)
             h0 /= np.linalg.norm(h0)
             before = f_value(op.quad_values(h0), p)
-            res = refine(op, h0, p, CFG)
+            res = refine(op, h0, p)
             after = f_value(res.quad_values, p)
             assert after >= before - 1e-12
             assert np.linalg.norm(res.h) <= 1.0 + 1e-9
@@ -253,26 +254,26 @@ class TestRefine:
         M = op.dense_matrix(0)
         vals, vecs = np.linalg.eigh(M)
         top = vecs[:, np.argmax(np.abs(vals))]
-        res = refine(op, top, 2, CFG)
+        res = refine(op, top, 2)
         assert abs(res.h @ top) == pytest.approx(1.0, abs=1e-8)
 
     def test_stationary_point_unchanged(self):
         # the dominant eigenvector of a single diagonal output is a maximizer
         op = diag_operator(np.array([[5.0], [1.0]]))
         h0 = np.array([1.0, 0.0])
-        res = refine(op, h0, 2, CFG)
+        res = refine(op, h0, 2)
         assert np.allclose(res.h, h0)
 
     def test_improvement_tracks_random_restarts(self, rng):
         # refined value from the l1 init compares well against many restarts
         op, _ = random_operator(rng, 16, 8, 3)
-        init = select_l1(op, CFG)
-        res = refine(op, init.h, 1, CFG)
+        init = select_l1(op, SEED)
+        res = refine(op, init.h, 1)
         best_restart = 0.0
         for i in range(20):
             h0 = np.random.default_rng(i).standard_normal(8)
             h0 /= np.linalg.norm(h0)
-            r = refine(op, h0, 1, CFG)
+            r = refine(op, h0, 1)
             best_restart = max(best_restart, f_value(r.quad_values, 1))
         assert f_value(res.quad_values, 1) >= 0.99 * best_restart
 
@@ -331,7 +332,7 @@ class TestSelectGroup:
         op = shaped_operator(rng, shape, kind)
         # select_group against refining its distinct starts one at a time
         distinct = []
-        for top, bottom, degenerate in _spectrum_ends(op, CFG):
+        for top, bottom, degenerate in _spectrum_ends(op, SEED):
             for h in () if degenerate else (top[0], bottom[0]):
                 if all(abs(h @ g) < 1.0 - 1e-6 for g in distinct):
                     distinct.append(h)
@@ -340,7 +341,7 @@ class TestSelectGroup:
             h, q, trace, _ = per_start_refine(op, h0, p)
             if best is None or f_value(q, p) > best[0]:
                 best = (f_value(q, p), h, q, trace)
-        res = select_group(op, p, CFG)
+        res = select_group(op, p, SEED)
         assert np.array_equal(res.h, best[1])
         assert np.array_equal(res.quad_values, best[2])
         assert res.trace == best[3]
@@ -366,38 +367,39 @@ class TestSelectGroup:
 
     def test_single_output_matches_l1_route(self, rng):
         op, _ = random_operator(rng, 10, 5, 1)
-        group = select_group(op, 1, CFG)
-        l1 = select_l1(op, CFG)
+        group = select_group(op, 1, SEED)
+        l1 = select_l1(op, SEED)
         assert group.score >= l1.score - 1e-10
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_never_worse_than_l1_init(self, p, rng):
         for seed in range(6):
             op, _ = random_operator(np.random.default_rng(100 + seed), 12, 6, 4)
-            init = select_l1(op, CFG)
-            group = select_group(op, p, CFG)
+            init = select_l1(op, SEED)
+            group = select_group(op, p, SEED)
             assert f_value(group.quad_values, p) >= f_value(init.quad_values, p) - 1e-10
 
     def test_table_guarantee_against_exact_oracle(self, rng):
         for seed in range(10):
             m = 2 + seed % 5
             op, _ = logistic_instance(np.random.default_rng(200 + seed), 30, 9, m)
-            group = select_group(op, 1, CFG)
+            group = select_group(op, 1, SEED)
             exact = exact_oracle_linf(op)
             nu = f_value(group.quad_values, 1) / exact.score
-            assert nu >= (1 - CFG.eps) / m
+            assert nu >= (1 - LANCZOS_EPS) / m
 
     def test_degenerate_propagates(self, rng):
         op, _ = random_operator(rng, 5, 4, 2)
         op.set_gradients(np.zeros((5, 2)))
-        assert select_group(op, 2, CFG).degenerate
+        assert select_group(op, 2, SEED).degenerate
 
 
 class TestExactOracle:
-    def test_single_output_matches_power_method(self, rng):
+    def test_single_output_matches_power_method(self, rng, monkeypatch):
         op, _ = random_operator(rng, 10, 6, 1)
         exact = exact_oracle_linf(op)
-        _, val, _ = power_method(op, 0, SelectConfig(eps=1e-3, seed=3))
+        monkeypatch.setattr(selection, "LANCZOS_EPS", 1e-3)
+        _, val, _ = power_method(op, 0, 3)
         assert exact.score >= abs(val) >= (1 - 1e-3) * exact.score
 
     def test_two_orthogonal_outputs(self):
@@ -439,7 +441,7 @@ class TestBaselines:
 
     def test_random_baseline_unit_norm(self, rng):
         op, _ = random_operator(rng, 8, 5, 2)
-        res = baseline_random(op, CFG)
+        res = baseline_random(op, SEED)
         assert np.linalg.norm(res.h) == pytest.approx(1.0)
 
     def test_group_selection_usually_beats_best_data(self):
@@ -448,8 +450,7 @@ class TestBaselines:
         for seed in range(trials):
             rng = np.random.default_rng(300 + seed)
             op, ds = logistic_instance(rng, 30, 8, 4)
-            cfg = SelectConfig(eps=0.01, seed=seed)
-            ours = f_value(select_group(op, 1, cfg).quad_values, 1)
+            ours = f_value(select_group(op, 1, seed).quad_values, 1)
             theirs = f_value(baseline_best_data(op, ds).quad_values, 1)
             if ours >= theirs - 1e-12:
                 wins += 1
@@ -459,7 +460,7 @@ class TestBaselines:
 class TestCompareHarness:
     def test_contains_all_methods(self, rng):
         op, ds = logistic_instance(rng, 20, 6, 3)
-        results = compare_methods(op, CFG, ds=ds)
+        results = compare_methods(op, SEED, ds=ds)
         assert set(results) == {"l1-init+refine", "l1-init", "random-init",
                                 "random-init+refine", "best-data", "exact"}
         for res in results.values():

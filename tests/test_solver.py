@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import set_fista
+from polyfactor import solver
 from polyfactor.data import make_dataset
 from polyfactor.losses import loss_values
 from polyfactor.models import accuracy, outputs
-from polyfactor.refit import FistaConfig
-from polyfactor.selection import SelectConfig
 from polyfactor.solver import (
     ConfigError,
     SolverConfig,
@@ -31,10 +31,15 @@ def xor_dataset():
     return make_dataset(X, y, 2, bias_augmented=True)
 
 
+@pytest.fixture(autouse=True)
+def small_fista(monkeypatch):
+    # a shorter, tighter refit than the package's 1000 iterations at 1e-3
+    set_fista(monkeypatch, 500, 1e-6)
+
+
 def small_config(**kw):
     base = dict(model="pn", loss="logistic", penalty="l1", lam=1e-3, k_max=6,
-                refit="output", select=SelectConfig(eps=0.01, seed=0),
-                fista=FistaConfig(max_iter=500, tol=1e-6))
+                refit="output", seed=0)
     base.update(kw)
     return SolverConfig(**base)
 
@@ -81,8 +86,7 @@ class TestFit:
 
     def test_deterministic_given_seed(self, rng):
         ds = make_multiclass(50, 6, 3, seed=4)
-        cfg = small_config(penalty="l1l2", lam=0.02,
-                           select=SelectConfig(eps=0.01, seed=11))
+        cfg = small_config(penalty="l1l2", lam=0.02, seed=11)
         model_a, trace_a = fit(ds, cfg)
         model_b, trace_b = fit(ds, cfg)
         assert np.array_equal(model_a.H, model_b.H)
@@ -107,6 +111,27 @@ class TestFit:
         seen = []
         fit(ds, small_config(k_max=4, lam=0.02), iteration_hook=lambda t, m: seen.append((t, m.k)))
         assert [t for t, _ in seen] == list(range(1, len(seen) + 1))
+
+    def test_duplicate_atom_adds_no_row_and_stops_without_progress(self, monkeypatch):
+        # from t = 2 on, selection returns the row already in the basis
+        set_fista(monkeypatch, 5000, 1e-14)  # t = 1 refits to convergence
+        real = solver._select
+        first = []
+
+        def select(op, cfg):
+            if not first:
+                first.append(real(op, cfg))
+            return first[0]
+
+        monkeypatch.setattr(solver, "_select", select)
+        ds = make_multiclass(40, 5, 3, seed=1)
+        seen = []
+        model, trace = fit(ds, small_config(lam=0.02, k_max=6),
+                           iteration_hook=lambda t, m: seen.append(m.k))
+        assert seen == [1, 1]
+        assert np.array_equal(model.H, first[0].h[None, :])
+        assert trace[-1].t == 2
+        assert trace[2].objective >= trace[1].objective - 1e-12 * abs(trace[1].objective)
 
     def test_degenerate_first_selection_returns_empty_model(self):
         # an all-zero design matrix makes every gradient operator vanish
@@ -191,7 +216,7 @@ class TestFitPath:
 
     def test_reproducible_selection(self, rng):
         tr, va = self.two_way(120, 14)
-        cfg = small_config(penalty="l1l2", k_max=4, select=SelectConfig(eps=0.01, seed=21))
+        cfg = small_config(penalty="l1l2", k_max=4, seed=21)
         a = fit_path(tr, va, cfg, lam_grid=(0.1, 0.01))
         b = fit_path(tr, va, cfg, lam_grid=(0.1, 0.01))
         assert a[1] == b[1]
