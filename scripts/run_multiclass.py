@@ -11,7 +11,8 @@ from pathlib import Path
 
 from polyfactor.data import SplitSpec, load_svmlight, save_svmlight, split
 from polyfactor.models import accuracy
-from polyfactor.solver import SolverConfig, fit_path
+from polyfactor.penalties import PENALTIES
+from polyfactor.solver import REFITS, SolverConfig, fit_path
 from polyfactor.synth import make_multiclass
 
 
@@ -35,8 +36,8 @@ def main():
           f"{train.n}/{valid.n}/{test.n}")
     print(f"{'penalty':8s} {'refit':7s} {'lambda':>8s} {'k':>4s} "
           f"{'valid':>7s} {'test':>7s} {'sec':>6s}")
-    for refit in ("output", "full"):
-        for penalty in ("l1", "l1l2", "l1linf"):
+    for refit in REFITS:
+        for penalty in PENALTIES:
             cfg = SolverConfig(model="pn", loss="logistic", penalty=penalty,
                                lam=grid[0], k_max=args.k_max, refit=refit,
                                seed=args.seed)

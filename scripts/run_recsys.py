@@ -11,6 +11,7 @@ from pathlib import Path
 
 from polyfactor.data import SplitSpec, load_movielens, split
 from polyfactor.mcrank import build_ordinal, evaluate_ranking, fit_mcrank
+from polyfactor.penalties import PENALTIES
 from polyfactor.solver import SolverConfig, fit
 from polyfactor.synth import make_ratings, write_movielens
 
@@ -20,7 +21,7 @@ def main():
     ap.add_argument("--data", default="data/ml100k_like.u.data", type=Path)
     ap.add_argument("--k-max", type=int, default=30)
     ap.add_argument("--lambda", dest="lam", type=float, default=10.0)
-    ap.add_argument("--penalty", default="l1linf", choices=("l1", "l1l2", "l1linf"))
+    ap.add_argument("--penalty", default="l1linf", choices=PENALTIES)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

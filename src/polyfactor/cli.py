@@ -17,9 +17,11 @@ from .data import (MOVIELENS_SEPARATORS, DataError, SplitSpec, load_movielens, l
 from .gradients import GradientOperator
 from .losses import LOSSES, MULTICLASS_LOSSES
 from .mcrank import build_ordinal, evaluate_ranking, expected_relevance, fit_mcrank
-from .models import accuracy, load_model, outputs, predict_class, save_model
-from .selection import OracleLimitError, compare_methods, f_value
-from .solver import ConfigError, SolverConfig, fit, fit_path, lambda_max
+from .models import (MODEL_KINDS, accuracy, empty_model, load_model, outputs, predict_class,
+                     save_model)
+from .penalties import PENALTIES
+from .selection import ORACLE_LIMIT, OracleLimitError, compare_methods, f_value
+from .solver import REFITS, ConfigError, SolverConfig, fit, fit_path, lambda_max
 
 
 class UsageError(Exception):
@@ -34,22 +36,19 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _add_data_flags(p):
-    p.add_argument("--data", required=True, help="input data file")
+def _add_data_flags(p, required=True):
+    p.add_argument("--data", required=required, help="input data file")
     p.add_argument("--format", choices=("svmlight", "movielens"), default="svmlight")
     p.add_argument("--sep", choices=sorted(MOVIELENS_SEPARATORS), default="tab",
                    help="movielens field separator")
-    p.add_argument("--augment-bias", choices=("auto", "on", "off"), default="auto",
-                   help="prepend a constant-1 feature (auto: on for svmlight PN "
-                        "multi-class, off otherwise)")
 
 
 def _add_train_flags(p):
-    p.add_argument("--model", choices=("pn", "fm"), default="pn")
-    p.add_argument("--penalty", choices=("l1", "l1l2", "l1linf"), default="l1l2")
+    p.add_argument("--model", choices=MODEL_KINDS, default="pn")
+    p.add_argument("--penalty", choices=PENALTIES, default="l1l2")
     p.add_argument("--lambda", dest="lam", type=float, default=1e-3)
     p.add_argument("--k-max", type=int, default=30)
-    p.add_argument("--refit", choices=("output", "full"), default="output")
+    p.add_argument("--refit", choices=REFITS, default="output")
     p.add_argument("--loss", choices=LOSSES, default=None,
                    help="default: logistic, or binary-logistic with --mcrank")
     p.add_argument("--mcrank", action="store_true",
@@ -73,14 +72,8 @@ def _resolve_loss(args) -> str:
 
 
 def _resolve_augment(args, loss: str) -> bool:
-    if args.format == "movielens":
-        if args.augment_bias == "on":
-            raise UsageError("--augment-bias on is not supported for one-hot "
-                             "movielens rows")
-        return False
-    if args.augment_bias == "auto":
-        return args.model == "pn" and loss in MULTICLASS_LOSSES
-    return args.augment_bias == "on"
+    """A constant-1 feature is prepended for svmlight PN multi-class fits only."""
+    return args.format == "svmlight" and args.model == "pn" and loss in MULTICLASS_LOSSES
 
 
 def _load(args, augment: bool):
@@ -155,21 +148,16 @@ def _load_saved(args):
 
 def cmd_predict(args) -> int:
     model, ds = _load_saved(args)
-    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
-    try:
-        if model.loss == "binary-logistic":
-            for v in expected_relevance(model, ds.X):
-                out.write(f"{float(v)!r}\n")
-        elif model.loss == "squared":
-            for v in outputs(model, ds.X)[:, 0]:
-                out.write(f"{float(v)!r}\n")
-        else:
-            label_map = model.label_map or tuple(range(1, model.m + 1))
-            for c in predict_class(model, ds.X):
-                out.write(f"{label_map[int(c) - 1]}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    if model.loss == "binary-logistic":
+        for v in expected_relevance(model, ds.X):
+            print(repr(float(v)))
+    elif model.loss == "squared":
+        for v in outputs(model, ds.X)[:, 0]:
+            print(repr(float(v)))
+    else:
+        label_map = model.label_map or tuple(range(1, model.m + 1))
+        for c in predict_class(model, ds.X):
+            print(label_map[int(c) - 1])
     return 0
 
 
@@ -193,39 +181,41 @@ def _metric_fn(name: str):
         return accuracy, True
     if name == "rmse":
         return (lambda model, ds: evaluate_ranking(model, ds, ks=())["rmse"]), False
-    if name.startswith("ndcg@"):
-        k = int(name.split("@", 1)[1])
-        return (lambda model, ds: evaluate_ranking(model, ds, ks=(k,))[name]), True
+    cutoff = name.removeprefix("ndcg@")
+    if cutoff != name and cutoff.isdecimal() and int(cutoff) > 0:
+        k = int(cutoff)
+        return (lambda model, ds: evaluate_ranking(model, ds, ks=(k,))[f"ndcg@{k}"]), True
     raise UsageError(f"unknown metric {name!r}")
 
 
-def _auto_lambda_grid(ds, cfg: SolverConfig, points: int = 10):
-    """Log grid from lambda_max, the weight at which the first selected atom
-    stays at zero, down to 1/1000 of it."""
+def _auto_lambda_grid(ds, cfg: SolverConfig):
+    """10-point log grid from lambda_max, the weight at which the first
+    selected atom stays at zero, down to 1/1000 of it."""
     top = lambda_max(ds, cfg)
     if not np.isfinite(top) or top <= 0:
         raise UsageError("cannot derive a lambda grid from a zero gradient")
-    return tuple(np.geomspace(top, top * 1e-3, points))
+    return tuple(np.geomspace(top, top * 1e-3, 10))
 
 
 def cmd_path(args) -> int:
     loss = _resolve_loss(args)
-    augment = _resolve_augment(args, loss)
-    ds = _load(args, augment)
-    try:
-        fractions = [float(f) for f in args.split.split(",")]
-        spec = SplitSpec(*fractions, seed=args.seed)
-    except (TypeError, ValueError, DataError) as exc:
-        raise UsageError(f"bad --split: {exc}") from None
-    train_ds, valid_ds, _ = split(ds, spec)
+    metric, higher = _metric_fn(args.metric)
+    if args.lambdas != "auto":
+        try:
+            lams = [float(v) for v in args.lambdas.split(",")]
+        except ValueError:
+            raise UsageError(f"bad --lambdas {args.lambdas!r}: expected 'auto' or "
+                             f"comma-separated numbers") from None
+    ds = _load(args, _resolve_augment(args, loss))
+    train_ds, valid_ds, _ = split(ds, SplitSpec(seed=args.seed))
+    if args.metric.startswith("ndcg@") and valid_ds.group_ids is None:
+        raise UsageError(f"--metric {args.metric} ranks within groups, which only "
+                         f"movielens data carries")
     if args.mcrank:
         train_ds = build_ordinal(train_ds)
-    metric, higher = _metric_fn(args.metric)
     cfg = _solver_config(args, loss)
     if args.lambdas == "auto":
         lams = _auto_lambda_grid(train_ds, cfg)
-    else:
-        lams = [float(v) for v in args.lambdas.split(",")]
     model, report = fit_path(train_ds, valid_ds, cfg, lam_grid=lams,
                              metric_fn=metric, higher_is_better=higher)
     save_model(model, args.out)
@@ -247,15 +237,16 @@ def _random_instance(rng, n, d, m):
 
 
 def cmd_oracle_compare(args) -> int:
-    if args.m_max > args.oracle_limit:
+    if args.m_max < 2:
+        raise UsageError(f"--m-max must be at least 2, got {args.m_max}")
+    if args.m_max > ORACLE_LIMIT:
         raise UsageError(f"exact selection is exponential in the output count; "
-                         f"--m-max {args.m_max} exceeds --oracle-limit "
-                         f"{args.oracle_limit}")
+                         f"--m-max {args.m_max} exceeds {ORACLE_LIMIT}")
     rng = np.random.default_rng(args.seed)
     rows = []
 
     def run(tag, op, ds):
-        results = compare_methods(op, args.seed, ds=ds, oracle_limit=args.oracle_limit)
+        results = compare_methods(op, args.seed, ds)
         exact = results.pop("exact")
         denom = max(exact.score, 1e-300)
         rows.append((tag, "exact", exact.score, 1.0))
@@ -273,13 +264,11 @@ def cmd_oracle_compare(args) -> int:
         if ds.d > 64:
             raise UsageError(f"dataset has d={ds.d}; the exact oracle needs a "
                              f"dense eigensolve (d <= 64)")
-        if ds.m > args.oracle_limit:
+        if ds.m > ORACLE_LIMIT:
             raise UsageError(f"dataset has m={ds.m} outputs; exact selection is "
-                             f"exponential in m (limit {args.oracle_limit})")
+                             f"exponential in m (limit {ORACLE_LIMIT})")
         op = GradientOperator(ds, args.model, n_outputs=ds.m)
-        from .losses import loss_gradients, targets_for
-        O = np.zeros((ds.n, ds.m))
-        op.set_gradients(loss_gradients("logistic", targets_for("logistic", ds), O))
+        op.refresh(empty_model(args.model, ds.d, ds.m, "logistic", "l1", 1.0))
         run("dataset", op, ds)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -308,10 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "re-runs are byte-identical")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="stream one prediction per input row")
+    p = sub.add_parser("predict", help="stream one prediction per input row to stdout")
     _add_data_flags(p)
     p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--out", default="-", help="output path (default stdout)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset")
@@ -320,15 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("path", help="regularization path with interleaved "
-                                    "validation; saves the best model")
+                                    "validation on a 50/25/25 train/valid/test "
+                                    "split; saves the best model")
     _add_data_flags(p)
     _add_train_flags(p)
     p.add_argument("--lambdas", default="auto",
                    help="comma-separated, strictly decreasing lambda grid; "
                         "'auto' uses a 10-point log grid from the weight that "
                         "zeroes the first selected atom down to 1/1000 of it")
-    p.add_argument("--split", default="0.5,0.25,0.25",
-                   help="train,valid,test fractions")
     p.add_argument("--metric", default="accuracy",
                    help="accuracy, rmse, ndcg@1, ndcg@5, ...")
     p.add_argument("--out", required=True, help="best-model JSON path")
@@ -338,15 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-compare",
                        help="basis-selection method comparison CSV (empirical "
                             "approximation factors against the exact oracle)")
-    p.add_argument("--data", default=None, help="optional dataset to include")
-    p.add_argument("--format", choices=("svmlight", "movielens"), default="svmlight")
-    p.add_argument("--sep", choices=sorted(MOVIELENS_SEPARATORS), default="tab")
-    p.add_argument("--model", choices=("pn", "fm"), default="pn")
+    _add_data_flags(p, required=False)
+    p.add_argument("--model", choices=MODEL_KINDS, default="pn")
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--n", type=int, default=40, help="samples per random instance")
     p.add_argument("--d", type=int, default=12, help="features per random instance")
     p.add_argument("--m-max", type=int, default=8)
-    p.add_argument("--oracle-limit", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_oracle_compare)

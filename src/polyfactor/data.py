@@ -109,9 +109,11 @@ def load_svmlight(path, augment_bias: bool = False) -> Dataset:
     observed labels. With ``augment_bias`` a constant-1 feature is prepended
     as column 1 and all feature indices shift right by one.
     """
+    shift = 1 if augment_bias else 0
     labels = []
-    rows_idx = []
-    rows_val = []
+    indptr = [0]
+    indices = []
+    values = []
     max_index = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -125,8 +127,9 @@ def load_svmlight(path, augment_bias: bool = False) -> Dataset:
                 raise DataError(f"{path}: line {lineno}: bad label {parts[0]!r}") from None
             if not np.isfinite(label):
                 raise DataError(f"{path}: line {lineno}: non-finite label")
-            idx = []
-            val = []
+            if augment_bias:
+                indices.append(0)
+                values.append(1.0)
             prev = 0
             for tok in parts[1:]:
                 try:
@@ -142,31 +145,18 @@ def load_svmlight(path, augment_bias: bool = False) -> Dataset:
                 if not np.isfinite(v):
                     raise DataError(f"{path}: line {lineno}: non-finite value {v_str!r}")
                 prev = i
-                idx.append(i)
-                val.append(v)
+                # file indices are 1-based; unshifted they map to columns i-1
+                indices.append(i - 1 + shift)
+                values.append(v)
             labels.append(label)
-            rows_idx.append(idx)
-            rows_val.append(val)
-            if idx:
-                max_index = max(max_index, idx[-1])
+            indptr.append(len(indices))
+            max_index = max(max_index, prev)
 
     n = len(labels)
-    shift = 1 if augment_bias else 0
     d = max_index + shift
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    nnz_per_row = [len(r) + shift for r in rows_idx]
-    np.cumsum(nnz_per_row, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1], dtype=np.float64)
-    for r, (idx, val) in enumerate(zip(rows_idx, rows_val)):
-        lo = indptr[r]
-        if augment_bias:
-            indices[lo] = 0
-            data[lo] = 1.0
-            lo += 1
-        # file indices are 1-based; unshifted they map to columns i-1
-        indices[lo:indptr[r + 1]] = [i - 1 + shift for i in idx]
-        data[lo:indptr[r + 1]] = val
+    indptr = np.array(indptr, dtype=np.int64)
+    indices = np.array(indices, dtype=np.int64)
+    data = np.array(values, dtype=np.float64)
     X = sp.csr_matrix((data, indices, indptr), shape=(n, d))
 
     uniq = sorted(set(labels))

@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .losses import loss_gradients, targets_for
-from .models import outputs
+from .models import MODEL_KINDS, outputs
 
 # entries of the scaled copy held at once: the row block X_b (x) D_b of a
 # dense-storage refresh, or the (n, m, chunk) block of a matrix-free apply_block
@@ -79,7 +79,7 @@ class GradientOperator:
     """
 
     def __init__(self, ds, kind: str, n_outputs: int | None = None):
-        if kind not in ("pn", "fm"):
+        if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
         X = ds.X
         if not X.has_canonical_format:

@@ -45,7 +45,7 @@ def build_ordinal(ds: Dataset) -> Dataset:
     return dataclasses.replace(ds, Y=Y)
 
 
-def fit_mcrank(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, list[TraceRecord]]:
+def fit_mcrank(ds: Dataset, cfg: SolverConfig) -> tuple[Model, list[TraceRecord]]:
     """Train the multi-output threshold classifiers with a shared basis."""
     if cfg.model != "fm":
         raise ConfigError("the ordinal reduction is wired for FM activations")
@@ -53,7 +53,7 @@ def fit_mcrank(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Mod
         raise ConfigError("threshold classifiers need the binary-logistic loss")
     if ds.Y is None:
         ds = build_ordinal(ds)
-    return fit(ds, cfg, iteration_hook=iteration_hook)
+    return fit(ds, cfg)
 
 
 def threshold_probabilities(model: Model, X) -> np.ndarray:

@@ -34,6 +34,7 @@ ARMIJO_SLOPE = 1e-4           # sufficient-increase share of the slope
 ARMIJO_SHRINK = 0.5
 ARMIJO_MAX_BACKTRACKS = 30
 HUBER_DELTA = 1.0             # smoothing width of the p = 1 search direction
+ORACLE_LIMIT = 12             # largest output count the exact oracle accepts
 
 
 @dataclass
@@ -293,17 +294,18 @@ def select_group(op: GradientOperator, p: int, seed: int) -> SelectionResult:
                            trace=trace)
 
 
-def exact_oracle_linf(op: GradientOperator, limit: int = 12) -> SelectionResult:
+def exact_oracle_linf(op: GradientOperator) -> SelectionResult:
     """Exact maximizer of f_1 by exhausting all sign patterns.
 
     For each s in {-1,+1}^m the sign-combined operator sum_c s_c A_c is
     assembled densely and its top eigenvector taken; the best candidate by
-    f_1 is exact up to dense-eigensolver precision. Cost grows as 2^m.
+    f_1 is exact up to dense-eigensolver precision. Cost grows as 2^m, so
+    more than ``ORACLE_LIMIT`` outputs are refused.
     """
-    if op.m > limit:
+    if op.m > ORACLE_LIMIT:
         raise OracleLimitError(
             f"exact selection has exponential complexity in the output count; "
-            f"m={op.m} exceeds the limit {limit}")
+            f"m={op.m} exceeds the limit {ORACLE_LIMIT}")
     mats = np.stack([op.dense_matrix(c) for c in range(op.m)])
     best_h, best_q, best_f = None, None, -1.0
     for signs in itertools.product((1.0, -1.0), repeat=op.m):
@@ -347,8 +349,7 @@ def baseline_random(op: GradientOperator, seed: int) -> SelectionResult:
     return SelectionResult(h=h, score=f_value(q, 1), quad_values=q)
 
 
-def compare_methods(op: GradientOperator, seed: int, ds=None,
-                    oracle_limit: int = 12) -> dict[str, SelectionResult]:
+def compare_methods(op: GradientOperator, seed: int, ds) -> dict[str, SelectionResult]:
     """Run every selection method (plus the exact oracle) on one instance."""
     results = {
         "l1-init+refine": select_group(op, 1, seed),
@@ -356,7 +357,6 @@ def compare_methods(op: GradientOperator, seed: int, ds=None,
         "random-init": baseline_random(op, seed),
     }
     results["random-init+refine"] = refine(op, results["random-init"].h, 1)
-    if ds is not None:
-        results["best-data"] = baseline_best_data(op, ds)
-    results["exact"] = exact_oracle_linf(op, limit=oracle_limit)
+    results["best-data"] = baseline_best_data(op, ds)
+    results["exact"] = exact_oracle_linf(op)
     return results

@@ -20,6 +20,7 @@ from .penalties import PENALTIES
 from .refit import penalized_objective, prune, refit_full, refit_output
 from .selection import select_group, select_l1
 
+REFITS = ("output", "full")   # output layer only, or both layers jointly
 DUPLICATE_COS = 1.0 - 1e-8
 STOP_GAP = 1e-7  # floor of the stopping certificate for tiny lam
 
@@ -45,11 +46,11 @@ class SolverConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.penalty not in PENALTIES:
             raise ConfigError(f"unknown penalty {self.penalty!r}")
-        if self.refit not in ("output", "full"):
-            raise ConfigError(f"refit must be 'output' or 'full', got {self.refit!r}")
+        if self.refit not in REFITS:
+            raise ConfigError(f"refit must be one of {REFITS}, got {self.refit!r}")
         if self.k_max < 1:
             raise ConfigError("k_max must be at least 1")
-        if self.lam <= 0:
+        if not self.lam > 0:  # refuses nan too
             raise ConfigError("lam must be positive")
 
 
@@ -172,27 +173,23 @@ def fit_path(train: Dataset, valid: Dataset, cfg: SolverConfig, lam_grid=None,
         raise ConfigError("lambda grid must be strictly decreasing")
     if metric_fn is None:
         metric_fn = accuracy
-
-    def run_one(lam):
-        snaps = []
-
-        def hook(t, model):
-            snaps.append((t, copy_model(model), float(metric_fn(model, valid))))
-
-        model, trace = fit(train, replace(cfg, lam=lam), iteration_hook=hook)
-        return snaps, trace
-
-    runs = [run_one(lam) for lam in lams]
+    cfgs = [replace(cfg, lam=lam) for lam in lams]  # refuses a bad weight before any fit
 
     sign = 1.0 if higher_is_better else -1.0
     best = None  # (signed metric, lam, t, model)
     report = []
-    for lam, (snaps, trace) in zip(lams, runs):
-        entries = [{"t": t, "k": model.k, "metric": metric} for t, model, metric in snaps]
+    for lam, lam_cfg in zip(lams, cfgs):
+        entries = []
         report.append({"lambda": lam, "iterations": entries})
-        for t, model, metric in snaps:
+
+        def hook(t, model):
+            nonlocal best
+            metric = float(metric_fn(model, valid))
+            entries.append({"t": t, "k": model.k, "metric": metric})
             if best is None or sign * metric > best[0]:
-                best = (sign * metric, lam, t, model)
+                best = (sign * metric, lam, t, copy_model(model))
+
+        fit(train, lam_cfg, iteration_hook=hook)
     if best is None:
         raise ConfigError("no model was produced on any lambda (degenerate data?)")
     signed_metric, lam, t, model = best

@@ -15,13 +15,13 @@ from .data import save_svmlight as write_svmlight  # perfbench/workloads.py impo
 
 
 def make_multiclass(n: int, d: int, m: int, n_basis: int = 6, seed: int = 0,
-                    margin: float = 0.1, flip: float = 0.0) -> Dataset:
+                    margin: float = 0.1) -> Dataset:
     """Multi-class samples labelled by a planted shared-basis quadratic model.
 
     Class scores are centered (an intercept a bias-augmented learner can
     absorb) so that no class dominates the argmax. Samples whose top-two
     centered scores differ by less than ``margin`` (relative to the score
-    scale) are re-drawn; ``flip`` relabels that fraction of rows uniformly.
+    scale) are re-drawn.
     """
     rng = np.random.default_rng(seed)
     H = rng.standard_normal((n_basis, d))
@@ -47,19 +47,16 @@ def make_multiclass(n: int, d: int, m: int, n_basis: int = 6, seed: int = 0,
         X[filled:filled + take] = batch[ok][:take]
         y[filled:filled + take] = np.argmax(O[ok][:take], axis=1) + 1
         filled += take
-    if flip > 0:
-        bad = rng.random(n) < flip
-        y[bad] = rng.integers(1, m + 1, size=int(bad.sum()))
     return make_dataset(X, y, m)
 
 
 def make_ratings(n_users: int, n_items: int, n_ratings: int, rank: int = 4,
-                 seed: int = 0, noise: float = 0.05, levels: int = 5):
+                 seed: int = 0, noise: float = 0.05):
     """Quantized low-rank ratings; returns (user_id, item_id, rating) arrays.
 
     Every user and item id appears at least once so the one-hot design matrix
     has exactly n_users + n_items columns. Ids are 1-based like the MovieLens
-    files; scores are cut at global quantiles into 1..levels.
+    files; scores are cut at global quantiles into the levels 1..5.
     """
     if n_ratings < n_users + n_items:
         raise ValueError("need at least one rating per user and per item")
@@ -89,18 +86,12 @@ def make_ratings(n_users: int, n_items: int, n_ratings: int, rank: int = 4,
     scores = np.einsum("ij,ij->i", P[u], Q[i]) + noise * rng.standard_normal(u.size)
     # skewed level frequencies like typical ratings data
     share = np.array([0.06, 0.11, 0.27, 0.34, 0.22])
-    if levels != share.size:
-        share = np.full(levels, 1.0 / levels)
     cuts = np.quantile(scores, np.cumsum(share)[:-1])
     ratings = 1 + np.searchsorted(cuts, scores)
     return u + 1, i + 1, ratings.astype(np.int64)
 
 
-def write_movielens(users, items, ratings, path, sep: str = "\t",
-                    timestamps: bool = True) -> None:
+def write_movielens(users, items, ratings, path, sep: str = "\t") -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row, (u, i, r) in enumerate(zip(users, items, ratings)):
-            fields = [str(int(u)), str(int(i)), str(int(r))]
-            if timestamps:
-                fields.append(str(880000000 + row))
-            fh.write(sep.join(fields) + "\n")
+            fh.write(f"{int(u)}{sep}{int(i)}{sep}{int(r)}{sep}{880000000 + row}\n")

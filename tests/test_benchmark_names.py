@@ -8,7 +8,7 @@ import importlib.util
 from pathlib import Path
 
 from conftest import SHAPES, shaped_operator
-from polyfactor import selection, solver
+from polyfactor import cli, selection, solver
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,6 +43,19 @@ def test_workloads_use_existing_package_names():
     assert used
     for module, attr in sorted(used):
         assert hasattr(getattr(workloads, module), attr), f"polyfactor.{module}.{attr}"
+
+
+def test_workload_argv_parses(tmp_path, monkeypatch):
+    # op only formats paths, so it needs no set-up; every flag it passes must exist
+    workloads = load("workloads")
+    calls = []
+    monkeypatch.setattr(workloads, "cli_call", lambda argv: calls.append(argv) or "")
+    for cls in workloads.WORKLOADS.values():
+        cls(tmp_path, seed=1).op(0)
+    assert len(calls) >= len(workloads.WORKLOADS)
+    parser = cli.build_parser()
+    for argv in calls:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_tracer_payloads_read_selection_results(rng):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import polyfactor
+from polyfactor import cli, solver
 from polyfactor.cli import main
 from polyfactor.data import load_movielens, load_svmlight, save_svmlight
 from polyfactor.mcrank import expected_relevance
@@ -99,6 +100,25 @@ class TestTrain:
         assert [r[:4] for r in rows1] == [r[:4] for r in rows2]
         assert rows1[0] == ["t", "objective", "score", "k", "seconds"]
 
+    @pytest.mark.parametrize("fixture, flags, augmented", [
+        ("svm_file", ("--model", "pn"), True),
+        ("svm_file", ("--model", "fm"), False),
+        ("svm_file", ("--model", "pn", "--loss", "squared"), False),
+        ("ml_file", ("--format", "movielens", "--mcrank", "--model", "fm"), False),
+    ], ids=["svmlight-pn-logistic", "svmlight-fm", "svmlight-pn-squared", "movielens-mcrank"])
+    def test_bias_feature_only_for_svmlight_pn_multiclass(self, fixture, flags, augmented,
+                                                          request, tmp_path):
+        data = request.getfixturevalue(fixture)
+        out = tmp_path / "m.json"
+        assert run("train", "--data", data, *flags, "--k-max", 2, "--lambda", "0.01",
+                   "--out", out) == 0
+        raw = load_svmlight(data) if fixture == "svm_file" else load_movielens(data)
+        model = load_model(out)
+        assert model.bias_augmented is augmented
+        assert model.d == raw.d + augmented
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert manifest["config"]["augment_bias"] is augmented
+
 
 @pytest.fixture(scope="module")
 def trained(svm_file, tmp_path_factory):
@@ -107,6 +127,33 @@ def trained(svm_file, tmp_path_factory):
                "--k-max", 5, "--lambda", "0.005", "--refit", "full",
                "--penalty", "l1l2") == 0
     return out
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle-compare", "--m-max", "1"),
+    ("oracle-compare", "--m-max", "0"),
+    ("oracle-compare", "--m-max", "-3"),
+    ("path", "--lambdas", "0.1,abc"),
+    ("path", "--lambdas", ""),
+    ("path", "--lambdas", "nan"),
+    ("path", "--lambdas", "0.1,-1"),
+    ("train", "--lambda", "nan"),
+    ("path", "--metric", "ndcg@x"),
+    ("path", "--metric", "ndcg@0"),
+    ("path", "--metric", "ndcg@1"),  # svmlight rows carry no ranking groups
+], ids=lambda argv: " ".join(argv))
+def test_malformed_values_are_usage_errors(argv, svm_file, tmp_path, capsys, monkeypatch):
+    # refused before any fit: exit 2, a message, and no output file
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    monkeypatch.setattr(solver, "fit", no_fit)
+    out = tmp_path / "out"
+    data = () if argv[0] == "oracle-compare" else ("--data", svm_file, "--k-max", 2)
+    assert run(*argv, *data, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 class TestPredictEval:

@@ -420,7 +420,7 @@ class TestExactOracle:
     def test_output_limit_refused(self, rng):
         op, _ = random_operator(rng, 5, 4, 13)
         with pytest.raises(OracleLimitError, match="exponential"):
-            exact_oracle_linf(op, limit=12)
+            exact_oracle_linf(op)
 
 
 class TestBaselines:

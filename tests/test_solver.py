@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import set_fista
+from conftest import SHAPES, set_fista, shaped_operator
 from polyfactor import solver
 from polyfactor.data import make_dataset
 from polyfactor.losses import loss_values
-from polyfactor.models import accuracy, outputs
+from polyfactor.models import MODEL_KINDS, accuracy
+from polyfactor.penalties import PENALTIES, dual_norm
 from polyfactor.solver import (
     ConfigError,
     SolverConfig,
@@ -142,6 +143,22 @@ class TestFit:
         assert trace[-1].t == 0
 
 
+class TestStopCertificate:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: shape[-1])
+    @pytest.mark.parametrize("penalty", PENALTIES)
+    def test_score_is_dual_norm_of_g_h(self, penalty, shape, kind):
+        # fit stops on score <= lam: the new row stays at zero exactly when
+        # the penalty's dual norm of g_h = -quad_values is at most lam
+        for seed in range(4):
+            op = shaped_operator(np.random.default_rng(seed), shape, kind)
+            sel = solver._select(op, SolverConfig(model=kind, penalty=penalty, seed=seed))
+            np.testing.assert_allclose(sel.quad_values, op.quad_values(sel.h),
+                                       rtol=1e-10, atol=1e-12)
+            assert sel.score == pytest.approx(dual_norm(penalty, -sel.quad_values[None]),
+                                              rel=1e-12)
+
+
 class TestLambdaMax:
     @pytest.mark.parametrize("penalty", ["l1", "l1l2", "l1linf"])
     def test_empty_model_above_atom_below(self, penalty):
@@ -255,5 +272,7 @@ class TestConfigValidation:
             SolverConfig(k_max=0)
         with pytest.raises(ConfigError):
             SolverConfig(lam=0.0)
+        with pytest.raises(ConfigError):
+            SolverConfig(lam=float("nan"))
         with pytest.raises(ConfigError):
             SolverConfig(refit="alternating")
