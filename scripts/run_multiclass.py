@@ -39,8 +39,7 @@ def main():
     for refit in REFITS:
         for penalty in PENALTIES:
             cfg = SolverConfig(model="pn", loss="logistic", penalty=penalty,
-                               lam=grid[0], k_max=args.k_max, refit=refit,
-                               seed=args.seed)
+                               k_max=args.k_max, refit=refit, seed=args.seed)
             t0 = time.perf_counter()
             model, report = fit_path(train, valid, cfg, lam_grid=grid)
             best = report["best"]

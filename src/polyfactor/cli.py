@@ -46,7 +46,6 @@ def _add_data_flags(p, required=True):
 def _add_train_flags(p):
     p.add_argument("--model", choices=MODEL_KINDS, default="pn")
     p.add_argument("--penalty", choices=PENALTIES, default="l1l2")
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-3)
     p.add_argument("--k-max", type=int, default=30)
     p.add_argument("--refit", choices=REFITS, default="output")
     p.add_argument("--loss", choices=LOSSES, default=None,
@@ -82,8 +81,10 @@ def _load(args, augment: bool):
     return load_svmlight(args.data, augment_bias=augment)
 
 
-def _solver_config(args, loss: str) -> SolverConfig:
-    return SolverConfig(model=args.model, loss=loss, penalty=args.penalty, lam=args.lam,
+def _solver_config(args, loss: str, lam: float = SolverConfig.lam) -> SolverConfig:
+    """The flags' solver settings; ``path`` keeps the default lam, because its
+    grid sets the weight of every fit."""
+    return SolverConfig(model=args.model, loss=loss, penalty=args.penalty, lam=lam,
                         k_max=args.k_max, refit=args.refit, seed=args.seed)
 
 
@@ -122,9 +123,9 @@ def cmd_train(args) -> int:
     loss = _resolve_loss(args)
     augment = _resolve_augment(args, loss)
     ds = _load(args, augment)
-    cfg = _solver_config(args, loss)
+    cfg = _solver_config(args, loss, args.lam)
     if args.mcrank:
-        model, trace = fit_mcrank(build_ordinal(ds), cfg)
+        model, trace = fit_mcrank(ds, cfg)
     else:
         model, trace = fit(ds, cfg)
     save_model(model, args.out)
@@ -163,7 +164,7 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     model, ds = _load_saved(args)
-    if model.loss in ("binary-logistic", "squared"):
+    if model.loss not in MULTICLASS_LOSSES:
         ks = (1, 5) if ds.group_ids is not None else ()
         report = evaluate_ranking(model, ds, ks=ks)
         report.update({"k": model.k, "lambda": model.lam, "penalty": model.penalty,
@@ -290,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit one model and save it as JSON")
     _add_data_flags(p)
     _add_train_flags(p)
+    p.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam)
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--trace", default=None, help="objective trace CSV path")
     p.add_argument("--deterministic-trace", action="store_true",
@@ -307,9 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model JSON path")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("path", help="regularization path with interleaved "
-                                    "validation on a 50/25/25 train/valid/test "
-                                    "split; saves the best model")
+    # no prefix matching here: --lambda must not stand for --lambdas
+    p = sub.add_parser("path", allow_abbrev=False,
+                       help="regularization path with interleaved validation on "
+                            "a 50/25/25 train/valid/test split; saves the best model")
     _add_data_flags(p)
     _add_train_flags(p)
     p.add_argument("--lambdas", default="auto",

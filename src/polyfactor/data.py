@@ -9,6 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 MOVIELENS_SEPARATORS = {"tab": "\t", "::": "::"}  # name -> field separator
+SPLIT_FRACTIONS = (0.5, 0.25, 0.25)  # train, valid, test
 
 
 class DataError(ValueError):
@@ -19,7 +20,8 @@ class DataError(ValueError):
 class Dataset:
     """Immutable design matrix with labels.
 
-    ``X`` is CSR with sorted, duplicate-free column indices per row. ``y``
+    ``X`` is CSR with sorted, duplicate-free column indices per row
+    (``make_dataset`` canonicalises it; any other X is refused). ``y``
     holds contiguous class indices (or rating levels) in 1..m; the original
     file labels live in ``label_map`` (position c-1 = original label of
     class c). ``Y``, when present, is a {-1,+1} sign matrix of shape (n, m).
@@ -51,6 +53,9 @@ class Dataset:
         return X2
 
     def __post_init__(self):
+        if not self.X.has_canonical_format:
+            raise DataError("X must be CSR with sorted, duplicate-free indices; "
+                            "build datasets with make_dataset")
         _freeze(self.X)
         self.y.setflags(write=False)
         if self.Y is not None:
@@ -61,17 +66,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train: float = 0.5
-    valid: float = 0.25
-    test: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self):
-        fracs = (self.train, self.valid, self.test)
-        if any(f <= 0 for f in fracs):
-            raise DataError(f"split fractions must be positive, got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise DataError(f"split fractions must sum to 1, got {sum(fracs)}")
+    seed: int = 0  # row permutation of ``split``; the sizes are SPLIT_FRACTIONS
 
 
 def _freeze(X: sp.csr_matrix) -> None:
@@ -259,10 +254,11 @@ def _partition_sizes(n: int, fractions) -> np.ndarray:
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """Disjoint, exhaustive, seed-reproducible train/valid/test row partition."""
+    """Disjoint, exhaustive, seed-reproducible train/valid/test row
+    partition in the proportions SPLIT_FRACTIONS."""
     if ds.n < 4:
         raise DataError(f"need at least 4 samples to split, got {ds.n}")
-    sizes = _partition_sizes(ds.n, (spec.train, spec.valid, spec.test))
+    sizes = _partition_sizes(ds.n, SPLIT_FRACTIONS)
     perm = np.random.default_rng(spec.seed).permutation(ds.n)
     a, b = sizes[0], sizes[0] + sizes[1]
     return take_rows(ds, perm[:a]), take_rows(ds, perm[a:b]), take_rows(ds, perm[b:])

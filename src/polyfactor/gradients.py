@@ -81,10 +81,7 @@ class GradientOperator:
     def __init__(self, ds, kind: str, n_outputs: int | None = None):
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
-        X = ds.X
-        if not X.has_canonical_format:
-            X = X.copy()
-            X.sum_duplicates()
+        X = ds.X  # canonical CSR: Dataset refuses any other
         self.ds = ds
         self.kind = kind
         self.X = X

@@ -46,14 +46,13 @@ def build_ordinal(ds: Dataset) -> Dataset:
 
 
 def fit_mcrank(ds: Dataset, cfg: SolverConfig) -> tuple[Model, list[TraceRecord]]:
-    """Train the multi-output threshold classifiers with a shared basis."""
+    """Train the multi-output threshold classifiers with a shared basis on
+    the ratings ``ds``; the threshold matrix is attached here."""
     if cfg.model != "fm":
         raise ConfigError("the ordinal reduction is wired for FM activations")
     if cfg.loss != "binary-logistic":
         raise ConfigError("threshold classifiers need the binary-logistic loss")
-    if ds.Y is None:
-        ds = build_ordinal(ds)
-    return fit(ds, cfg)
+    return fit(build_ordinal(ds), cfg)
 
 
 def threshold_probabilities(model: Model, X) -> np.ndarray:

@@ -99,10 +99,8 @@ def hidden_activations(kind: str, H: np.ndarray, X, X2=None, Z=None) -> np.ndarr
 
 
 def outputs(model: Model, X, X2=None) -> np.ndarray:
-    """Model outputs (n x m); the empty model returns zeros. ``X2`` as in
+    """Model outputs (n x m); the empty model gives zeros. ``X2`` as in
     ``hidden_activations``."""
-    if model.k == 0:
-        return np.zeros((X.shape[0], model.m))
     return hidden_activations(model.kind, model.H, X, X2) @ model.V
 
 

@@ -15,8 +15,6 @@ def _check_kind(kind: str) -> None:
 
 def penalty_value(kind: str, V: np.ndarray) -> float:
     _check_kind(kind)
-    if V.size == 0:
-        return 0.0
     if kind == "l1":
         return float(np.abs(V).sum())
     if kind == "l1l2":
@@ -71,8 +69,6 @@ def prox(kind: str, V: np.ndarray, threshold: float) -> np.ndarray:
     _check_kind(kind)
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    if V.size == 0:
-        return V.copy()
     if kind == "l1":
         return np.sign(V) * np.maximum(np.abs(V) - threshold, 0.0)
     if kind == "l1l2":

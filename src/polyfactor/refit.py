@@ -156,8 +156,6 @@ PRUNE_TOL = 1e-12  # a row whose largest output weight is below this is dead
 
 def prune(model: Model) -> Model:
     """Drop basis rows whose output weights are (numerically) all zero."""
-    if model.k == 0:
-        return model
     keep = np.abs(model.V).max(axis=1) >= PRUNE_TOL
     if keep.all():
         return model

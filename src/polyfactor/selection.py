@@ -1,16 +1,18 @@
 """Basis-vector selection: approximately maximize ||g_h||_p over the unit ball.
 
 Every route starts from the two ends of each output's spectrum: the top and
-bottom eigenpairs of A_c. Dense-stored operators get them exactly from one
-batched eigh over the (m, d, d) stack; sparse and matrix-free operators from
-a seeded Lanczos run with full reorthogonalisation. The l1 route keeps the
-largest quadratic form. The group routes (p = 2 or 1) refine every distinct
-end by a normalized-gradient recursion with Armijo backtracking, which never
-decreases the objective f_p. All starts run in lockstep as one (b, d) block
-with one stacked apply per step; a start leaves the block when its own
-recursion stops, and every start's result is bit-identical to refining it
-alone. An exhaustive sign-pattern eigensolver provides the exact optimum for
-small output counts, plus two cheap baselines for method comparisons.
+bottom eigenpairs of A_c, all from ``_spectrum_ends``. Dense-stored operators
+get them exactly from one batched eigh over the (m, d, d) stack; sparse and
+matrix-free operators from a seeded Lanczos run with full
+reorthogonalisation. The l1 route keeps the end with the largest
+|h^T A_c h|, the dominant eigenpair of the strongest output. The group
+routes (p = 2 or 1) refine every distinct end by a normalized-gradient
+recursion with Armijo backtracking, which never decreases the objective f_p.
+All starts run in lockstep as one (b, d) block with one stacked apply per
+step; a start leaves the block when its own recursion stops, and every
+start's result is bit-identical to refining it alone. An exhaustive
+sign-pattern eigensolver provides the exact optimum for small output
+counts, plus two cheap baselines for method comparisons.
 """
 
 from __future__ import annotations
@@ -100,31 +102,19 @@ def _lanczos_ends(op: GradientOperator, c: int, seed: int):
     return ends[0], ends[1], not theta.any()
 
 
-def _spectrum_ends(op: GradientOperator, seed: int, outputs=None):
+def _spectrum_ends(op: GradientOperator, seed: int):
     """Per output: ((h_top, q_top), (h_bottom, q_bottom), degenerate).
 
     q is h^T A_c h, the eigenvalue; degenerate marks an operator whose
     eigenvalues are all zero. Dense storage takes one batched eigh over the
     stored Grams; the other storages run Lanczos on the output's matvec.
     """
-    outputs = range(op.m) if outputs is None else outputs
     if op.storage != "dense":
-        return [_lanczos_ends(op, c, seed) for c in outputs]
-    vals, vecs = np.linalg.eigh(op.stack[list(outputs)])
+        return [_lanczos_ends(op, c, seed) for c in range(op.m)]
+    vals, vecs = np.linalg.eigh(op.stack)
     vecs = vecs.transpose(0, 2, 1).copy()  # row j is the j-th eigenvector
     return [((V[-1], float(lam[-1])), (V[0], float(lam[0])), not lam.any())
             for lam, V in zip(vals, vecs)]
-
-
-def power_method(op: GradientOperator, c: int, seed: int) -> tuple[np.ndarray, float, bool]:
-    """Dominant-magnitude eigenpair of the output-c operator.
-
-    Returns (unit vector, quadratic-form value, degenerate flag); the value
-    certifies (1 - LANCZOS_EPS) of the spectral radius.
-    """
-    top, bottom, degenerate = _spectrum_ends(op, seed, [c])[0]
-    h, q = max(top, bottom, key=lambda end: abs(end[1]))
-    return h, q, degenerate
 
 
 def select_l1(op: GradientOperator, seed: int) -> SelectionResult:

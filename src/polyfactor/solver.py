@@ -158,15 +158,17 @@ def support_check(model: Model, ds: Dataset, iterations: int) -> dict:
             "within_bound": model.k <= bound}
 
 
-def fit_path(train: Dataset, valid: Dataset, cfg: SolverConfig, lam_grid=None,
+def fit_path(train: Dataset, valid: Dataset, cfg: SolverConfig, lam_grid,
              metric_fn=None, higher_is_better: bool = True):
     """Fit one model per regularization weight, validating after every
     iteration, and return the best (lambda, iteration) model plus a report.
 
-    ``metric_fn(model, dataset) -> float`` defaults to classification
-    accuracy. Lambda values run one after another, in grid order.
+    ``lam_grid`` is strictly decreasing and sets every fit's weight; cfg.lam
+    is not read. ``metric_fn(model, dataset) -> float`` defaults to
+    classification accuracy. Lambda values run one after another, in grid
+    order.
     """
-    lams = tuple(float(l) for l in lam_grid) if lam_grid is not None else (cfg.lam,)
+    lams = tuple(float(l) for l in lam_grid)
     if not lams:
         raise ConfigError("empty lambda grid")
     if len(lams) > 1 and any(b >= a for a, b in zip(lams, lams[1:])):

@@ -20,16 +20,16 @@ from polyfactor.data import (SplitSpec, load_movielens, load_svmlight, make_data
                              split, take_rows)
 from polyfactor.gradients import GradientOperator
 from polyfactor.losses import LOSSES, loss_gradient, loss_gradients, loss_value
-from polyfactor.mcrank import build_ordinal, evaluate_ranking, fit_mcrank
+from polyfactor.mcrank import evaluate_ranking, fit_mcrank
 from polyfactor.models import accuracy, activation
 from polyfactor.penalties import PENALTIES, prox, row_norm
 from polyfactor.refit import refit_full, refit_output
 from polyfactor.selection import (
+    _spectrum_ends,
     baseline_best_data,
     baseline_random,
     exact_oracle_linf,
     f_value,
-    power_method,
     refine,
     select_group,
     select_l1,
@@ -181,14 +181,17 @@ def test_criterion_2_eigensolver_suite():
         n = int(rng.integers(d, 3 * d))
         op, _ = random_op(rng, n, d, 1, "fm" if i % 2 else "pn")
         seed = int(rng.integers(0, 2**31))
-        _, val, _ = power_method(op, 0, seed)
-        rho = np.abs(np.linalg.eigvalsh(op.dense_matrix(0))).max()
-        ratio = abs(val) / rho
+        [(top, bottom, _)] = _spectrum_ends(op, seed)
+        vals = np.linalg.eigvalsh(op.dense_matrix(0))
+        rho = np.abs(vals).max()
+        # the dominant end certifies the spectral radius; each end its eigenvalue
+        ratio = max(abs(top[1]), abs(bottom[1])) / rho
         worst = min(worst, ratio)
-        if ratio < 1.0 - eps:
+        ends_off = abs(top[1] - vals[-1]) > eps * rho or abs(bottom[1] - vals[0]) > eps * rho
+        if ratio < 1.0 - eps or ends_off:
             failures.append((i, ratio))
     report(2, not failures,
-           f"power-method certificate held on 200/200 operators "
+           f"spectrum-end certificate held on 200/200 operators "
            f"(worst ratio {worst:.4f}, {time.perf_counter() - start:.1f}s)")
 
 
@@ -330,7 +333,7 @@ def test_criterion_7_recommender_desk_scale(ml100k_like, tmp_path):
             cfg = SolverConfig(model="fm", loss=loss, penalty="l1linf", lam=lam,
                                k_max=50, refit="output", seed=0)
             if loss == "binary-logistic":
-                model, _ = fit_mcrank(build_ordinal(train), cfg)
+                model, _ = fit_mcrank(train, cfg)
             else:
                 model, _ = fit(train, cfg)
             score = evaluate_ranking(model, valid, ks=(1,))["ndcg@1"]

@@ -246,6 +246,14 @@ class TestPath:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["lambda"] == 0.01
 
+    def test_lambda_flag_refused(self, svm_file, tmp_path):
+        # the grid sets every fit's weight, so path takes no --lambda
+        out = tmp_path / "best.json"
+        with pytest.raises(SystemExit) as exc:
+            run("path", "--data", svm_file, "--lambda", "5", "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_auto_grid_has_ten_points(self, svm_file, tmp_path, capsys):
         out = tmp_path / "best.json"
         report_path = tmp_path / "report.json"

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from polyfactor.data import (
+    SPLIT_FRACTIONS,
     DataError,
+    Dataset,
     SplitSpec,
     load_movielens,
     load_svmlight,
@@ -123,11 +126,11 @@ class TestSplit:
         return make_dataset(X, np.ones(n, dtype=np.int64), 1)
 
     def test_sizes_100(self, rng):
-        tr, va, te = split(self.make(100, rng), SplitSpec(0.5, 0.25, 0.25, seed=3))
+        tr, va, te = split(self.make(100, rng), SplitSpec(seed=3))
         assert (tr.n, va.n, te.n) == (50, 25, 25)
 
     def test_sizes_minimum(self, rng):
-        tr, va, te = split(self.make(4, rng), SplitSpec(0.5, 0.25, 0.25, seed=3))
+        tr, va, te = split(self.make(4, rng), SplitSpec(seed=3))
         assert (tr.n, va.n, te.n) == (2, 1, 1)
 
     def test_same_seed_same_partition(self, rng):
@@ -138,12 +141,6 @@ class TestSplit:
             assert (x.X != y.X).nnz == 0
             assert np.array_equal(x.y, y.y)
 
-    def test_bad_fractions(self):
-        with pytest.raises(DataError):
-            SplitSpec(0.5, 0.2, 0.2)
-        with pytest.raises(DataError):
-            SplitSpec(1.2, -0.1, -0.1)
-
     def test_too_small(self, rng):
         with pytest.raises(DataError):
             split(self.make(3, rng), SplitSpec())
@@ -153,14 +150,24 @@ class TestSplit:
         rng = np.random.default_rng(0)
         X = np.arange(n, dtype=np.float64)[:, None] + 1.0
         ds = make_dataset(X, np.ones(n, dtype=np.int64), 1)
-        parts = split(ds, SplitSpec(0.5, 0.25, 0.25, seed=seed))
+        parts = split(ds, SplitSpec(seed=seed))
         ids = np.concatenate([p.X.toarray().ravel() for p in parts])
         assert sorted(ids.tolist()) == (np.arange(n) + 1.0).tolist()
-        for frac, part in zip((0.5, 0.25, 0.25), parts):
+        for frac, part in zip(SPLIT_FRACTIONS, parts):
             assert abs(part.n - frac * n) <= 1
 
 
 class TestDatasetInvariants:
+    def test_non_canonical_csr_refused(self, rng):
+        # duplicate and unsorted column indices, bypassing make_dataset
+        X = sp.csr_matrix((rng.standard_normal(6), np.array([3, 1, 3, 0, 2, 0]),
+                           np.array([0, 3, 6])), shape=(2, 4))
+        with pytest.raises(DataError, match="make_dataset"):
+            Dataset(X=X, y=np.ones(2, dtype=np.int64), m=2, label_map=(1, 2))
+        ds = make_dataset(X, np.ones(2, dtype=np.int64), 2)
+        assert ds.X.has_canonical_format
+        assert np.array_equal(ds.X.toarray(), X.toarray())
+
     def test_sign_matrix_validated(self, rng):
         X = rng.standard_normal((3, 2))
         Y = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 0.5]])

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import SHAPES, random_operator, shaped_operator
-from polyfactor.data import Dataset, make_dataset
+from polyfactor.data import make_dataset
 from polyfactor.gradients import DENSE_BLOCK, GradientOperator
 from polyfactor.losses import loss_gradient, loss_values
 from polyfactor.models import Model, activation, empty_model, hidden_activations
@@ -129,10 +129,10 @@ class TestBackend:
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_non_canonical_csr(self, kind, rng):
-        # duplicate and unsorted column indices, bypassing make_dataset
+        # duplicate and unsorted column indices, canonicalised by make_dataset
         X = sp.csr_matrix((rng.standard_normal(6), np.array([3, 1, 3, 0, 2, 0]),
                            np.array([0, 3, 6])), shape=(2, 4))
-        ds = Dataset(X=X, y=np.ones(2, dtype=np.int64), m=2, label_map=(1, 2))
+        ds = make_dataset(X, np.ones(2, dtype=np.int64), 2)
         op = GradientOperator(ds, kind)
         op.set_gradients(rng.standard_normal((2, 2)))
         assert op.storage == "sparse"

@@ -171,6 +171,18 @@ class TestFitMcrank:
         with pytest.raises(ConfigError):
             fit_mcrank(ds, SolverConfig(model="fm", loss="logistic"))
 
+    def test_attaches_thresholds_itself(self, rng, monkeypatch):
+        # ratings in, or ratings with the thresholds already attached: one model
+        ds = ratings_dataset(rng, n=40, d=5, m=4)
+        set_fista(monkeypatch, 100, 1e-4)
+        cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf",
+                           lam=0.05, k_max=3, seed=0)
+        a, trace_a = fit_mcrank(ds, cfg)
+        b, trace_b = fit_mcrank(build_ordinal(ds), cfg)
+        assert a.k > 0
+        assert np.array_equal(a.H, b.H) and np.array_equal(a.V, b.V)
+        assert [r.objective for r in trace_a] == [r.objective for r in trace_b]
+
     def test_single_level_reduces_to_binary_classifier(self, rng, monkeypatch):
         # m=1: the threshold matrix is all +1 and training is plain binary
         X = rng.standard_normal((20, 4))
@@ -196,7 +208,7 @@ class TestFitMcrank:
         set_fista(monkeypatch, 500, 1e-8)
         cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf",
                            lam=1e-3, k_max=8, seed=1)
-        model, _ = fit_mcrank(build_ordinal(ds), cfg)
+        model, _ = fit_mcrank(ds, cfg)
         scores = expected_relevance(model, ds.X)
         assert np.all(np.abs(scores - 4.0) < 0.75)
 
@@ -214,7 +226,7 @@ class TestFitMcrank:
         set_fista(monkeypatch, 300, 1e-6)
         cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf",
                            lam=1e-2, k_max=4, seed=2)
-        model, _ = fit_mcrank(build_ordinal(ds), cfg)
+        model, _ = fit_mcrank(ds, cfg)
         report = evaluate_ranking(model, ds)
         assert set(report) == {"rmse", "ndcg@1", "ndcg@5"}
         assert 0.0 <= report["ndcg@1"] <= 1.0

@@ -74,9 +74,11 @@ class TestActivation:
 
 class TestOutputs:
     def test_empty_model_outputs_zero(self, rng):
-        model = empty_model("pn", 4, 3, "logistic", "l1", 0.1)
         X = sp.csr_matrix(rng.standard_normal((5, 4)))
-        assert np.array_equal(outputs(model, X), np.zeros((5, 3)))
+        for kind in ("pn", "fm"):
+            model = empty_model(kind, 4, 3, "logistic", "l1", 0.1)
+            got = outputs(model, X)
+            assert got.shape == (5, 3) and np.array_equal(got, np.zeros((5, 3))), kind
 
     def test_single_unit_hits_one_output(self, rng):
         h = rng.standard_normal(4)

@@ -110,6 +110,14 @@ class TestProx:
                            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 5000})
             assert objective(got) <= res.fun + 1e-6
 
+    def test_empty_output_matrix(self):
+        # the empty model's V has no rows: value 0, prox another empty matrix
+        V = np.zeros((0, 3))
+        for kind in PENALTIES:
+            assert penalty_value(kind, V) == 0.0
+            out = prox(kind, V, 1.0)
+            assert out.shape == (0, 3) and out is not V
+
     def test_zero_rows_preserved(self):
         V = np.zeros((2, 3))
         for kind in PENALTIES:

@@ -293,6 +293,11 @@ class TestPrune:
         assert pruned.k == 3
         assert np.allclose(outputs(pruned, ds.X), outputs(model, ds.X), atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_empty_model_unchanged(self, kind):
+        model = Model(kind, np.zeros((0, 6)), np.zeros((0, 3)), "logistic", "l1l2", 0.1)
+        assert prune(model) is model
+
     def test_huge_lambda_then_prune_empties_model(self, rng):
         model, ds = make_problem(rng, lam=1e9)
         refitted, _ = refit_output(model, ds)

@@ -22,7 +22,6 @@ from polyfactor.selection import (
     compare_methods,
     exact_oracle_linf,
     f_value,
-    power_method,
     refine,
     select_group,
     select_l1,
@@ -65,39 +64,55 @@ def storage_operators(rng, kind):
 
 
 class TestPowerMethod:
+    """The spectrum ends of each output: the top and bottom eigenpairs,
+    whose larger-magnitude end is the dominant (power-method) eigenpair."""
+
     def test_identity_operator(self, rng):
         op = diag_operator(np.ones((5, 1)))
-        h, val, degenerate = power_method(op, 0, SEED)
+        [(top, bottom, degenerate)] = _spectrum_ends(op, SEED)
         assert not degenerate
-        assert val == pytest.approx(1.0, rel=1e-6)
-        assert np.linalg.norm(h) == pytest.approx(1.0)
+        for h, val in (top, bottom):
+            assert val == pytest.approx(1.0, rel=1e-6)
+            assert np.linalg.norm(h) == pytest.approx(1.0)
 
     def test_dominant_diagonal(self):
         op = diag_operator(np.array([[3.0], [1.0]]))
-        h, val, _ = power_method(op, 0, SEED)
-        assert abs(val) == pytest.approx(3.0, rel=1e-4)
-        assert abs(h[0]) == pytest.approx(1.0, abs=1e-3)
+        [(top, bottom, _)] = _spectrum_ends(op, SEED)
+        for (h, val), j, exact in ((top, 0, 3.0), (bottom, 1, 1.0)):
+            assert val == pytest.approx(exact, rel=1e-4)
+            assert abs(h[j]) == pytest.approx(1.0, abs=1e-3)
+        res = select_l1(op, SEED)
+        assert res.score == pytest.approx(3.0, rel=1e-4)
+        assert abs(res.h[0]) == pytest.approx(1.0, abs=1e-3)
 
     def test_zero_operator_flagged(self, rng):
         op, _ = random_operator(rng, 6, 4, 2)
         op.set_gradients(np.zeros((6, 2)))
-        h, val, degenerate = power_method(op, 0, SEED)
-        assert degenerate and val == 0.0
+        for top, bottom, degenerate in _spectrum_ends(op, SEED):
+            assert degenerate and top[1] == 0.0 and bottom[1] == 0.0
 
     def test_negative_dominant_eigenvalue(self):
         op = diag_operator(np.array([[-4.0], [2.0]]))
-        h, val, _ = power_method(op, 0, SEED)
-        assert val == pytest.approx(-4.0, rel=1e-4)
+        [(top, bottom, _)] = _spectrum_ends(op, SEED)
+        assert top[1] == pytest.approx(2.0, rel=1e-4)
+        assert bottom[1] == pytest.approx(-4.0, rel=1e-4)
+        res = select_l1(op, SEED)
+        assert res.quad_values[0] == pytest.approx(-4.0, rel=1e-4)
 
     def test_certificate_against_dense_eigensolver(self, rng):
         for i in range(40):
             d = int(rng.integers(4, 30))
             op, _ = random_operator(rng, int(rng.integers(d, 2 * d)), d, 1,
                                     kind="fm" if i % 2 else "pn")
-            h, val, _ = power_method(op, 0, i)
-            rho = np.abs(np.linalg.eigvalsh(op.dense_matrix(0))).max()
-            assert abs(val) >= (1 - LANCZOS_EPS) * rho
-            assert np.linalg.norm(h) <= 1.0 + 1e-9
+            vals = np.linalg.eigvalsh(op.dense_matrix(0))
+            rho = np.abs(vals).max()
+            [(top, bottom, _)] = _spectrum_ends(op, i)
+            for (h, val), exact in ((top, vals[-1]), (bottom, vals[0])):
+                assert abs(val - exact) <= LANCZOS_EPS * rho
+                assert np.linalg.norm(h) <= 1.0 + 1e-9
+            res = select_l1(op, i)
+            assert res.score >= (1 - LANCZOS_EPS) * rho
+            assert np.linalg.norm(res.h) <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_certificate_on_every_storage(self, kind, rng):
@@ -119,8 +134,8 @@ class TestPowerMethod:
                     # both ends meet the Lanczos stop test (exact on eigh)
                     residual = np.linalg.norm(A @ h - q * h)
                     assert residual <= 0.05 * LANCZOS_EPS * rho * (1 + 1e-6) + 1e-12, shape
-                h, val, _ = power_method(op, c, i)
-                assert abs(val) >= (1 - LANCZOS_EPS) * rho - 1e-12, shape
+                dominant = max(abs(top[1]), abs(bottom[1]))
+                assert dominant >= (1 - LANCZOS_EPS) * rho - 1e-12, shape
         assert seen == {"dense", "sparse", "free"}
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
@@ -128,7 +143,6 @@ class TestPowerMethod:
         for shape, op in storage_operators(rng, kind):
             op.set_gradients(np.zeros((op.n, op.m)))
             assert all(degenerate for *_, degenerate in _spectrum_ends(op, SEED)), shape
-            assert power_method(op, 0, SEED)[2]
             assert select_l1(op, SEED).degenerate
             assert select_group(op, 1, SEED).degenerate
 
@@ -162,9 +176,11 @@ class TestApplyBlock:
 
 class TestSelectL1:
     def test_single_output_equals_power_method(self, rng):
+        # with one output the pick is the dominant spectrum end
         op, _ = random_operator(rng, 10, 6, 1)
         res = select_l1(op, SEED)
-        h, val, _ = power_method(op, 0, SEED)
+        [(top, bottom, _)] = _spectrum_ends(op, SEED)
+        h, val = max(top, bottom, key=lambda end: abs(end[1]))
         assert res.score == pytest.approx(abs(val), rel=1e-12)
         assert abs(res.h @ h) == pytest.approx(1.0, abs=1e-9)
 
@@ -399,8 +415,10 @@ class TestExactOracle:
         op, _ = random_operator(rng, 10, 6, 1)
         exact = exact_oracle_linf(op)
         monkeypatch.setattr(selection, "LANCZOS_EPS", 1e-3)
-        _, val, _ = power_method(op, 0, 3)
-        assert exact.score >= abs(val) >= (1 - 1e-3) * exact.score
+        [(top, bottom, _)] = _spectrum_ends(op, 3)
+        val = max(abs(top[1]), abs(bottom[1]))
+        assert exact.score >= val >= (1 - 1e-3) * exact.score
+        assert exact.score >= select_l1(op, 3).score >= (1 - 1e-3) * exact.score
 
     def test_two_orthogonal_outputs(self):
         # f_1 = h1^2 + h2^2 = 1 on the whole unit sphere

@@ -211,13 +211,13 @@ class TestFitPath:
         from polyfactor.data import SplitSpec, split
 
         ds = make_multiclass(n, 6, 3, seed=seed)
-        tr, va, _ = split(ds, SplitSpec(0.5, 0.25, 0.25, seed=seed))
+        tr, va, _ = split(ds, SplitSpec(seed=seed))
         return tr, va
 
     def test_single_lambda_equals_fit_plus_argmax(self, rng):
         tr, va = self.two_way(160, 10)
         cfg = small_config(penalty="l1l2", lam=0.05, k_max=5)
-        best, report = fit_path(tr, va, cfg)
+        best, report = fit_path(tr, va, cfg, lam_grid=(cfg.lam,))
         snaps = []
         fit(tr, cfg, iteration_hook=lambda t, m: snaps.append((t, accuracy(m, va))))
         by_hand = max(snaps, key=lambda s: s[1])
