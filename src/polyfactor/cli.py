@@ -201,6 +201,10 @@ def _auto_lambda_grid(ds, cfg: SolverConfig):
 def cmd_path(args) -> int:
     loss = _resolve_loss(args)
     metric, higher = _metric_fn(args.metric)
+    if (args.metric == "accuracy") != (loss in MULTICLASS_LOSSES):
+        raise UsageError(f"--metric {args.metric} does not suit the {loss} loss: accuracy "
+                         f"scores multi-class losses, and rmse and ndcg@k score the "
+                         f"ratings of --mcrank and --loss squared fits")
     if args.lambdas != "auto":
         try:
             lams = [float(v) for v in args.lambdas.split(",")]
@@ -238,6 +242,10 @@ def _random_instance(rng, n, d, m):
 
 
 def cmd_oracle_compare(args) -> int:
+    for flag, value, least in (("--n", args.n, 1), ("--d", args.d, 1),
+                               ("--instances", args.instances, 0)):
+        if value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     if args.m_max < 2:
         raise UsageError(f"--m-max must be at least 2, got {args.m_max}")
     if args.m_max > ORACLE_LIMIT:

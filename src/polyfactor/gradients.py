@@ -86,6 +86,9 @@ class GradientOperator:
         self.kind = kind
         self.X = X
         self.n, self.d = X.shape
+        if self.d < 1:
+            raise ValueError("the data has no features (d = 0), so there is no "
+                             "basis vector to select")
         self.m = ds.m if n_outputs is None else int(n_outputs)
         self.D = np.zeros((self.n, self.m))
         r = np.diff(X.indptr).astype(np.int64)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .losses import MULTICLASS_LOSSES
 from .models import Model, outputs
 from .solver import ConfigError, SolverConfig, TraceRecord, fit
 
@@ -110,7 +111,15 @@ def ndcg_at(groups: RankingGroups, preds, k: int) -> float:
 
 
 def evaluate_ranking(model: Model, ds: Dataset, ks=(1, 5)) -> dict:
-    """RMSE plus nDCG at the requested cutoffs for a rating dataset."""
+    """RMSE plus nDCG at the requested cutoffs for a rating dataset.
+
+    The model must predict ratings: an ordinal (binary-logistic) or a
+    squared-loss model. A multi-class model's outputs are class scores, not
+    ratings, so it is refused.
+    """
+    if model.loss in MULTICLASS_LOSSES:
+        raise ValueError(f"a {model.loss} model predicts classes, not ratings; "
+                         f"rank only binary-logistic or squared-loss models")
     if ds.group_ids is None and ks:
         raise ValueError("dataset carries no ranking groups")
     if model.loss == "binary-logistic":

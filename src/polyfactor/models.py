@@ -141,10 +141,45 @@ def save_model(model: Model, path) -> None:
         fh.write(model_to_json(model))
 
 
+_MODEL_FIELDS = ("kind", "loss", "penalty", "lambda", "d", "m", "k", "H", "V",
+                 "label_map", "bias_augmented")
+
+
+def _float_array(doc, field: str, size: int, shape_note: str) -> np.ndarray:
+    """The flat list ``doc[field]`` as float64, which must hold ``size`` values."""
+    try:
+        values = np.asarray(doc[field], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"model field {field!r} must be a list of numbers") from None
+    if values.ndim != 1 or values.size != size:
+        raise ValueError(f"model field {field!r} must be a flat list of "
+                         f"{shape_note} = {size} numbers")
+    return values
+
+
 def load_model(path) -> Model:
+    """Read a model file, refusing with ValueError (naming the field) any
+    document that is not a complete, consistent model."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    k, d, m = int(doc["k"]), int(doc["d"]), int(doc["m"])
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model file holds one JSON object, not a {type(doc).__name__}")
+    missing = [field for field in _MODEL_FIELDS if field not in doc]
+    if missing:
+        raise ValueError(f"model file lacks the field {missing[0]!r}")
+    for field in ("k", "d", "m"):
+        if type(doc[field]) is not int or doc[field] < 0:
+            raise ValueError(f"model field {field!r} must be a non-negative integer, "
+                             f"not {doc[field]!r}")
+    k, d, m = doc["k"], doc["d"], doc["m"]
+    if type(doc["lambda"]) not in (int, float) or not doc["lambda"] > 0:  # refuses nan too
+        raise ValueError(f"model field 'lambda' must be a positive number, "
+                         f"not {doc['lambda']!r}")
+    if not isinstance(doc["label_map"], list):
+        raise ValueError("model field 'label_map' must be a list")
+    if type(doc["bias_augmented"]) is not bool:
+        raise ValueError(f"model field 'bias_augmented' must be true or false, "
+                         f"not {doc['bias_augmented']!r}")
     if doc["loss"] not in LOSSES:
         raise ValueError(f"unknown loss {doc['loss']!r}; expected one of {LOSSES}")
     if doc["penalty"] not in PENALTIES:
@@ -153,8 +188,8 @@ def load_model(path) -> Model:
         raise ValueError(f"label_map has {len(doc['label_map'])} entries for {m} outputs")
     model = Model(
         kind=doc["kind"],
-        H=np.asarray(doc["H"], dtype=np.float64).reshape(k, d),
-        V=np.asarray(doc["V"], dtype=np.float64).reshape(k, m),
+        H=_float_array(doc, "H", k * d, "k*d").reshape(k, d),
+        V=_float_array(doc, "V", k * m, "k*m").reshape(k, m),
         loss=doc["loss"],
         penalty=doc["penalty"],
         lam=float(doc["lambda"]),

@@ -1,16 +1,20 @@
 """Basis-vector selection: approximately maximize ||g_h||_p over the unit ball.
 
 Every route starts from the two ends of each output's spectrum: the top and
-bottom eigenpairs of A_c, all from ``_spectrum_ends``. Dense-stored operators
-get them exactly from one batched eigh over the (m, d, d) stack; sparse and
-matrix-free operators from a seeded Lanczos run with full
-reorthogonalisation. The l1 route keeps the end with the largest
-|h^T A_c h|, the dominant eigenpair of the strongest output. The group
-routes (p = 2 or 1) refine every distinct end by a normalized-gradient
-recursion with Armijo backtracking, which never decreases the objective f_p.
+bottom eigenpairs of A_c, all from ``_spectrum_ends`` as two arrays, the
+unit eigenvectors H (m, 2, d) and their eigenvalues q (m, 2). Dense-stored
+operators get them exactly from one batched eigh over the (m, d, d) stack;
+sparse and matrix-free operators from a seeded Lanczos run with full
+reorthogonalisation. The l1 route keeps the end with the largest |q|, the
+dominant eigenpair of the strongest output. The group routes (p = 2 or 1)
+refine the distinct ends of every output with a nonzero spectrum by a
+normalized-gradient recursion with Armijo backtracking, which never
+decreases the objective f_p.
 All starts run in lockstep as one (b, d) block with one stacked apply per
 step; a start leaves the block when its own recursion stops, and every
-start's result is bit-identical to refining it alone. An exhaustive
+start's result is bit-identical to refining it alone. Every route's score
+is the penalty's dual norm of g_h, which ``fit`` also reads as its stopping
+certificate; an all-zero spectrum scores 0.0. An exhaustive
 sign-pattern eigensolver provides the exact optimum for small output
 counts, plus two cheap baselines for method comparisons.
 """
@@ -44,7 +48,6 @@ class SelectionResult:
     h: np.ndarray
     score: float               # ||g_h||_p for the route's p
     quad_values: np.ndarray    # per-output h^T A_c h (g_h = -quad_values)
-    degenerate: bool = False
     trace: list | None = None  # accepted objective values (refinement only)
 
 
@@ -54,10 +57,8 @@ def f_value(quad_values: np.ndarray, p: int) -> float:
     return float(np.abs(q).sum()) if p == 1 else float(q @ q)
 
 
-def _score_from_quads(q: np.ndarray, p) -> float:
-    """||q||_p: f_1 for p = 1, sqrt(f_2) for p = 2, max |q_c| for the l1 route."""
-    if p == "inf":
-        return float(np.abs(q).max())
+def _score_from_quads(q: np.ndarray, p: int) -> float:
+    """||q||_p: f_1 for p = 1, sqrt(f_2) for p = 2."""
     return f_value(q, 1) if p == 1 else float(np.sqrt(f_value(q, 2)))
 
 
@@ -76,7 +77,8 @@ def _lanczos_ends(op: GradientOperator, c: int, seed: int):
     Lanczos with full reorthogonalisation from a seeded start. It stops once
     both end Ritz residuals beta_k |s_k| are at most 0.05 LANCZOS_EPS max|theta|, or
     when the Krylov space is exhausted, after at most min(d, LANCZOS_MAX_STEPS)
-    steps. Returns ((h_top, theta_top), (h_bottom, theta_bottom), degenerate).
+    steps. Returns the top and bottom Ritz vectors as the rows of a (2, d)
+    array and their Ritz values as a (2,) array.
     """
     steps = min(op.d, LANCZOS_MAX_STEPS)
     Q = np.empty((steps, op.d))           # Lanczos vectors, one per row
@@ -95,39 +97,37 @@ def _lanczos_ends(op: GradientOperator, c: int, seed: int):
             break
         Q[k + 1] = w / beta
         T[k + 1, k] = T[k, k + 1] = beta
-    ends = []
-    for j in (-1, 0):
-        h = basis.T @ S[:, j]
-        ends.append((h / np.linalg.norm(h), float(theta[j])))
-    return ends[0], ends[1], not theta.any()
+    H = np.empty((2, op.d))
+    for i, j in enumerate((-1, 0)):
+        h = basis.T @ S[:, j]  # one GEMV per end: a batched product rounds differently
+        H[i] = h / np.linalg.norm(h)
+    return H, theta[[-1, 0]]
 
 
 def _spectrum_ends(op: GradientOperator, seed: int):
-    """Per output: ((h_top, q_top), (h_bottom, q_bottom), degenerate).
+    """The top and bottom eigenpairs of every output: (H, q).
 
-    q is h^T A_c h, the eigenvalue; degenerate marks an operator whose
-    eigenvalues are all zero. Dense storage takes one batched eigh over the
+    H[c] (2, d) holds output c's top and bottom unit eigenvectors as rows,
+    and q[c] (2,) their eigenvalues, q[c, i] = H[c, i]^T A_c H[c, i]. The
+    eigenvalues come back sorted, so A_c has an all-zero spectrum exactly
+    when ``not q[c].any()``. Dense storage takes one batched eigh over the
     stored Grams; the other storages run Lanczos on the output's matvec.
     """
     if op.storage != "dense":
-        return [_lanczos_ends(op, c, seed) for c in range(op.m)]
+        ends = [_lanczos_ends(op, c, seed) for c in range(op.m)]
+        return np.stack([H for H, _ in ends]), np.stack([q for _, q in ends])
     vals, vecs = np.linalg.eigh(op.stack)
-    vecs = vecs.transpose(0, 2, 1).copy()  # row j is the j-th eigenvector
-    return [((V[-1], float(lam[-1])), (V[0], float(lam[0])), not lam.any())
-            for lam, V in zip(vals, vecs)]
+    return vecs.transpose(0, 2, 1)[:, [-1, 0]], vals[:, [-1, 0]]
 
 
 def select_l1(op: GradientOperator, seed: int) -> SelectionResult:
-    """Best single-output quadratic form over both spectrum ends of every output."""
-    best_h, best_val = None, -1.0
-    for top, bottom, _ in _spectrum_ends(op, seed):
-        for h, val in (top, bottom):
-            if abs(val) > best_val:
-                best_h, best_val = h, abs(val)
-    q = op.quad_values(best_h)
-    degenerate = best_val == 0.0
-    return SelectionResult(h=best_h, score=_score_from_quads(q, "inf"),
-                           quad_values=q, degenerate=degenerate)
+    """Best single-output quadratic form over both spectrum ends of every
+    output; the score is max_c |q_c|, the l1 penalty's dual norm of g_h."""
+    H, q = _spectrum_ends(op, seed)
+    # output-major, top before bottom; argmax keeps the first of equal ends
+    h = H.reshape(-1, op.d)[np.abs(q).argmax()]
+    quads = op.quad_values(h)
+    return SelectionResult(h=h, score=float(np.abs(quads).max()), quad_values=quads)
 
 
 def _rowdots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -246,30 +246,27 @@ def select_group(op: GradientOperator, p: int, seed: int) -> SelectionResult:
     """Group-route selection: l1 initialization then monotone refinement.
 
     ``seed`` seeds the Lanczos starts (sparse and matrix-free storages).
-    Both spectrum-end eigenvectors of every output are refined (not just
-    the single best), and the best refined point by f_p is returned. The
-    single-init guarantee is preserved since that init is one of the
-    candidates; the extra starts only help escape bad basins.
+    Both spectrum-end eigenvectors of every output with a nonzero spectrum
+    (``q.any(axis=1)``) are refined (not just the single best), and the
+    best refined point by f_p is returned. The single-init guarantee is
+    preserved since that init is one of the candidates; the extra starts
+    only help escape bad basins.
 
     The distinct starts (|h_i . h_j| < 1 - 1e-6) are refined together as
     one (b, d) block, with one stacked apply per step for all of them; a
     start leaves the block when its own recursion stops. Every start's
     result is bit-identical to refining it alone with ``refine``. When
-    every output is degenerate, the top end of output 0 (the l1 route's
-    pick) comes back unrefined with ``degenerate`` set.
+    every output's spectrum is all zero, the top end of output 0 (the l1
+    route's pick) comes back unrefined, with score 0.0.
     """
-    ends = _spectrum_ends(op, seed)
-    inits = []
-    for top, bottom, degenerate in ends:
-        if not degenerate:
-            inits.extend((top[0], bottom[0]))
-    if not inits:
-        h = ends[0][0][0]  # what select_l1 picks when every eigenvalue is 0
-        q = op.quad_values(h)
-        return SelectionResult(h=h, score=_score_from_quads(q, p), quad_values=q,
-                               degenerate=True)
+    H, q = _spectrum_ends(op, seed)
+    live = q.any(axis=1)
+    if not live.any():
+        h = H[0, 0]  # what select_l1 picks when every eigenvalue is 0
+        quads = op.quad_values(h)
+        return SelectionResult(h=h, score=_score_from_quads(quads, p), quad_values=quads)
     distinct = []
-    for h in inits:
+    for h in H[live].reshape(-1, op.d):
         if all(abs(h @ g) < 1.0 - 1e-6 for g in distinct):
             distinct.append(h)
     H, traces = _refine_starts(op, np.array(distinct), p)
@@ -324,9 +321,7 @@ def baseline_best_data(op: GradientOperator, ds) -> SelectionResult:
         if f > best_f:
             best_h, best_q, best_f = h, q, f
     if best_h is None:
-        z = np.zeros(op.d)
-        return SelectionResult(h=z, score=0.0, quad_values=np.zeros(op.m),
-                               degenerate=True)
+        return SelectionResult(h=np.zeros(op.d), score=0.0, quad_values=np.zeros(op.m))
     return SelectionResult(h=best_h, score=best_f, quad_values=best_q)
 
 

@@ -91,9 +91,12 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
     Per iteration: refresh the gradient operator, select the best basis
     vector for the penalty's route, append it with a zero output row, refit
     (output layer, optionally the full model), prune dead rows and record
-    the penalized objective. Stops early on the optimality certificate: the
-    selection's score is the penalty's dual norm of g_h, so once it is at
-    most lam (or ``STOP_GAP``) the new row would stay at zero.
+    the penalized objective. Selection has one stop test, the optimality
+    certificate: the score is the penalty's dual norm of g_h, so once it is
+    at most max(lam, ``STOP_GAP``) the new row would stay at zero. A zero
+    gradient scores 0.0 and stops there too; at the first iteration it also
+    warns, and the empty model comes back. Otherwise the loop ends after
+    k_max iterations, or when a near-duplicate atom brings no refit progress.
     ``iteration_hook(t, model)``, when given, sees the pruned model after
     every iteration.
     """
@@ -108,12 +111,10 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
     for t in range(1, cfg.k_max + 1):
         op.refresh(model)
         sel = _select(op, cfg)
-        if sel.degenerate:
-            if t == 1:
+        if sel.score <= max(cfg.lam, STOP_GAP):
+            if t == 1 and sel.score == 0.0:
                 warnings.warn("zero gradient operator at the first iteration; "
                               "returning the empty model")
-            break
-        if sel.score <= max(cfg.lam, STOP_GAP):
             break
 
         appended = True

@@ -181,13 +181,13 @@ def test_criterion_2_eigensolver_suite():
         n = int(rng.integers(d, 3 * d))
         op, _ = random_op(rng, n, d, 1, "fm" if i % 2 else "pn")
         seed = int(rng.integers(0, 2**31))
-        [(top, bottom, _)] = _spectrum_ends(op, seed)
+        _, [[top, bottom]] = _spectrum_ends(op, seed)
         vals = np.linalg.eigvalsh(op.dense_matrix(0))
         rho = np.abs(vals).max()
         # the dominant end certifies the spectral radius; each end its eigenvalue
-        ratio = max(abs(top[1]), abs(bottom[1])) / rho
+        ratio = max(abs(top), abs(bottom)) / rho
         worst = min(worst, ratio)
-        ends_off = abs(top[1] - vals[-1]) > eps * rho or abs(bottom[1] - vals[0]) > eps * rho
+        ends_off = abs(top - vals[-1]) > eps * rho or abs(bottom - vals[0]) > eps * rho
         if ratio < 1.0 - eps or ends_off:
             failures.append((i, ratio))
     report(2, not failures,

@@ -51,6 +51,20 @@ class TestTrain:
         assert manifest["config"]["k_max"] == 4
         assert manifest["config"]["seed"] == 0 and "seed" not in manifest
 
+    @pytest.mark.parametrize("flags", [("--model", "fm"), ("--loss", "squared")],
+                             ids=lambda flags: " ".join(flags))
+    def test_labels_only_file_refused(self, flags, tmp_path, capsys):
+        # no features and no bias column (FM, or a squared loss): nothing to select
+        data = tmp_path / "labels.svm"
+        data.write_text("1\n2\n1\n3\n")
+        out = tmp_path / "model.json"
+        assert run("train", "--data", data, *flags, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no features" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert not (tmp_path / "model.json.manifest.json").exists()
+
     def test_missing_data_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("train", "--out", tmp_path / "m.json")
@@ -133,6 +147,9 @@ def trained(svm_file, tmp_path_factory):
     ("oracle-compare", "--m-max", "1"),
     ("oracle-compare", "--m-max", "0"),
     ("oracle-compare", "--m-max", "-3"),
+    ("oracle-compare", "--n", "0"),
+    ("oracle-compare", "--d", "0"),
+    ("oracle-compare", "--instances", "-1"),
     ("path", "--lambdas", "0.1,abc"),
     ("path", "--lambdas", ""),
     ("path", "--lambdas", "nan"),
@@ -140,7 +157,11 @@ def trained(svm_file, tmp_path_factory):
     ("train", "--lambda", "nan"),
     ("path", "--metric", "ndcg@x"),
     ("path", "--metric", "ndcg@0"),
-    ("path", "--metric", "ndcg@1"),  # svmlight rows carry no ranking groups
+    ("path", "--metric", "ndcg@1"),  # a multi-class loss has no ranking metric
+    ("path", "--metric", "rmse"),
+    ("path", "--loss", "squared"),  # the default metric is accuracy
+    ("path", "--mcrank", "--model", "fm"),
+    ("path", "--loss", "squared", "--metric", "ndcg@1"),  # svmlight rows carry no groups
 ], ids=lambda argv: " ".join(argv))
 def test_malformed_values_are_usage_errors(argv, svm_file, tmp_path, capsys, monkeypatch):
     # refused before any fit: exit 2, a message, and no output file
@@ -149,6 +170,7 @@ def test_malformed_values_are_usage_errors(argv, svm_file, tmp_path, capsys, mon
 
     monkeypatch.setattr(cli, "fit", no_fit)
     monkeypatch.setattr(solver, "fit", no_fit)
+    monkeypatch.setattr(cli, "compare_methods", no_fit)
     out = tmp_path / "out"
     data = () if argv[0] == "oracle-compare" else ("--data", svm_file, "--k-max", 2)
     assert run(*argv, *data, "--out", out) == 2
@@ -178,6 +200,19 @@ class TestPredictEval:
             assert run(command, "--model", trained, "--data", bad) == 1
             assert capsys.readouterr().err == ("error: model expects d=7 features "
                                                "but the data has d=13\n")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: {key: value for key, value in doc.items() if key != "V"},
+        lambda doc: [doc],
+        lambda doc: {**doc, "k": -1},
+    ], ids=["missing-field", "json-list", "negative-k"])
+    def test_malformed_model_file_is_runtime_error(self, corrupt, trained, svm_file,
+                                                   tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(corrupt(json.loads(trained.read_text()))))
+        assert run("eval", "--model", bad, "--data", svm_file) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_single_output_regression_baseline(self, ml_file, tmp_path, capsys):
         # the squared-loss FM baseline used in the recommender comparison

@@ -141,6 +141,13 @@ class TestBackend:
             assert np.abs(op.matvec(c, h) - oracle_matrix(X.toarray(), op.D, c, kind) @ h).max() \
                 < 1e-12
 
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_no_features_refused(self, kind):
+        # d = 0 leaves no basis vector to select
+        ds = make_dataset(sp.csr_matrix((3, 0)), np.array([1, 2, 1]), 2)
+        with pytest.raises(ValueError, match="no features"):
+            GradientOperator(ds, kind)
+
 
 class TestRefresh:
     def test_empty_logistic_model_gives_centered_softmax(self, rng):

@@ -162,6 +162,14 @@ class TestMetrics:
         with pytest.raises(ValueError):
             ndcg_at(RankingGroups(groups=()), np.zeros(3), 1)
 
+    def test_multiclass_model_not_ranked(self):
+        # a multi-class model's outputs are class scores, not ratings
+        model = Model(kind="pn", H=np.zeros((0, 2)), V=np.zeros((0, 3)),
+                      loss="logistic", penalty="l1", lam=1.0)
+        ds = make_dataset(np.ones((2, 2)), [1, 2], 3, group_ids=np.array([0, 0]))
+        with pytest.raises(ValueError, match="classes, not ratings"):
+            evaluate_ranking(model, ds)
+
 
 class TestFitMcrank:
     def test_requires_fm_and_binary_logistic(self, rng):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -215,3 +217,46 @@ class TestLoadValidation:
     def test_short_label_map_rejected(self, tmp_path, rng):
         with pytest.raises(ValueError, match="label_map"):
             load_model(self.write(tmp_path, rng, label_map=[1, 2]))
+
+    @pytest.mark.parametrize("field", ["kind", "lambda", "k", "H", "V", "label_map",
+                                       "bias_augmented"])
+    def test_missing_field_named(self, field, tmp_path, rng):
+        path = self.write(tmp_path, rng)
+        doc = json.loads(path.read_text())
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"lacks the field '{field}'"):
+            load_model(path)
+
+    def test_json_list_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2, 3]")
+        with pytest.raises(ValueError, match="one JSON object, not a list"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, bad", [("k", -1), ("d", -5), ("m", -1), ("k", 1.5),
+                                            ("d", "5"), ("m", True), ("k", None)])
+    def test_counts_must_be_non_negative_integers(self, field, bad, tmp_path, rng):
+        # a negative k used to pass, because reshape(k, d) infers the rows
+        with pytest.raises(ValueError, match=f"'{field}' must be a non-negative integer"):
+            load_model(self.write(tmp_path, rng, **{field: bad}))
+
+    @pytest.mark.parametrize("field, bad, match", [
+        ("H", [0.1] * 19, "'H' must be a flat list of k\\*d = 20 numbers"),
+        ("V", [0.1] * 13, "'V' must be a flat list of k\\*m = 12 numbers"),
+        ("H", [[0.1] * 5] * 4, "'H' must be a flat list"),
+        ("V", ["a"] * 12, "'V' must be a list of numbers"),
+        ("H", 0.5, "'H' must be a flat list"),
+        ("lambda", [0.1], "'lambda' must be a positive number"),
+        ("lambda", -1.0, "'lambda' must be a positive number"),
+        ("label_map", 3, "'label_map' must be a list"),
+        ("bias_augmented", "no", "'bias_augmented' must be true or false"),
+    ])
+    def test_malformed_values_named(self, field, bad, match, tmp_path, rng):
+        with pytest.raises(ValueError, match=match):
+            load_model(self.write(tmp_path, rng, **{field: bad}))
+
+    def test_empty_model_loads(self, tmp_path, rng):
+        # k = 0 with empty arrays is a valid (empty) model
+        model = load_model(self.write(tmp_path, rng, k=0, H=[], V=[]))
+        assert model.H.shape == (0, 5) and model.V.shape == (0, 3)

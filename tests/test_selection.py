@@ -69,16 +69,17 @@ class TestPowerMethod:
 
     def test_identity_operator(self, rng):
         op = diag_operator(np.ones((5, 1)))
-        [(top, bottom, degenerate)] = _spectrum_ends(op, SEED)
-        assert not degenerate
-        for h, val in (top, bottom):
+        H, q = _spectrum_ends(op, SEED)
+        assert H.shape == (1, 2, 5) and q.shape == (1, 2)
+        assert q[0].any()
+        for h, val in zip(H[0], q[0]):
             assert val == pytest.approx(1.0, rel=1e-6)
             assert np.linalg.norm(h) == pytest.approx(1.0)
 
     def test_dominant_diagonal(self):
         op = diag_operator(np.array([[3.0], [1.0]]))
-        [(top, bottom, _)] = _spectrum_ends(op, SEED)
-        for (h, val), j, exact in ((top, 0, 3.0), (bottom, 1, 1.0)):
+        H, q = _spectrum_ends(op, SEED)
+        for h, val, j, exact in zip(H[0], q[0], (0, 1), (3.0, 1.0)):
             assert val == pytest.approx(exact, rel=1e-4)
             assert abs(h[j]) == pytest.approx(1.0, abs=1e-3)
         res = select_l1(op, SEED)
@@ -88,14 +89,14 @@ class TestPowerMethod:
     def test_zero_operator_flagged(self, rng):
         op, _ = random_operator(rng, 6, 4, 2)
         op.set_gradients(np.zeros((6, 2)))
-        for top, bottom, degenerate in _spectrum_ends(op, SEED):
-            assert degenerate and top[1] == 0.0 and bottom[1] == 0.0
+        _, q = _spectrum_ends(op, SEED)
+        assert q.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_negative_dominant_eigenvalue(self):
         op = diag_operator(np.array([[-4.0], [2.0]]))
-        [(top, bottom, _)] = _spectrum_ends(op, SEED)
-        assert top[1] == pytest.approx(2.0, rel=1e-4)
-        assert bottom[1] == pytest.approx(-4.0, rel=1e-4)
+        _, [[top, bottom]] = _spectrum_ends(op, SEED)
+        assert top == pytest.approx(2.0, rel=1e-4)
+        assert bottom == pytest.approx(-4.0, rel=1e-4)
         res = select_l1(op, SEED)
         assert res.quad_values[0] == pytest.approx(-4.0, rel=1e-4)
 
@@ -106,8 +107,8 @@ class TestPowerMethod:
                                     kind="fm" if i % 2 else "pn")
             vals = np.linalg.eigvalsh(op.dense_matrix(0))
             rho = np.abs(vals).max()
-            [(top, bottom, _)] = _spectrum_ends(op, i)
-            for (h, val), exact in ((top, vals[-1]), (bottom, vals[0])):
+            H, q = _spectrum_ends(op, i)
+            for h, val, exact in zip(H[0], q[0], (vals[-1], vals[0])):
                 assert abs(val - exact) <= LANCZOS_EPS * rho
                 assert np.linalg.norm(h) <= 1.0 + 1e-9
             res = select_l1(op, i)
@@ -117,24 +118,32 @@ class TestPowerMethod:
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_certificate_on_every_storage(self, kind, rng):
         seen = set()
-        for i, (shape, op) in enumerate(storage_operators(rng, kind) * 3):
+        ops = storage_operators(rng, kind)
+        for i, (shape, op) in enumerate(ops * 3):
             seen.add(op.storage)
-            ends = _spectrum_ends(op, i)
-            for c, (top, bottom, degenerate) in enumerate(ends):
+            if i >= 2 * len(ops):  # last pass: the odd outputs' spectra are all zero
+                D = op.D.copy()
+                D[:, 1::2] = 0.0
+                op.set_gradients(D)
+            H, q = _spectrum_ends(op, i)
+            assert H.shape == (op.m, 2, op.d) and q.shape == (op.m, 2), shape
+            for c in range(op.m):
                 A = op.dense_matrix(c)
                 vals = np.linalg.eigvalsh(A)
                 rho = np.abs(vals).max()
                 # the oracle rounds an FM d = 1 operator to ~1e-16, not to 0
                 tol = LANCZOS_EPS * rho + 1e-12
-                assert degenerate == (rho <= 1e-12), shape
-                for (h, q), exact in ((top, vals[-1]), (bottom, vals[0])):
+                # sorted ends: both are 0.0 exactly when the spectrum is all zero
+                assert q[c, 0] >= q[c, 1], shape
+                assert (not q[c].any()) == (rho <= 1e-12), shape
+                for h, val, exact in zip(H[c], q[c], (vals[-1], vals[0])):
                     assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
-                    assert abs(q - h @ A @ h) <= 1e-10 * max(rho, 1.0)
-                    assert abs(q - exact) <= tol, (shape, q, exact)
+                    assert abs(val - h @ A @ h) <= 1e-10 * max(rho, 1.0)
+                    assert abs(val - exact) <= tol, (shape, val, exact)
                     # both ends meet the Lanczos stop test (exact on eigh)
-                    residual = np.linalg.norm(A @ h - q * h)
+                    residual = np.linalg.norm(A @ h - val * h)
                     assert residual <= 0.05 * LANCZOS_EPS * rho * (1 + 1e-6) + 1e-12, shape
-                dominant = max(abs(top[1]), abs(bottom[1]))
+                dominant = np.abs(q[c]).max()
                 assert dominant >= (1 - LANCZOS_EPS) * rho - 1e-12, shape
         assert seen == {"dense", "sparse", "free"}
 
@@ -142,9 +151,9 @@ class TestPowerMethod:
     def test_zero_operator_degenerate_on_every_storage(self, kind, rng):
         for shape, op in storage_operators(rng, kind):
             op.set_gradients(np.zeros((op.n, op.m)))
-            assert all(degenerate for *_, degenerate in _spectrum_ends(op, SEED)), shape
-            assert select_l1(op, SEED).degenerate
-            assert select_group(op, 1, SEED).degenerate
+            assert not _spectrum_ends(op, SEED)[1].any(), shape
+            assert select_l1(op, SEED).score == 0.0, shape
+            assert select_group(op, 1, SEED).score == 0.0, shape
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_select_group_deterministic(self, kind, rng):
@@ -179,8 +188,9 @@ class TestSelectL1:
         # with one output the pick is the dominant spectrum end
         op, _ = random_operator(rng, 10, 6, 1)
         res = select_l1(op, SEED)
-        [(top, bottom, _)] = _spectrum_ends(op, SEED)
-        h, val = max(top, bottom, key=lambda end: abs(end[1]))
+        H, q = _spectrum_ends(op, SEED)
+        end = np.abs(q[0]).argmax()
+        h, val = H[0, end], q[0, end]
         assert res.score == pytest.approx(abs(val), rel=1e-12)
         assert abs(res.h @ h) == pytest.approx(1.0, abs=1e-9)
 
@@ -199,7 +209,8 @@ class TestSelectL1:
         op, _ = random_operator(rng, 5, 4, 3)
         op.set_gradients(np.zeros((5, 3)))
         res = select_l1(op, SEED)
-        assert res.degenerate
+        assert res.score == 0.0
+        assert res.quad_values.tolist() == [0.0, 0.0, 0.0]
 
 
 def reference_refine(op, h0, p):
@@ -348,8 +359,9 @@ class TestSelectGroup:
         op = shaped_operator(rng, shape, kind)
         # select_group against refining its distinct starts one at a time
         distinct = []
-        for top, bottom, degenerate in _spectrum_ends(op, SEED):
-            for h in () if degenerate else (top[0], bottom[0]):
+        H, q = _spectrum_ends(op, SEED)
+        for ends, vals in zip(H, q):
+            for h in ends if vals.any() else ():
                 if all(abs(h @ g) < 1.0 - 1e-6 for g in distinct):
                     distinct.append(h)
         best = None
@@ -407,7 +419,8 @@ class TestSelectGroup:
     def test_degenerate_propagates(self, rng):
         op, _ = random_operator(rng, 5, 4, 2)
         op.set_gradients(np.zeros((5, 2)))
-        assert select_group(op, 2, SEED).degenerate
+        res = select_group(op, 2, SEED)
+        assert res.score == 0.0 and res.trace is None
 
 
 class TestExactOracle:
@@ -415,8 +428,8 @@ class TestExactOracle:
         op, _ = random_operator(rng, 10, 6, 1)
         exact = exact_oracle_linf(op)
         monkeypatch.setattr(selection, "LANCZOS_EPS", 1e-3)
-        [(top, bottom, _)] = _spectrum_ends(op, 3)
-        val = max(abs(top[1]), abs(bottom[1]))
+        _, q = _spectrum_ends(op, 3)
+        val = np.abs(q[0]).max()
         assert exact.score >= val >= (1 - 1e-3) * exact.score
         assert exact.score >= select_l1(op, 3).score >= (1 - 1e-3) * exact.score
 

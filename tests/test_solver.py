@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -54,8 +55,10 @@ class TestFit:
 
     def test_huge_lambda_gives_empty_model(self, rng):
         ds = make_multiclass(30, 5, 3, seed=1)
-        model, trace = fit(ds, small_config(lam=1e9, k_max=3))
-        assert model.k == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a nonzero score stops the fit silently
+            model, trace = fit(ds, small_config(lam=1e9, k_max=3))
+        assert model.k == 0 and len(trace) == 1
         base = float(loss_values("logistic", ds.y, np.zeros((ds.n, 3))).sum())
         assert trace[-1].objective == pytest.approx(base, rel=1e-12)
 
@@ -135,12 +138,15 @@ class TestFit:
         assert trace[2].objective >= trace[1].objective - 1e-12 * abs(trace[1].objective)
 
     def test_degenerate_first_selection_returns_empty_model(self):
-        # an all-zero design matrix makes every gradient operator vanish
+        # an all-zero design matrix makes every gradient operator vanish: each
+        # route scores 0.0 and the one stop test ends the fit at t = 1 with a
+        # warning, the empty model and a one-record trace
         ds = make_dataset(np.zeros((6, 4)), np.array([1, 2, 1, 2, 1, 2]), 2)
-        with pytest.warns(UserWarning, match="zero gradient"):
-            model, trace = fit(ds, small_config(k_max=3))
-        assert model.k == 0
-        assert trace[-1].t == 0
+        for penalty in PENALTIES:
+            with pytest.warns(UserWarning, match="zero gradient"):
+                model, trace = fit(ds, small_config(penalty=penalty, k_max=3))
+            assert model.k == 0 and model.H.shape == (0, 4) and model.V.shape == (0, 2)
+            assert len(trace) == 1 and trace[-1].t == 0
 
 
 class TestStopCertificate:
