@@ -12,12 +12,12 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .data import (MOVIELENS_SEPARATORS, DataError, SplitSpec, load_movielens, load_svmlight,
-                   make_dataset, split)
+from .data import (MOVIELENS_SEPARATORS, DataError, SplitSpec, format_label, load_movielens,
+                   load_svmlight, make_dataset, split)
 from .gradients import GradientOperator
 from .losses import LOSSES, MULTICLASS_LOSSES
 from .mcrank import build_ordinal, evaluate_ranking, expected_relevance, fit_mcrank
-from .models import (MODEL_KINDS, accuracy, empty_model, load_model, outputs, predict_class,
+from .models import (MODEL_KINDS, accuracy, empty_model, load_model, outputs, predict_labels,
                      save_model)
 from .penalties import PENALTIES
 from .selection import ORACLE_LIMIT, OracleLimitError, compare_methods, f_value
@@ -156,9 +156,8 @@ def cmd_predict(args) -> int:
         for v in outputs(model, ds.X)[:, 0]:
             print(repr(float(v)))
     else:
-        label_map = model.label_map or tuple(range(1, model.m + 1))
-        for c in predict_class(model, ds.X):
-            print(label_map[int(c) - 1])
+        for label in predict_labels(model, ds.X):
+            print(format_label(label))
     return 0
 
 
@@ -193,7 +192,7 @@ def _auto_lambda_grid(ds, cfg: SolverConfig):
     """10-point log grid from lambda_max, the weight at which the first
     selected atom stays at zero, down to 1/1000 of it."""
     top = lambda_max(ds, cfg)
-    if not np.isfinite(top) or top <= 0:
+    if top <= 0:
         raise UsageError("cannot derive a lambda grid from a zero gradient")
     return tuple(np.geomspace(top, top * 1e-3, 10))
 
@@ -356,7 +355,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError, OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError, RuntimeError, ValueError) as exc:
+    except (DataError, OSError, RuntimeError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -161,11 +161,16 @@ def load_svmlight(path, augment_bias: bool = False) -> Dataset:
     return make_dataset(X, y, m, label_map=uniq, bias_augmented=augment_bias)
 
 
+def format_label(label) -> str:
+    """A label as svmlight text: integral values as integers ("4", not "4.0")."""
+    v = float(label)
+    return str(int(v)) if v.is_integer() else repr(v)
+
+
 def save_svmlight(ds: Dataset, path) -> None:
     """Write a Dataset back to svmlight text (exact round-trip of values)."""
     X = ds.X
-    # integral labels are written as integers ("4", not "4.0")
-    labels = [str(int(v)) if v.is_integer() else repr(v) for v in map(float, ds.label_map)]
+    labels = [format_label(v) for v in ds.label_map]
     with open(path, "w", encoding="utf-8") as fh:
         for r in range(ds.n):
             lo, hi = X.indptr[r], X.indptr[r + 1]

@@ -71,11 +71,11 @@ def _row_pairs(X: sp.csr_matrix, kind: str):
 class GradientOperator:
     """Per-output quadratic forms over a fixed Dataset.
 
-    ``refresh`` recomputes the loss-gradient diagonals from a model;
-    everything else is read-only and cheap. ``storage`` names how the
-    operators are held (``dense``, ``sparse`` or ``free``, see the module
-    docstring); for the stored forms ``stack @ h`` gives every A_c h at once
-    and ``blocks[c]`` is A_c.
+    It holds no gradients until ``refresh`` (from a model) or
+    ``set_gradients`` installs them; everything else is read-only and cheap.
+    ``storage`` names how the operators are held (``dense``, ``sparse`` or
+    ``free``, see the module docstring); for the stored forms ``stack @ h``
+    gives every A_c h at once and ``blocks[c]`` is A_c.
     """
 
     def __init__(self, ds, kind: str, n_outputs: int | None = None):
@@ -90,7 +90,6 @@ class GradientOperator:
             raise ValueError("the data has no features (d = 0), so there is no "
                              "basis vector to select")
         self.m = ds.m if n_outputs is None else int(n_outputs)
-        self.D = np.zeros((self.n, self.m))
         r = np.diff(X.indptr).astype(np.int64)
         pairs = int(r @ r) if kind == "pn" else int(r @ (r - 1))
         if self.m * self.d * self.d <= X.nnz:
@@ -99,7 +98,6 @@ class GradientOperator:
             self.storage = "sparse"
         else:
             self.storage = "free"
-        self.stack = None
         if self.storage == "free":
             self.XT = X.T.tocsr()
         elif self.storage == "sparse":
@@ -112,7 +110,6 @@ class GradientOperator:
             self._block = sp.csr_matrix((np.ones(slots.size), slots % self.d, indptr),
                                         shape=(self.d, self.d))
             self._stacked = sp.vstack([self._block] * self.m, format="csr")
-        self.set_gradients(self.D)
 
     def refresh(self, model) -> None:
         """Recompute D from the model's outputs and its loss's gradients."""
@@ -184,7 +181,7 @@ class GradientOperator:
 
     def matvec(self, c: int, h: np.ndarray) -> np.ndarray:
         """Apply the output-c operator to a vector."""
-        if self.stack is not None:
+        if self.storage != "free":
             return self.blocks[c] @ h
         t = self.XT @ (self.D[:, c] * (self.X @ h))
         if self.kind == "pn":
@@ -197,7 +194,7 @@ class GradientOperator:
 
     def quad_values(self, h: np.ndarray) -> np.ndarray:
         """All per-output quadratic forms h^T A_c h as a length-m vector."""
-        if self.stack is not None:
+        if self.storage != "free":
             return self.apply_all(h) @ h
         z = self.X @ h
         t = (z * z) @ self.D

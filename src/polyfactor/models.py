@@ -9,7 +9,7 @@ per-output weight matrices implied by the factorization are never built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,8 +109,23 @@ def predict_class(model: Model, X) -> np.ndarray:
     return np.argmax(outputs(model, X), axis=1) + 1
 
 
+def _class_labels(label_map, m: int) -> np.ndarray:
+    """The label of each class 1..m: ``label_map``, or 1..m when it is empty."""
+    return np.asarray(label_map if label_map else range(1, m + 1))
+
+
+def predict_labels(model: Model, X) -> np.ndarray:
+    """Predicted labels: each row's argmax class through the model's label_map."""
+    return _class_labels(model.label_map, model.m)[predict_class(model, X) - 1]
+
+
 def accuracy(model: Model, ds) -> float:
-    return float(np.mean(predict_class(model, ds.X) == ds.y))
+    """Share of rows whose predicted label equals the row's label. Both sides
+    are label values, each read through its own label_map, so a file that
+    lacks some of the training labels (and re-indexes the rest) scores the
+    same; a label the model never saw counts as wrong."""
+    truth = _class_labels(ds.label_map, ds.m)[ds.y - 1]
+    return float(np.mean(predict_labels(model, ds.X) == truth))
 
 
 def _render_floats(values) -> str:
@@ -199,6 +214,3 @@ def load_model(path) -> Model:
     check_model(model)
     return model
 
-
-def copy_model(model: Model) -> Model:
-    return replace(model, H=model.H.copy(), V=model.V.copy())

@@ -49,7 +49,8 @@ def _fista(x0, smooth, model: Model):
     ``smooth(x)`` returns the loss at x and a thunk for its gradient from the
     same forward pass. The penalty's prox acts on ``x[0]`` (V); further
     blocks are projected onto unit rows. Each point is evaluated once: the
-    accepted point keeps its value and thunk for when y is x.
+    accepted point keeps its value and thunk for when y is x, and y is x
+    itself whenever the momentum weight is 0 (first step, after a restart).
     """
     def objective(x, value):
         return value + model.lam * penalty_value(model.penalty, x[0])
@@ -91,7 +92,8 @@ def _fista(x0, smooth, model: Model):
             # floating-point stall: keep the best point
             cand, cand_obj, fc, grad_c = x, obj, fx, grad_x
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = _combine(cand, (t - 1.0) / t_next, tuple(c - xx for c, xx in zip(cand, x)))
+        w = (t - 1.0) / t_next
+        y = cand if w == 0.0 else _combine(cand, w, tuple(c - xx for c, xx in zip(cand, x)))
         x, fx, grad_x, t = cand, fc, grad_c, t_next
         stop = abs(trace[-1] - cand_obj) < FISTA_TOL * max(abs(cand_obj), 1.0)
         obj = cand_obj

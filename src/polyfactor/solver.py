@@ -15,7 +15,7 @@ import numpy as np
 from .data import Dataset
 from .gradients import GradientOperator
 from .losses import LOSSES, output_count
-from .models import MODEL_KINDS, Model, accuracy, check_model, copy_model, empty_model
+from .models import MODEL_KINDS, Model, accuracy, check_model, empty_model
 from .penalties import PENALTIES
 from .refit import penalized_objective, prune, refit_full, refit_output
 from .selection import select_group, select_l1
@@ -64,9 +64,17 @@ class TraceRecord:
 
 
 def _select(op: GradientOperator, cfg: SolverConfig):
+    """The penalty's selection route on a refreshed operator. A score that is
+    not finite (nan never trips the stop test) raises FloatingPointError."""
     if cfg.penalty == "l1":
-        return select_l1(op, cfg.seed)
-    return select_group(op, 2 if cfg.penalty == "l1l2" else 1, cfg.seed)
+        sel = select_l1(op, cfg.seed)
+    else:
+        sel = select_group(op, 2 if cfg.penalty == "l1l2" else 1, cfg.seed)
+    if not np.isfinite(sel.score):
+        raise FloatingPointError(f"non-finite selection score {sel.score}; the likely cause "
+                                 f"is feature values so large that their products overflow "
+                                 f"(rescale the features)")
+    return sel
 
 
 def _operator(ds: Dataset, cfg: SolverConfig) -> GradientOperator:
@@ -190,7 +198,7 @@ def fit_path(train: Dataset, valid: Dataset, cfg: SolverConfig, lam_grid,
             metric = float(metric_fn(model, valid))
             entries.append({"t": t, "k": model.k, "metric": metric})
             if best is None or sign * metric > best[0]:
-                best = (sign * metric, lam, t, copy_model(model))
+                best = (sign * metric, lam, t, model)
 
         fit(train, lam_cfg, iteration_hook=hook)
     if best is None:

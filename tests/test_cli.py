@@ -11,7 +11,7 @@ import pytest
 import polyfactor
 from polyfactor import cli, solver
 from polyfactor.cli import main
-from polyfactor.data import load_movielens, load_svmlight, save_svmlight
+from polyfactor.data import load_movielens, load_svmlight, make_dataset, save_svmlight, take_rows
 from polyfactor.mcrank import expected_relevance
 from polyfactor.models import load_model, outputs
 from polyfactor.synth import make_multiclass, make_ratings, write_movielens
@@ -64,6 +64,23 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not out.exists()
         assert not (tmp_path / "model.json.manifest.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("argv", [("train", "--model", "pn"), ("train", "--model", "fm"),
+                                      ("path",)], ids=" ".join)
+    def test_overflowing_features_refused(self, argv, tmp_path, capsys):
+        # finite values whose products overflow: the selection score is not finite
+        X = np.random.default_rng(0).standard_normal((60, 3))
+        X[:, 0] *= 1e200
+        data = tmp_path / "huge.svm"
+        save_svmlight(make_dataset(X, np.arange(60) % 3 + 1, 3), data)
+        side = ("--trace" if argv[0] == "train" else "--report", tmp_path / "side.out")
+        assert run(*argv, "--data", data, "--out", tmp_path / "model.json", *side) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and "error: non-finite selection score" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [data]
 
     def test_missing_data_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -143,6 +160,22 @@ def trained(svm_file, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def dropped_class(tmp_path_factory):
+    """A model trained on 9 separable rows labelled 1, 2, 3 (a perfect fit),
+    the 9-row file, and the 6 rows left when the class-2 rows are dropped."""
+    tmp = tmp_path_factory.mktemp("dropped")
+    rng = np.random.default_rng(3)
+    y = np.arange(9) % 3 + 1
+    ds = make_dataset(rng.standard_normal((9, 3)) + np.outer(y, [0.0, 3.0, 0.0]), y, 3)
+    full, rest, model = tmp / "nine.svm", tmp / "six.svm", tmp / "model.json"
+    save_svmlight(ds, full)
+    save_svmlight(take_rows(ds, np.flatnonzero(y != 2)), rest)
+    assert run("train", "--data", full, "--penalty", "l1l2", "--lambda", "0.01",
+               "--k-max", 5, "--out", model) == 0
+    return model, full, rest
+
+
 @pytest.mark.parametrize("argv", [
     ("oracle-compare", "--m-max", "1"),
     ("oracle-compare", "--m-max", "0"),
@@ -192,6 +225,20 @@ class TestPredictEval:
         assert run("predict", "--model", trained, "--data", rows) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
+
+    def test_eval_compares_labels(self, dropped_class, capsys):
+        # without the class-2 rows the file's labels {1, 3} load as classes 1..2
+        model, full, rest = dropped_class
+        for data in (full, rest):
+            assert run("eval", "--model", model, "--data", data) == 0
+            assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
+
+    def test_predict_prints_labels_as_the_file_writes_them(self, dropped_class, capsys):
+        model, full, rest = dropped_class
+        for data in (full, rest):
+            assert run("predict", "--model", model, "--data", data) == 0
+            written = [line.split()[0] for line in data.read_text().splitlines()]
+            assert capsys.readouterr().out.split() == written
 
     def test_dimension_mismatch_is_runtime_error(self, trained, tmp_path, capsys):
         bad = tmp_path / "wide.svm"

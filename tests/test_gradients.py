@@ -53,6 +53,20 @@ class TestBackend:
         assert GradientOperator(make_dataset(X, y, m), kind).storage == "free"
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_dense_stack_built_only_from_gradients(self, kind, rng, monkeypatch):
+        # construction holds no gradients, so it builds no placeholder stack
+        calls = []
+        build = GradientOperator._dense_stack
+        monkeypatch.setattr(GradientOperator, "_dense_stack",
+                            lambda op, D: calls.append(1) or build(op, D))
+        n, d, m = SHAPES[1][:3]
+        ds = make_dataset(rng.standard_normal((n, d)), np.ones(n, dtype=np.int64), m)
+        op = GradientOperator(ds, kind)
+        assert op.storage == "dense" and not calls
+        op.set_gradients(rng.standard_normal((n, m)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_new_gradients_reassemble(self, kind, rng):
         for shape in SHAPES[1:]:
             op = shaped_operator(rng, shape, kind)

@@ -5,8 +5,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from polyfactor.data import make_dataset
 from polyfactor.models import (
     Model,
+    accuracy,
     activation,
     check_model,
     empty_model,
@@ -133,6 +135,28 @@ class TestPredict:
             x = rng.standard_normal(5)
             dense_o = [x @ dense_weights(model, c) @ x for c in range(4)]
             assert predict_class(model, sp.csr_matrix(x))[0] == np.argmax(dense_o) + 1
+
+
+class TestAccuracy:
+    def class_2_model(self, label_map):
+        # one basis row on feature 1 feeding output 2 only: every row with a
+        # nonzero feature 1 predicts class 2
+        return Model("pn", np.array([[1.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]), "logistic",
+                     "l1", 0.1, label_map=label_map)
+
+    def test_labels_not_class_indices(self):
+        # the model predicts label 5; the file's labels {5, 9} are its classes 1..2
+        ds = make_dataset(np.ones((3, 2)), np.array([1, 1, 2]), 2, label_map=(5.0, 9.0))
+        assert accuracy(self.class_2_model((2, 5, 9)), ds) == pytest.approx(2 / 3)
+
+    def test_empty_label_maps_read_as_class_numbers(self):
+        ds = make_dataset(np.ones((4, 2)), np.array([2, 2, 1, 3]), 3)
+        assert accuracy(self.class_2_model(()), ds) == 0.5
+
+    def test_unseen_label_counts_as_wrong(self):
+        # the file's class 2 is label 4, which the model never saw: no match
+        ds = make_dataset(np.ones((2, 2)), np.array([1, 2]), 2, label_map=(2, 4))
+        assert accuracy(self.class_2_model((2, 5, 9)), ds) == 0.0
 
 
 class TestSerialization:

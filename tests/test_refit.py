@@ -135,6 +135,26 @@ class TestOneOracle:
             assert len(trace) > 2
         assert len(points) > 10
 
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    @pytest.mark.parametrize("refit_fn", [refit_output, refit_full])
+    def test_no_point_evaluated_again_next(self, refit_fn, kind, monkeypatch):
+        # a zero momentum weight (first step, after a restart) makes y the
+        # accepted point itself, not an equal copy that is evaluated again
+        model, ds = make_problem(np.random.default_rng(3), kind=kind)
+        real = refit._fista
+        points = []  # the bytes of every x passed to smooth, in call order
+
+        def spy(x0, smooth, model):
+            def recorded(x):
+                points.append(b"".join(a.tobytes() for a in x))
+                return smooth(x)
+            return real(x0, recorded, model)
+
+        monkeypatch.setattr(refit, "_fista", spy)
+        _, trace = refit_fn(model, ds)
+        assert len(trace) > 2
+        assert all(a != b for a, b in zip(points, points[1:]))
+
 
 class TestOutputRefit:
     def test_objective_never_increases(self, rng):
