@@ -49,6 +49,17 @@ from .models import MODEL_KINDS, outputs
 DENSE_BLOCK = 1 << 18
 
 
+OVERFLOW_CAUSE = ("the likely cause is feature values so large that their products "
+                  "overflow (rescale the features)")
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, or FloatingPointError when the build that made it overflowed."""
+    if not np.isfinite(a).all():
+        raise FloatingPointError(f"non-finite gradient operator; {OVERFLOW_CAUSE}")
+    return a
+
+
 def _row_pairs(X: sp.csr_matrix, kind: str):
     """Every row's feature pairs: (key, row, weight) with key = a d + b for
     the pair (a, b) and weight x_ia x_ib (FM: a != b only, halved)."""
@@ -61,7 +72,8 @@ def _row_pairs(X: sp.csr_matrix, kind: str):
     f = np.arange(e.size) - np.repeat(np.cumsum(width) - width - X.indptr[row_of], width)
     rows = row_of[e]
     a, b = X.indices[e].astype(np.int64), X.indices[f]
-    w = X.data[e] * X.data[f]
+    with np.errstate(over="ignore"):  # an infinite weight is refused by set_gradients
+        w = X.data[e] * X.data[f]
     if kind == "fm":
         keep = a != b
         a, b, w, rows = a[keep], b[keep], 0.5 * w[keep], rows[keep]
@@ -117,33 +129,40 @@ class GradientOperator:
         self.set_gradients(loss_gradients(model.loss, targets_for(model.loss, self.ds), O))
 
     def set_gradients(self, D: np.ndarray) -> None:
-        """Install loss-gradient diagonals directly (updates the stored operators)."""
+        """Install loss-gradient diagonals directly (updates the stored operators).
+
+        A build that overflows (dense stack, sparse values, FM diagonal S)
+        raises FloatingPointError naming the cause, as ``solver._select``
+        does for a non-finite score, instead of storing inf or nan.
+        """
         D = np.asarray(D, dtype=np.float64)
         if D.shape != (self.n, self.m):
             raise ValueError(f"D has shape {D.shape}, expected {(self.n, self.m)}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.storage == "free":
+                if self.kind == "fm":
+                    self.S = _finite(np.asarray(self.ds.X2.T @ D))
+            elif self.storage == "dense":
+                self.stack = self._dense_stack(D)
+                self.blocks = self.stack
+            else:
+                vals = _finite(np.ascontiguousarray((self.M @ D).T))
+                B, P = self._stacked, self._block
+                self.stack = sp.csr_matrix((vals.ravel(), B.indices, B.indptr), shape=B.shape)
+                self.blocks = [sp.csr_matrix((v, P.indices, P.indptr), shape=P.shape)
+                               for v in vals]
         self.D = D
-        if self.storage == "free":
-            if self.kind == "fm":
-                self.S = np.asarray(self.ds.X2.T @ D)
-        elif self.storage == "dense":
-            self.stack = self._dense_stack(D)
-            self.blocks = self.stack
-        else:
-            vals = np.ascontiguousarray((self.M @ D).T)
-            B, P = self._stacked, self._block
-            self.stack = sp.csr_matrix((vals.ravel(), B.indices, B.indptr), shape=B.shape)
-            self.blocks = [sp.csr_matrix((v, P.indices, P.indptr), shape=P.shape)
-                           for v in vals]
 
     def _dense_stack(self, D: np.ndarray) -> np.ndarray:
-        """The (m, d, d) stack of A_c, summed over blocks of rows."""
+        """The (m, d, d) stack of A_c, summed over blocks of rows. The sum is
+        checked before FM zeroes its diagonal, which may hold the overflow."""
         n, d, m = self.n, self.d, self.m
         T = np.zeros((d, m * d))
         step = max(1, DENSE_BLOCK // (m * d))
         for lo in range(0, n, step):
             Xb = self.X[lo:lo + step].toarray()
             T += Xb.T @ (D[lo:lo + step, :, None] * Xb[:, None, :]).reshape(-1, m * d)
-        stack = np.ascontiguousarray(T.reshape(d, m, d).transpose(1, 0, 2))
+        stack = np.ascontiguousarray(_finite(T).reshape(d, m, d).transpose(1, 0, 2))
         if self.kind == "fm":
             stack[:, np.arange(d), np.arange(d)] = 0.0
             stack *= 0.5

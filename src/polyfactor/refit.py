@@ -5,8 +5,10 @@ The convex step re-optimizes the output matrix V over the fixed activation
 features; the optional non-convex step descends jointly in (V, H) with V
 going through the penalty prox and H rows projected back onto the unit ball.
 A function-value restart guard keeps every recorded objective trace
-non-increasing. Each refit hands FISTA one smooth oracle (loss value plus a
-gradient from the same forward pass) and every point is evaluated once.
+non-increasing. Each refit hands FISTA one smooth oracle, and every point
+costs one loss pass (``losses.loss_pass``): the oracle returns the loss value
+and a gradient thunk that reuses that pass, so a point whose gradient FISTA
+needs is not run through the loss again.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .losses import loss_gradients, loss_values, targets_for
+# loss_gradients is unused here; it stays bound because the benchmark tracer wraps it by name
+from .losses import loss_gradients, loss_pass, loss_values, targets_for  # noqa: F401
 from .models import Model, hidden_activations, outputs
 from .penalties import penalty_value, prox, project_unit_rows
 
@@ -113,9 +116,8 @@ def refit_output(model: Model, ds) -> tuple[Model, list[float]]:
     targets = targets_for(model.loss, ds)
 
     def smooth(x):
-        O = Phi @ x[0]
-        return (float(loss_values(model.loss, targets, O).sum()),
-                lambda: (Phi.T @ loss_gradients(model.loss, targets, O),))
+        values, loss_grad = loss_pass(model.loss, targets, Phi @ x[0])
+        return float(values.sum()), lambda: (Phi.T @ loss_grad(),)
 
     (V,), trace = _fista((model.V,), smooth, model)
     return replace(model, V=V), trace
@@ -135,10 +137,10 @@ def refit_full(model: Model, ds) -> tuple[Model, list[float]]:
         V, H = x
         Z = np.asarray(X @ H.T)
         Phi = hidden_activations(model.kind, H, X, X2, Z)
-        O = Phi @ V
+        values, loss_grad = loss_pass(model.loss, targets, Phi @ V)
 
         def grad():
-            G = loss_gradients(model.loss, targets, O)
+            G = loss_grad()
             W = G @ V.T
             gH = np.asarray(XT @ (Z * W)).T
             if model.kind == "fm":
@@ -147,7 +149,7 @@ def refit_full(model: Model, ds) -> tuple[Model, list[float]]:
                 gH = 2.0 * gH
             return Phi.T @ G, gH
 
-        return float(loss_values(model.loss, targets, O).sum()), grad
+        return float(values.sum()), grad
 
     (V, H), trace = _fista((model.V, model.H), smooth, model)
     return replace(model, V=V, H=H), trace

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .gradients import GradientOperator
+from .gradients import OVERFLOW_CAUSE, GradientOperator
 from .losses import LOSSES, output_count
 from .models import MODEL_KINDS, Model, accuracy, check_model, empty_model
 from .penalties import PENALTIES
@@ -71,9 +71,7 @@ def _select(op: GradientOperator, cfg: SolverConfig):
     else:
         sel = select_group(op, 2 if cfg.penalty == "l1l2" else 1, cfg.seed)
     if not np.isfinite(sel.score):
-        raise FloatingPointError(f"non-finite selection score {sel.score}; the likely cause "
-                                 f"is feature values so large that their products overflow "
-                                 f"(rescale the features)")
+        raise FloatingPointError(f"non-finite selection score {sel.score}; {OVERFLOW_CAUSE}")
     return sel
 
 

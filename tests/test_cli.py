@@ -65,21 +65,23 @@ class TestTrain:
         assert not out.exists()
         assert not (tmp_path / "model.json.manifest.json").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [("train", "--model", "pn"), ("train", "--model", "fm"),
-                                      ("path",)], ids=" ".join)
+                                      ("path",), ("oracle-compare", "--instances", "0")],
+                             ids=" ".join)
     def test_overflowing_features_refused(self, argv, tmp_path, capsys):
-        # finite values whose products overflow: the selection score is not finite
+        # finite values whose products overflow: the operator build refuses
+        # them, with no numpy warning before the one error line
         X = np.random.default_rng(0).standard_normal((60, 3))
         X[:, 0] *= 1e200
         data = tmp_path / "huge.svm"
         save_svmlight(make_dataset(X, np.arange(60) % 3 + 1, 3), data)
-        side = ("--trace" if argv[0] == "train" else "--report", tmp_path / "side.out")
+        side = {"train": ("--trace", tmp_path / "side.out"),
+                "path": ("--report", tmp_path / "side.out")}.get(argv[0], ())
         assert run(*argv, "--data", data, "--out", tmp_path / "model.json", *side) == 1
         err = capsys.readouterr().err
-        assert err.count("error: ") == 1 and "error: non-finite selection score" in err
-        assert "Traceback" not in err
+        assert err.startswith("error: non-finite gradient operator") and "overflow" in err
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [data]
 
     def test_missing_data_flag_is_usage_error(self, tmp_path):

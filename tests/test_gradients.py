@@ -162,6 +162,22 @@ class TestBackend:
         with pytest.raises(ValueError, match="no features"):
             GradientOperator(ds, kind)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: shape[-1])
+    def test_overflowing_build_refused(self, shape, kind, rng):
+        # finite features whose products overflow float64, on every storage;
+        # matrix-free PN builds nothing, so it stores the finite D alone
+        op = shaped_operator(rng, shape, kind)
+        ds = make_dataset(op.X * 1e200, np.ones(op.n, dtype=np.int64), op.m)
+        huge = GradientOperator(ds, kind, n_outputs=op.m)
+        assert huge.storage == op.storage
+        if (huge.storage, kind) == ("free", "pn"):
+            huge.set_gradients(op.D)
+            return
+        with pytest.raises(FloatingPointError, match="non-finite gradient operator.*overflow"):
+            huge.set_gradients(op.D)
+
 
 class TestRefresh:
     def test_empty_logistic_model_gives_centered_softmax(self, rng):

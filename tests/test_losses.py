@@ -1,3 +1,6 @@
+import warnings
+from decimal import Context, Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +10,7 @@ from polyfactor.losses import (
     MULTICLASS_LOSSES,
     loss_gradient,
     loss_gradients,
+    loss_pass,
     loss_value,
     loss_values,
 )
@@ -131,3 +135,80 @@ class TestVectorized:
         for i in range(n):
             assert vals[i] == pytest.approx(loss_value(kind, int(y[i]), O[i]), rel=1e-12)
             assert np.allclose(grads[i], loss_gradient(kind, int(y[i]), O[i]))
+
+
+def binary_logistic_reference(z: float) -> float:
+    """ln(1 + e^{-z}) to 50 digits, correctly rounded to float64; written as
+    max(-z, 0) + ln(1 + x) with x = e^{-|z|}, so that no exponent overflows.
+    Below x = 1e-25, ln(1 + x) is x - x^2 / 2 to better than 50 digits."""
+    ctx = Context(prec=50)
+    z = Decimal(z)
+    x = ctx.exp(-abs(z))
+    log1p = ctx.ln(ctx.add(1, x)) if x > Decimal("1e-25") else ctx.subtract(x, x * x / 2)
+    return float(ctx.add(max(-z, Decimal(0)), log1p))
+
+
+def reference_multiclass(kind, y, O):
+    """Values and gradients by the row-max, softmax and squared-hinge formulas
+    written out separately: the values pass and the gradient pass each
+    recompute the margins."""
+    rows = np.arange(O.shape[0])
+
+    def margins():
+        Z = O - O[rows, y - 1][:, None]
+        if kind != "logistic":
+            Z = Z + 1.0
+            Z[rows, y - 1] = 0.0
+        return Z
+
+    Z = margins()
+    if kind == "squared-hinge":
+        M = np.maximum(Z, 0.0)
+        M[rows, y - 1] = 0.0
+        values = (M * M).sum(axis=1)
+        G = 2.0 * np.maximum(margins(), 0.0)
+        G[rows, y - 1] = 0.0
+        G[rows, y - 1] = -G.sum(axis=1)
+        return values, G
+    zmax = Z.max(axis=1)
+    values = zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1))
+    Z = margins()
+    E = np.exp(Z - Z.max(axis=1, keepdims=True))
+    G = E / E.sum(axis=1, keepdims=True)
+    G[rows, y - 1] -= 1.0
+    return values, G
+
+
+class TestLossPass:
+    def test_binary_logistic_within_two_ulp_of_exact(self):
+        zs = [0.0, 1e-300, 1e-8, 1.0, 36.0, 700.0, 745.0, 800.0, 1e300]
+        z = np.array(zs + [-v for v in zs[1:]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = loss_values("binary-logistic", np.ones((z.size, 1)), z[:, None])
+        assert np.isfinite(got).all()
+        for zi, gi in zip(z, got):
+            ref = binary_logistic_reference(zi)
+            assert abs(gi - ref) <= 2 * np.spacing(ref), (zi, gi, ref)
+
+    @pytest.mark.parametrize("kind", MULTICLASS_LOSSES)
+    def test_multiclass_bit_identical_to_separate_passes(self, kind, rng):
+        for scale in (0.5, 3.0, 1e4):
+            for n, m in ((1, 2), (40, 5), (264, 11)):
+                O = scale * rng.standard_normal((n, m))
+                O[rng.random((n, m)) < 0.2] = scale  # ties with the label
+                y = rng.integers(1, m + 1, size=n)
+                ref_values, ref_grad = reference_multiclass(kind, y, O)
+                values, grad = loss_pass(kind, y, O)
+                assert np.array_equal(values, ref_values)
+                assert np.array_equal(grad(), ref_grad)
+                assert np.array_equal(grad(), ref_grad)  # the thunk can run again
+                assert np.array_equal(loss_values(kind, y, O), ref_values)
+                assert np.array_equal(loss_gradients(kind, y, O), ref_grad)
+
+    def test_squared_needs_one_output(self):
+        y, O = np.zeros(3), np.zeros((3, 2))
+        with pytest.raises(ValueError, match="single output"):
+            loss_values("squared", y, O)
+        with pytest.raises(ValueError, match="single output"):
+            loss_gradients("squared", y, O)

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from conftest import set_fista
-from polyfactor import refit
+from polyfactor import losses, refit
 from polyfactor.data import make_dataset
 from polyfactor.gradients import GradientOperator
 from polyfactor.losses import loss_values
@@ -154,6 +154,31 @@ class TestOneOracle:
         _, trace = refit_fn(model, ds)
         assert len(trace) > 2
         assert all(a != b for a, b in zip(points, points[1:]))
+
+    @pytest.mark.parametrize("loss", ["logistic", "squared-hinge"])
+    @pytest.mark.parametrize("refit_fn", [refit_output, refit_full])
+    def test_one_loss_pass_per_point(self, refit_fn, loss, monkeypatch):
+        # the gradient thunk reuses the value pass: one margin computation
+        # per evaluated point, however many gradients FISTA asks for
+        model, ds = make_problem(np.random.default_rng(3), loss=loss)
+        real_fista, real_margins = refit._fista, losses._class_margins
+        points, margins = [], []
+
+        def spy(x0, smooth, model):
+            def counted(x):
+                points.append(x)
+                return smooth(x)
+            return real_fista(x0, counted, model)
+
+        def counted_margins(*args):
+            margins.append(args)
+            return real_margins(*args)
+
+        monkeypatch.setattr(refit, "_fista", spy)
+        monkeypatch.setattr(losses, "_class_margins", counted_margins)
+        _, trace = refit_fn(model, ds)
+        assert len(trace) > 2
+        assert len(margins) == len(points)
 
 
 class TestOutputRefit:
