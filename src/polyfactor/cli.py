@@ -75,10 +75,10 @@ def _resolve_augment(args, loss: str) -> bool:
     return args.format == "svmlight" and args.model == "pn" and loss in MULTICLASS_LOSSES
 
 
-def _load(args, augment: bool):
+def _load(args, augment: bool, d=None):
     if args.format == "movielens":
         return load_movielens(args.data, sep=MOVIELENS_SEPARATORS[args.sep])
-    return load_svmlight(args.data, augment_bias=augment)
+    return load_svmlight(args.data, augment_bias=augment, d=d)
 
 
 def _solver_config(args, loss: str, lam: float = SolverConfig.lam) -> SolverConfig:
@@ -138,9 +138,11 @@ def cmd_train(args) -> int:
 
 
 def _load_saved(args):
-    """The saved model and the data it is applied to, with matching d."""
+    """The saved model and the data it is applied to, with matching d:
+    svmlight rows are read at the model's width (an absent feature is 0),
+    and MovieLens one-hot columns must number the same."""
     model = load_model(args.model)
-    ds = _load(args, model.bias_augmented and args.format == "svmlight")
+    ds = _load(args, model.bias_augmented and args.format == "svmlight", d=model.d)
     if model.d != ds.d:
         raise RuntimeError(f"model expects d={model.d} features but the data "
                            f"has d={ds.d}")

@@ -24,7 +24,8 @@ class Dataset:
     (``make_dataset`` canonicalises it; any other X is refused). ``y``
     holds contiguous class indices (or rating levels) in 1..m; the original
     file labels live in ``label_map`` (position c-1 = original label of
-    class c). ``Y``, when present, is a {-1,+1} sign matrix of shape (n, m).
+    class c), and ``labels`` gives each row's. ``Y``, when present, is a
+    {-1,+1} sign matrix of shape (n, m).
     ``group_ids`` carries a per-row ranking-group id (the user index for
     MovieLens loads). ``X2`` is X∘X (entrywise square, for the FM terms),
     built on first use and kept for the dataset's lifetime.
@@ -45,6 +46,14 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Each row's file label, ``label_map[y - 1]``: the value a rating
+        metric or a regression target reads, not the class index y."""
+        labels = np.asarray(self.label_map)[self.y - 1]
+        labels.setflags(write=False)
+        return labels
 
     @cached_property
     def X2(self) -> sp.csr_matrix:
@@ -97,12 +106,15 @@ def make_dataset(X, y, m, label_map=None, Y=None, group_ids=None, bias_augmented
                    group_ids=group_ids, bias_augmented=bias_augmented)
 
 
-def load_svmlight(path, augment_bias: bool = False) -> Dataset:
+def load_svmlight(path, augment_bias: bool = False, d: int | None = None) -> Dataset:
     """Parse an svmlight/libsvm multi-class file (1-based feature indices).
 
     Labels are remapped to contiguous 1..m preserving the sorted order of the
     observed labels. With ``augment_bias`` a constant-1 feature is prepended
-    as column 1 and all feature indices shift right by one.
+    as column 1 and all feature indices shift right by one. ``d`` fixes the
+    column count (bias included): an absent feature is 0, so rows may stop
+    short of it, and a feature index past it is refused. By default d is
+    the largest index seen.
     """
     shift = 1 if augment_bias else 0
     labels = []
@@ -143,12 +155,16 @@ def load_svmlight(path, augment_bias: bool = False) -> Dataset:
                 # file indices are 1-based; unshifted they map to columns i-1
                 indices.append(i - 1 + shift)
                 values.append(v)
+            if d is not None and prev + shift > d:
+                raise DataError(f"{path}: line {lineno}: feature index {prev} is past "
+                                f"the {d - shift} features expected")
             labels.append(label)
             indptr.append(len(indices))
             max_index = max(max_index, prev)
 
     n = len(labels)
-    d = max_index + shift
+    if d is None:
+        d = max_index + shift
     indptr = np.array(indptr, dtype=np.int64)
     indices = np.array(indices, dtype=np.int64)
     data = np.array(values, dtype=np.float64)

@@ -133,7 +133,7 @@ def targets_for(kind: str, ds):
             raise ValueError("binary-logistic loss needs a {-1,+1} label matrix")
         return ds.Y
     if kind == "squared":
-        return np.asarray(ds.y, dtype=np.float64)
+        return np.asarray(ds.labels, dtype=np.float64)
     return ds.y
 
 

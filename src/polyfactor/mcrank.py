@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import MULTICLASS_LOSSES
-from .models import Model, outputs
+from .models import Model, class_labels, outputs
 from .solver import ConfigError, SolverConfig, TraceRecord, fit
 
 
@@ -65,10 +65,11 @@ def threshold_probabilities(model: Model, X) -> np.ndarray:
 
 
 def expected_relevance(model: Model, X) -> np.ndarray:
-    """Expected rating sum_c c * [p(y<=c) - p(y<=c-1)] with p(y<=0) = 0."""
+    """Expected rating sum_c r_c * [p(y<=c) - p(y<=c-1)] with p(y<=0) = 0,
+    where r_c is the label of level c in the model's label_map."""
     P = threshold_probabilities(model, X)
     masses = np.diff(P, axis=1, prepend=0.0)
-    levels = np.arange(1, P.shape[1] + 1, dtype=np.float64)
+    levels = class_labels(model.label_map, model.m).astype(np.float64)
     return masses @ levels
 
 
@@ -115,7 +116,8 @@ def evaluate_ranking(model: Model, ds: Dataset, ks=(1, 5)) -> dict:
 
     The model must predict ratings: an ordinal (binary-logistic) or a
     squared-loss model. A multi-class model's outputs are class scores, not
-    ratings, so it is refused.
+    ratings, so it is refused. The truth is each row's label value
+    (``ds.labels``), in the units the model predicts.
     """
     if model.loss in MULTICLASS_LOSSES:
         raise ValueError(f"a {model.loss} model predicts classes, not ratings; "
@@ -126,9 +128,9 @@ def evaluate_ranking(model: Model, ds: Dataset, ks=(1, 5)) -> dict:
         preds = expected_relevance(model, ds.X)
     else:
         preds = outputs(model, ds.X)[:, 0]
-    out = {"rmse": rmse(preds, ds.y)}
+    out = {"rmse": rmse(preds, ds.labels)}
     if ks:
-        groups = RankingGroups.from_ids(ds.group_ids, ds.y)
+        groups = RankingGroups.from_ids(ds.group_ids, ds.labels)
         for k in ks:
             out[f"ndcg@{k}"] = ndcg_at(groups, preds, k)
     return out

@@ -109,14 +109,14 @@ def predict_class(model: Model, X) -> np.ndarray:
     return np.argmax(outputs(model, X), axis=1) + 1
 
 
-def _class_labels(label_map, m: int) -> np.ndarray:
+def class_labels(label_map, m: int) -> np.ndarray:
     """The label of each class 1..m: ``label_map``, or 1..m when it is empty."""
     return np.asarray(label_map if label_map else range(1, m + 1))
 
 
 def predict_labels(model: Model, X) -> np.ndarray:
     """Predicted labels: each row's argmax class through the model's label_map."""
-    return _class_labels(model.label_map, model.m)[predict_class(model, X) - 1]
+    return class_labels(model.label_map, model.m)[predict_class(model, X) - 1]
 
 
 def accuracy(model: Model, ds) -> float:
@@ -124,8 +124,7 @@ def accuracy(model: Model, ds) -> float:
     are label values, each read through its own label_map, so a file that
     lacks some of the training labels (and re-indexes the rest) scores the
     same; a label the model never saw counts as wrong."""
-    truth = _class_labels(ds.label_map, ds.m)[ds.y - 1]
-    return float(np.mean(predict_labels(model, ds.X) == truth))
+    return float(np.mean(predict_labels(model, ds.X) == ds.labels))
 
 
 def _render_floats(values) -> str:
@@ -199,8 +198,10 @@ def load_model(path) -> Model:
         raise ValueError(f"unknown loss {doc['loss']!r}; expected one of {LOSSES}")
     if doc["penalty"] not in PENALTIES:
         raise ValueError(f"unknown penalty {doc['penalty']!r}; expected one of {PENALTIES}")
-    if doc["label_map"] and len(doc["label_map"]) < m:
-        raise ValueError(f"label_map has {len(doc['label_map'])} entries for {m} outputs")
+    # one label per output; a squared model keeps all of its training file's labels
+    n_labels = len(doc["label_map"])
+    if n_labels and (n_labels < m or (n_labels > m and doc["loss"] != "squared")):
+        raise ValueError(f"label_map has {n_labels} entries for {m} outputs")
     model = Model(
         kind=doc["kind"],
         H=_float_array(doc, "H", k * d, "k*d").reshape(k, d),

@@ -2,8 +2,8 @@
 gradient (FISTA) in penalized form, plus pruning of dead basis rows.
 
 The convex step re-optimizes the output matrix V over the fixed activation
-features; the optional non-convex step descends jointly in (V, H) with V
-going through the penalty prox and H rows projected back onto the unit ball.
+features; the optional non-convex step descends in the one array [V, H],
+V through the penalty prox and H rows projected back onto the unit ball.
 A function-value restart guard keeps every recorded objective trace
 non-increasing. Each refit hands FISTA one smooth oracle, and every point
 costs one loss pass (``losses.loss_pass``): the oracle returns the loss value
@@ -35,33 +35,32 @@ def penalized_objective(model: Model, ds) -> float:
         model.lam * penalty_value(model.penalty, model.V)
 
 
-def _dot(xs, ys) -> float:
-    return float(sum(np.vdot(x, y) for x, y in zip(xs, ys)))
+def _fista(x0: np.ndarray, smooth, model: Model):
+    """Monotone FISTA on one (k, w) array; returns (x, objective trace).
 
-
-def _combine(xs, a, ys):
-    return tuple(x + a * y for x, y in zip(xs, ys))
-
-
-def _fista(x0, smooth, model: Model):
-    """Monotone FISTA over a tuple of arrays; returns (x, objective trace).
+    The first ``model.m`` columns of x (V) go through the penalty's prox and
+    the rest (H) are projected onto unit rows; an x with no rows (the empty
+    model) comes back as is, its objective the whole trace.
 
     It runs at most FISTA_MAX_ITER iterations and stops once one changes
     the objective by less than FISTA_TOL relative to max(|objective|, 1).
 
-    ``smooth(x)`` returns the loss at x and a thunk for its gradient from the
-    same forward pass. The penalty's prox acts on ``x[0]`` (V); further
-    blocks are projected onto unit rows. Each point is evaluated once: the
+    ``smooth(x)`` returns the loss at x and a thunk for its gradient (shaped
+    like x) from the same forward pass. Each point is evaluated once: the
     accepted point keeps its value and thunk for when y is x, and y is x
     itself whenever the momentum weight is 0 (first step, after a restart).
     """
-    def objective(x, value):
-        return value + model.lam * penalty_value(model.penalty, x[0])
+    m = model.m
 
-    x = tuple(np.array(a) for a in x0)
+    def objective(x, value):
+        return value + model.lam * penalty_value(model.penalty, x[:, :m])
+
+    x = np.array(x0)
     fx, grad_x = smooth(x)
     obj = objective(x, fx)
     trace = [obj]
+    if x.shape[0] == 0:
+        return x, trace
     y = x
     t = 1.0
     L = 1.0
@@ -73,11 +72,12 @@ def _fista(x0, smooth, model: Model):
             gy = grad_y()
             for _ in range(80):
                 step = 1.0 / L
-                z = _combine(y, -step, gy)
-                cand = (prox(model.penalty, z[0], model.lam * step),) + \
-                    tuple(project_unit_rows(b) for b in z[1:])
-                diff = tuple(c - yy for c, yy in zip(cand, y))
-                bound = fy + _dot(gy, diff) + 0.5 * L * _dot(diff, diff)
+                cand = y - step * gy
+                cand[:, :m] = prox(model.penalty, cand[:, :m], model.lam * step)
+                if cand.shape[1] > m:
+                    cand[:, m:] = project_unit_rows(cand[:, m:])
+                diff = cand - y
+                bound = fy + np.vdot(gy, diff) + 0.5 * L * np.vdot(diff, diff)
                 fc, grad_c = smooth(cand)
                 if fc <= bound + 1e-12 * max(abs(fy), 1.0):
                     break
@@ -96,7 +96,7 @@ def _fista(x0, smooth, model: Model):
             cand, cand_obj, fc, grad_c = x, obj, fx, grad_x
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         w = (t - 1.0) / t_next
-        y = cand if w == 0.0 else _combine(cand, w, tuple(c - xx for c, xx in zip(cand, x)))
+        y = cand if w == 0.0 else cand + w * (cand - x)
         x, fx, grad_x, t = cand, fc, grad_c, t_next
         stop = abs(trace[-1] - cand_obj) < FISTA_TOL * max(abs(cand_obj), 1.0)
         obj = cand_obj
@@ -109,24 +109,20 @@ def _fista(x0, smooth, model: Model):
 def refit_output(model: Model, ds) -> tuple[Model, list[float]]:
     """Convex re-fit of V over the fixed basis (penalized, warm-started),
     by ``_fista`` at its module-level iteration cap and tolerance."""
-    if model.k == 0:
-        return model, [penalized_objective(model, ds)]
     Phi = hidden_activations(model.kind, model.H, ds.X,
                              ds.X2 if model.kind == "fm" else None)
     targets = targets_for(model.loss, ds)
 
-    def smooth(x):
-        values, loss_grad = loss_pass(model.loss, targets, Phi @ x[0])
-        return float(values.sum()), lambda: (Phi.T @ loss_grad(),)
+    def smooth(V):
+        values, loss_grad = loss_pass(model.loss, targets, Phi @ V)
+        return float(values.sum()), lambda: Phi.T @ loss_grad()
 
-    (V,), trace = _fista((model.V,), smooth, model)
+    V, trace = _fista(model.V, smooth, model)
     return replace(model, V=V), trace
 
 
 def refit_full(model: Model, ds) -> tuple[Model, list[float]]:
-    """Joint proximal-gradient descent in (V, H); H rows stay in the unit ball."""
-    if model.k == 0:
-        return model, [penalized_objective(model, ds)]
+    """Joint proximal-gradient descent in [V, H]; H rows stay in the unit ball."""
     X = ds.X
     X2 = ds.X2 if model.kind == "fm" else None
     XT = X.T  # bound once: X.T builds a new CSC view at every call
@@ -134,7 +130,7 @@ def refit_full(model: Model, ds) -> tuple[Model, list[float]]:
     targets = targets_for(model.loss, ds)
 
     def smooth(x):
-        V, H = x
+        V, H = x[:, :model.m], x[:, model.m:]
         Z = np.asarray(X @ H.T)
         Phi = hidden_activations(model.kind, H, X, X2, Z)
         values, loss_grad = loss_pass(model.loss, targets, Phi @ V)
@@ -147,12 +143,12 @@ def refit_full(model: Model, ds) -> tuple[Model, list[float]]:
                 gH = gH - H * np.asarray(X2T @ W).T
             else:
                 gH = 2.0 * gH
-            return Phi.T @ G, gH
+            return np.hstack([Phi.T @ G, gH])
 
         return float(values.sum()), grad
 
-    (V, H), trace = _fista((model.V, model.H), smooth, model)
-    return replace(model, V=V, H=H), trace
+    x, trace = _fista(np.hstack([model.V, model.H]), smooth, model)
+    return replace(model, V=x[:, :model.m], H=x[:, model.m:]), trace
 
 
 PRUNE_TOL = 1e-12  # a row whose largest output weight is below this is dead

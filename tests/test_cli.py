@@ -1,19 +1,21 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import polyfactor
 from polyfactor import cli, solver
 from polyfactor.cli import main
 from polyfactor.data import load_movielens, load_svmlight, make_dataset, save_svmlight, take_rows
 from polyfactor.mcrank import expected_relevance
-from polyfactor.models import load_model, outputs
+from polyfactor.models import load_model, outputs, predict_labels
 from polyfactor.synth import make_multiclass, make_ratings, write_movielens
 
 
@@ -243,12 +245,98 @@ class TestPredictEval:
             assert capsys.readouterr().out.split() == written
 
     def test_dimension_mismatch_is_runtime_error(self, trained, tmp_path, capsys):
+        # the model has 6 features and a bias column; the file's rows use 12
         bad = tmp_path / "wide.svm"
         save_svmlight(make_multiclass(4, 12, 3, seed=6), bad)
         for command in ("eval", "predict"):
             assert run(command, "--model", trained, "--data", bad) == 1
-            assert capsys.readouterr().err == ("error: model expects d=7 features "
-                                               "but the data has d=13\n")
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert re.search(r"line 1: feature index (7|8|9|1[0-2]) is past the 6 features", err)
+
+    @pytest.mark.parametrize("flags", [(), ("--loss", "squared")], ids=["logistic", "squared"])
+    def test_narrower_svmlight_file_reads_at_model_width(self, flags, tmp_path, capsys):
+        # an absent svmlight feature is 0: rows that skip the highest feature are
+        # the model's rows with a zero there, not a different feature space
+        rng = np.random.default_rng(8)
+        y = np.arange(12) % 3 + 1
+        X = rng.standard_normal((12, 3)) + np.outer(y, [0.0, 2.0, 0.0])
+        wide, narrow, model_path = tmp_path / "wide.svm", tmp_path / "narrow.svm", tmp_path / "m.json"
+        save_svmlight(make_dataset(X, y, 3), wide)
+        X[:, 2] = 0.0
+        save_svmlight(make_dataset(X, y, 3), narrow)
+        assert "3:" not in narrow.read_text()
+        assert run("train", "--data", wide, *flags, "--k-max", 3, "--lambda", "0.01",
+                   "--out", model_path) == 0
+        model = load_model(model_path)
+        padded = sp.csr_matrix(np.hstack([np.ones((12, 1)), X]) if model.bias_augmented else X)
+        capsys.readouterr()
+        assert run("predict", "--model", model_path, "--data", narrow) == 0
+        got = capsys.readouterr().out.split()
+        if model.loss == "squared":
+            assert [float(v) for v in got] == outputs(model, padded)[:, 0].tolist()
+        else:
+            assert [float(v) for v in got] == predict_labels(model, padded).tolist()
+        assert run("eval", "--model", model_path, "--data", narrow) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_movielens_width_mismatch_is_runtime_error(self, ml_file, tmp_path, capsys):
+        # MovieLens columns come from the file's own id sets: another width is
+        # another feature space, so it is refused
+        out = tmp_path / "mc.json"
+        assert run("train", "--data", ml_file, "--format", "movielens", "--mcrank",
+                   "--model", "fm", "--k-max", 2, "--lambda", "0.05", "--out", out) == 0
+        lines = ml_file.read_text().splitlines()
+        first_user = lines[0].split("\t")[0]
+        fewer = tmp_path / "fewer.data"
+        fewer.write_text("".join(line + "\n" for line in lines
+                                 if line.split("\t")[0] != first_user))
+        d_model, d_data = load_model(out).d, load_movielens(fewer).d
+        assert d_data < d_model
+        capsys.readouterr()
+        for command in ("eval", "predict"):
+            assert run(command, "--model", out, "--data", fewer, "--format", "movielens") == 1
+            assert capsys.readouterr().err == (f"error: model expects d={d_model} features "
+                                               f"but the data has d={d_data}\n")
+
+    def test_squared_loss_regresses_on_label_values(self, tmp_path, capsys):
+        # real-valued labels: each is its own class index 1..60, but the
+        # regression target and the predictions are the labels themselves
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((60, 3))
+        labels = np.round(20.0 * (X @ [0.6, 0.8, 0.0]) ** 2 - 10.0 * X[:, 2] ** 2, 1)
+        data, out = tmp_path / "reg.svm", tmp_path / "reg.json"
+        data.write_text("".join(f"{float(lab)!r} " + " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row))
+                                + "\n" for lab, row in zip(labels, X)))
+        assert run("train", "--data", data, "--loss", "squared", "--k-max", 4,
+                   "--lambda", "0.01", "--out", out) == 0
+        capsys.readouterr()
+        assert run("predict", "--model", out, "--data", data) == 0
+        preds = np.array([float(v) for v in capsys.readouterr().out.split()])
+        assert np.sqrt(np.mean((preds - labels) ** 2)) < 0.2 * labels.std()
+        assert run("eval", "--model", out, "--data", data) == 0
+        assert json.loads(capsys.readouterr().out)["rmse"] == \
+            pytest.approx(np.sqrt(np.mean((preds - labels) ** 2)), rel=1e-12)
+
+    def test_rating_metrics_read_file_labels(self, tmp_path, capsys):
+        # a model fit on labels {1, 2, 3}, scored on the rows labelled 2 or 3:
+        # that file loads them as classes 1..2, but the truth is 2 and 3
+        rng = np.random.default_rng(6)
+        y = np.arange(30) % 3 + 1
+        ds = make_dataset(rng.standard_normal((30, 3)) + np.outer(y, [0.0, 1.0, 0.0]), y, 3)
+        full, rest, out = tmp_path / "full.svm", tmp_path / "rest.svm", tmp_path / "m.json"
+        save_svmlight(ds, full)
+        save_svmlight(take_rows(ds, np.flatnonzero(y != 1)), rest)
+        assert run("train", "--data", full, "--loss", "squared", "--k-max", 3,
+                   "--lambda", "0.01", "--out", out) == 0
+        capsys.readouterr()
+        assert run("predict", "--model", out, "--data", rest) == 0
+        preds = np.array([float(v) for v in capsys.readouterr().out.split()])
+        truth = y[y != 1].astype(np.float64)
+        assert run("eval", "--model", out, "--data", rest) == 0
+        rmse = json.loads(capsys.readouterr().out)["rmse"]
+        assert rmse == pytest.approx(np.sqrt(np.mean((preds - truth) ** 2)), rel=1e-12)
+        assert rmse != pytest.approx(np.sqrt(np.mean((preds - (truth - 1.0)) ** 2)), rel=1e-3)
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: {key: value for key, value in doc.items() if key != "V"},

@@ -45,6 +45,21 @@ class TestSvmlight:
         assert ds.label_map == (-1.0, 3.0, 7.0)
         assert ds.y.tolist() == [3, 1, 3, 2]
 
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_width_pads_rows_that_stop_short(self, tmp_path, augment):
+        # an absent feature is 0, so a file need not reach the width it is read at
+        ds = load_svmlight(write(tmp_path, "a.txt", "1 1:0.5\n2 2:3.0\n"),
+                           augment_bias=augment, d=4 + augment)
+        assert ds.d == 4 + augment
+        want = [[0.5, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0]]
+        assert ds.X.toarray().tolist() == [[1.0] * augment + row for row in want]
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_index_past_width_refused(self, tmp_path, augment):
+        path = write(tmp_path, "a.txt", "1 1:0.5 4:1.0\n2 2:3.0 5:1.0\n")
+        with pytest.raises(DataError, match="line 2: feature index 5 is past the 4 features"):
+            load_svmlight(path, augment_bias=augment, d=4 + augment)
+
     @pytest.mark.parametrize("line", [
         "x 1:1.0",
         "1 e:1.0",
@@ -100,6 +115,12 @@ class TestMovielens:
         counts = np.diff(ds.X.indptr)
         assert np.all(counts == 2)
         assert np.all(ds.X.data == 1.0)
+
+    def test_labels_are_the_ratings(self, tmp_path):
+        # MovieLens label maps are 1..m, so a row's label is its level y
+        ds = load_movielens(write(tmp_path, "u.data", "1\t1\t2\n2\t1\t5\n2\t2\t4\n"))
+        assert ds.label_map == (1, 2, 3, 4, 5)
+        assert ds.labels.dtype == ds.y.dtype and np.array_equal(ds.labels, ds.y)
 
     def test_group_ids_track_users(self, tmp_path):
         text = "5\t1\t1\n5\t2\t2\n7\t1\t3\n"
@@ -173,6 +194,12 @@ class TestDatasetInvariants:
         Y = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 0.5]])
         with pytest.raises(DataError, match="-1 or \\+1"):
             make_dataset(X, np.array([1, 1, 2]), 2, Y=Y)
+
+    def test_labels_read_through_label_map(self, rng):
+        ds = make_dataset(rng.standard_normal((4, 2)), np.array([3, 1, 2, 3]), 3,
+                          label_map=(-1.5, 4.0, 9.0))
+        assert ds.labels.tolist() == [9.0, -1.5, 4.0, 9.0]
+        assert not ds.labels.flags.writeable
 
     def test_labels_validated(self, rng):
         X = rng.standard_normal((2, 2))

@@ -13,7 +13,9 @@ from polyfactor.losses import (
     loss_pass,
     loss_value,
     loss_values,
+    targets_for,
 )
+from polyfactor.data import make_dataset
 
 ALL_BUT_SQUARED = [k for k in LOSSES if k != "squared"]
 
@@ -212,3 +214,11 @@ class TestLossPass:
             loss_values("squared", y, O)
         with pytest.raises(ValueError, match="single output"):
             loss_gradients("squared", y, O)
+
+
+class TestTargets:
+    def test_squared_regresses_on_label_values(self, rng):
+        ds = make_dataset(rng.standard_normal((3, 2)), np.array([2, 1, 2]), 2,
+                          label_map=(-45.0, 218.5))
+        assert targets_for("squared", ds).tolist() == [218.5, -45.0, 218.5]
+        assert targets_for("logistic", ds) is ds.y

@@ -69,6 +69,21 @@ class TestExpectedRelevance:
         model = Model("pn", h[None, :], V, "binary-logistic", "l1linf", 0.1)
         assert expected_relevance(model, x[None, :])[0] == pytest.approx(r, abs=1e-6)
 
+    def test_levels_read_through_label_map(self, rng):
+        # the expected rating is in the model's label units, 1..m without a map
+        m, r, d = 4, 3, 4
+        h = rng.standard_normal(d)
+        h /= np.linalg.norm(h)
+        V = np.full((1, m), -50.0)
+        V[0, r - 1:] = 50.0
+        model = Model("pn", h[None, :], V, "binary-logistic", "l1linf", 0.1,
+                      label_map=(-2.0, 0.5, 7.0, 9.0))
+        x = 2.0 * h[None, :]
+        assert expected_relevance(model, x)[0] == pytest.approx(7.0, abs=1e-6)
+        X = rng.standard_normal((20, d))
+        masses = np.diff(threshold_probabilities(model, X), axis=1, prepend=0.0)
+        assert np.array_equal(expected_relevance(model, X), masses @ [-2.0, 0.5, 7.0, 9.0])
+
     def test_last_level_clamped_for_empty_model(self, rng):
         model = Model("fm", np.zeros((0, 4)), np.zeros((0, 5)),
                       "binary-logistic", "l1linf", 0.1)
@@ -161,6 +176,22 @@ class TestMetrics:
             rmse(np.zeros(0), np.zeros(0))
         with pytest.raises(ValueError):
             ndcg_at(RankingGroups(groups=()), np.zeros(3), 1)
+
+    def test_truth_is_the_label_value(self, rng):
+        # rmse and the nDCG gains read label_map[y - 1], not the class index y
+        label_map = (1.0, 2.5, 4.0)
+        y = np.array([1, 3, 2, 3, 1, 2])
+        ds = make_dataset(rng.standard_normal((6, 2)), y, 3, label_map=label_map,
+                          group_ids=np.array([0, 0, 0, 1, 1, 1]))
+        H = np.array([[0.6, 0.8]])
+        model = Model("pn", H, np.array([[1.5]]), "squared", "l1", 0.1, label_map=label_map)
+        preds = 1.5 * (ds.X @ H[0]) ** 2
+        truth = np.asarray(label_map)[y - 1]
+        report = evaluate_ranking(model, ds, ks=(1, 2))
+        assert report["rmse"] == rmse(preds, truth)
+        groups = RankingGroups.from_ids(ds.group_ids, truth)
+        assert report["ndcg@2"] == ndcg_at(groups, preds, 2)
+        assert report["ndcg@2"] != ndcg_at(RankingGroups.from_ids(ds.group_ids, y), preds, 2)
 
     def test_multiclass_model_not_ranked(self):
         # a multi-class model's outputs are class scores, not ratings

@@ -242,6 +242,12 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="label_map"):
             load_model(self.write(tmp_path, rng, label_map=[1, 2]))
 
+    @pytest.mark.parametrize("loss", ["logistic", "binary-logistic"])
+    def test_long_label_map_rejected(self, loss, tmp_path, rng):
+        # predictions and expected ratings read one label per output
+        with pytest.raises(ValueError, match="label_map has 4 entries for 3 outputs"):
+            load_model(self.write(tmp_path, rng, loss=loss, label_map=[1, 2, 7, 9]))
+
     @pytest.mark.parametrize("field", ["kind", "lambda", "k", "H", "V", "label_map",
                                        "bias_augmented"])
     def test_missing_field_named(self, field, tmp_path, rng):

@@ -51,10 +51,10 @@ def capture_fista(monkeypatch, refit_fn, model, ds):
 
 
 def reference_fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, max_iter, tol):
-    """The monotone FISTA loop with separate value, gradient, prox and penalty
-    oracles, re-evaluating every point it needs (candidates twice, and the
-    accepted point again as the next y)."""
-    x = tuple(np.array(a) for a in x0)
+    """The monotone FISTA loop on one array with separate value, gradient,
+    prox and penalty oracles, re-evaluating every point it needs (candidates
+    twice, and the accepted point again as the next y)."""
+    x = np.array(x0)
     obj = smooth_value(x) + nonsmooth_value(x)
     trace = [obj]
     y = x
@@ -68,9 +68,9 @@ def reference_fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, m
             gy = smooth_grad(y)
             for _ in range(80):
                 step = 1.0 / L
-                cand = prox_step(refit._combine(y, -step, gy), step)
-                diff = tuple(c - yy for c, yy in zip(cand, y))
-                bound = fy + refit._dot(gy, diff) + 0.5 * L * refit._dot(diff, diff)
+                cand = prox_step(y - step * gy, step)
+                diff = cand - y
+                bound = fy + np.vdot(gy, diff) + 0.5 * L * np.vdot(diff, diff)
                 if smooth_value(cand) <= bound + 1e-12 * max(abs(fy), 1.0):
                     break
                 L *= 2.0
@@ -83,7 +83,7 @@ def reference_fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, m
         if cand_obj > obj:
             cand, cand_obj = x, obj
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = refit._combine(cand, (t - 1.0) / t_next, tuple(c - xx for c, xx in zip(cand, x)))
+        y = cand + (t - 1.0) / t_next * (cand - x)
         x, t = cand, t_next
         stop = abs(trace[-1] - cand_obj) < tol * max(abs(cand_obj), 1.0)
         obj = cand_obj
@@ -105,16 +105,18 @@ class TestOneOracle:
                 monkeypatch, refit_fn, model, ds)
             assert seen is model
 
+            m = model.m  # x is V, or [V, H] for the joint refit
+
             def prox_step(x, step):
-                return (prox(penalty, x[0], model.lam * step),) + \
-                    tuple(project_unit_rows(b) for b in x[1:])
+                return np.hstack([prox(penalty, x[:, :m], model.lam * step),
+                                  project_unit_rows(x[:, m:])])
 
             x, ref_trace = reference_fista(
                 x0, lambda x: smooth(x)[0], lambda x: smooth(x)[1](), prox_step,
-                lambda x: model.lam * penalty_value(penalty, x[0]), 300, 1e-7)
+                lambda x: model.lam * penalty_value(penalty, x[:, :m]), 300, 1e-7)
             assert trace == ref_trace
-            assert np.array_equal(refitted.V, x[0])
-            assert np.array_equal(refitted.H, x[1] if len(x) > 1 else model.H)
+            assert np.array_equal(refitted.V, x[:, :m])
+            assert np.array_equal(refitted.H, x[:, m:] if x.shape[1] > m else model.H)
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_no_point_evaluated_twice(self, kind, monkeypatch):
@@ -146,7 +148,7 @@ class TestOneOracle:
 
         def spy(x0, smooth, model):
             def recorded(x):
-                points.append(b"".join(a.tobytes() for a in x))
+                points.append(x.tobytes())
                 return smooth(x)
             return real(x0, recorded, model)
 
@@ -278,16 +280,25 @@ class TestFullRefit:
             value, grad = smooth(x0)
             assert value == pytest.approx(float(loss_values(
                 model.loss, ds.y, outputs(model, ds.X)).sum()), rel=1e-12)
-            grads = grad()
-            assert len(grads) == len(x0)
-            for b, g in enumerate(grads):
-                for idx in np.ndindex(*x0[b].shape):
-                    xp = [a.copy() for a in x0]
-                    xm = [a.copy() for a in x0]
-                    xp[b][idx] += eps
-                    xm[b][idx] -= eps
-                    fd = (smooth(tuple(xp))[0] - smooth(tuple(xm))[0]) / (2 * eps)
-                    assert fd == pytest.approx(g[idx], rel=1e-4, abs=1e-7)
+            g = grad()
+            assert g.shape == x0.shape
+            for idx in np.ndindex(*x0.shape):
+                xp, xm = x0.copy(), x0.copy()
+                xp[idx] += eps
+                xm[idx] -= eps
+                fd = (smooth(xp)[0] - smooth(xm)[0]) / (2 * eps)
+                assert fd == pytest.approx(g[idx], rel=1e-4, abs=1e-7)
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_huge_lambda_zeroes_only_v(self, kind, rng):
+        # the prox acts on the V columns of [V, H] only, the projection on the H columns only
+        model, ds = make_problem(rng, kind=kind, lam=1e9)
+        refitted, trace = refit_full(model, ds)
+        assert len(trace) > 1
+        assert np.all(refitted.V == 0.0)
+        norms = np.linalg.norm(refitted.H, axis=1)
+        assert np.all(norms > 0.0) and np.all(norms <= 1.0 + 1e-12)
+        assert not np.array_equal(refitted.H, model.H)
 
     def test_descent_from_perturbed_model(self, rng):
         model, ds = make_problem(rng)
@@ -357,10 +368,20 @@ class TestFista:
 
         def smooth(x):
             calls.append(1)
-            return (1.0 if len(calls) == 1 else float("nan")), lambda: (x[0],)
+            return (1.0 if len(calls) == 1 else float("nan")), lambda: x
 
         V = np.array([[1.0, -2.0]])
         model = Model("pn", np.zeros((1, 2)), V, "logistic", "l1", 0.0)
         set_fista(monkeypatch, 5, 1e-3)
         with pytest.raises(FloatingPointError, match="non-finite"):
-            _fista((V,), smooth, model)
+            _fista(V, smooth, model)
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    @pytest.mark.parametrize("refit_fn", [refit_output, refit_full])
+    def test_empty_model_trace_is_its_objective(self, refit_fn, kind, rng):
+        # an x with no rows is not iterated: the trace is the empty model's objective
+        _, ds = make_problem(rng)
+        model = Model(kind, np.zeros((0, 6)), np.zeros((0, 3)), "logistic", "l1l2", 0.1)
+        refitted, trace = refit_fn(model, ds)
+        assert refitted.k == 0 and refitted.V.shape == (0, 3) and refitted.H.shape == (0, 6)
+        assert trace == [penalized_objective(model, ds)]
