@@ -12,8 +12,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .data import (MOVIELENS_SEPARATORS, DataError, SplitSpec, format_label, load_movielens,
-                   load_svmlight, make_dataset, split)
+from .data import (DataError, SplitSpec, format_label, load_movielens, load_svmlight,
+                   make_dataset, split)
 from .gradients import GradientOperator
 from .losses import LOSSES, MULTICLASS_LOSSES
 from .mcrank import build_ordinal, evaluate_ranking, expected_relevance, fit_mcrank
@@ -39,20 +39,18 @@ def _sha256(path) -> str:
 def _add_data_flags(p, required=True):
     p.add_argument("--data", required=required, help="input data file")
     p.add_argument("--format", choices=("svmlight", "movielens"), default="svmlight")
-    p.add_argument("--sep", choices=sorted(MOVIELENS_SEPARATORS), default="tab",
-                   help="movielens field separator")
 
 
 def _add_train_flags(p):
-    p.add_argument("--model", choices=MODEL_KINDS, default="pn")
-    p.add_argument("--penalty", choices=PENALTIES, default="l1l2")
-    p.add_argument("--k-max", type=int, default=30)
-    p.add_argument("--refit", choices=REFITS, default="output")
+    p.add_argument("--model", choices=MODEL_KINDS, default=SolverConfig.model)
+    p.add_argument("--penalty", choices=PENALTIES, default=SolverConfig.penalty)
+    p.add_argument("--k-max", type=int, default=SolverConfig.k_max)
+    p.add_argument("--refit", choices=REFITS, default=SolverConfig.refit)
     p.add_argument("--loss", choices=LOSSES, default=None,
-                   help="default: logistic, or binary-logistic with --mcrank")
+                   help=f"default: {SolverConfig.loss}, or binary-logistic with --mcrank")
     p.add_argument("--mcrank", action="store_true",
                    help="train the ordinal multi-output reduction on ratings")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SolverConfig.seed)
 
 
 def _resolve_loss(args) -> str:
@@ -63,7 +61,7 @@ def _resolve_loss(args) -> str:
         if args.model != "fm":
             raise UsageError("--mcrank is wired for --model fm")
         return "binary-logistic"
-    loss = args.loss or "logistic"
+    loss = args.loss or SolverConfig.loss
     if loss == "binary-logistic":
         raise UsageError("--loss binary-logistic needs --mcrank (it trains on "
                          "the ordinal threshold matrix)")
@@ -77,7 +75,7 @@ def _resolve_augment(args, loss: str) -> bool:
 
 def _load(args, augment: bool, d=None):
     if args.format == "movielens":
-        return load_movielens(args.data, sep=MOVIELENS_SEPARATORS[args.sep])
+        return load_movielens(args.data)
     return load_svmlight(args.data, augment_bias=augment, d=d)
 
 
@@ -107,7 +105,6 @@ def _write_manifest(args, cfg: SolverConfig, augment: bool, artifacts: dict) -> 
             "mcrank": bool(getattr(args, "mcrank", False)),
             "augment_bias": augment,
             "format": args.format,
-            "sep": args.sep,
             "deterministic_trace": bool(getattr(args, "deterministic_trace", False)),
         },
         "data": {"path": args.data, "sha256": _sha256(args.data)},

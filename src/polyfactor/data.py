@@ -8,7 +8,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-MOVIELENS_SEPARATORS = {"tab": "\t", "::": "::"}  # name -> field separator
 SPLIT_FRACTIONS = (0.5, 0.25, 0.25)  # train, valid, test
 
 
@@ -196,28 +195,30 @@ def save_svmlight(ds: Dataset, path) -> None:
             fh.write(f"{labels[int(ds.y[r]) - 1]} {feats}".rstrip() + "\n")
 
 
-def load_movielens(path, sep: str = "\t") -> Dataset:
+def load_movielens(path) -> Dataset:
     """Parse a MovieLens ratings file into one-hot user/item rows.
 
-    Each record is ``user sep item sep rating [sep timestamp]``. Observed
+    Each record is ``user item rating [timestamp]``, split on ``::`` (the 1M
+    release) if the first record holds one and on tabs (100k) otherwise; a
+    record that gives fewer than three fields is refused. Observed
     user ids map (sorted) to the first columns, item ids to the following
     ones, so every row has exactly two unit entries. Ratings become the
     label levels 1..m with m = max rating.
     """
-    if sep not in MOVIELENS_SEPARATORS.values():
-        raise DataError(f"unknown separator {sep!r}; expected one of "
-                        f"{tuple(MOVIELENS_SEPARATORS.values())}")
     users = []
     items = []
     ratings = []
+    sep = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if sep is None:
+                sep = "::" if "::" in line else "\t"
             fields = line.split(sep)
             if len(fields) < 3:
-                raise DataError(f"{path}: line {lineno}: expected user{sep}item{sep}rating")
+                raise DataError(f"{path}: line {lineno}: expected 3 fields separated by {sep!r}")
             try:
                 u = int(fields[0])
                 i = int(fields[1])

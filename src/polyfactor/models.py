@@ -186,11 +186,14 @@ def load_model(path) -> Model:
             raise ValueError(f"model field {field!r} must be a non-negative integer, "
                              f"not {doc[field]!r}")
     k, d, m = doc["k"], doc["d"], doc["m"]
-    if type(doc["lambda"]) not in (int, float) or not doc["lambda"] > 0:  # refuses nan too
+    big = float(np.finfo(np.float64).max)  # NaN, Infinity and huge ints fail below
+    if type(doc["lambda"]) not in (int, float) or not 0 < doc["lambda"] <= big:
         raise ValueError(f"model field 'lambda' must be a positive number, "
                          f"not {doc['lambda']!r}")
-    if not isinstance(doc["label_map"], list):
-        raise ValueError("model field 'label_map' must be a list")
+    if not isinstance(doc["label_map"], list) or not all(
+            type(label) in (int, float) and -big <= label <= big
+            for label in doc["label_map"]):
+        raise ValueError("model field 'label_map' must be a list of finite numbers")
     if type(doc["bias_augmented"]) is not bool:
         raise ValueError(f"model field 'bias_augmented' must be true or false, "
                          f"not {doc['bias_augmented']!r}")

@@ -50,8 +50,8 @@ class SolverConfig:
             raise ConfigError(f"refit must be one of {REFITS}, got {self.refit!r}")
         if self.k_max < 1:
             raise ConfigError("k_max must be at least 1")
-        if not self.lam > 0:  # refuses nan too
-            raise ConfigError("lam must be positive")
+        if not 0 < self.lam < np.inf:  # refuses nan too
+            raise ConfigError(f"lam must be a positive finite number, not {self.lam!r}")
 
 
 @dataclass

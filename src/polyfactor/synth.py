@@ -64,24 +64,22 @@ def make_ratings(n_users: int, n_items: int, n_ratings: int, rank: int = 4,
     P = rng.standard_normal((n_users, rank)) / np.sqrt(rank)
     Q = rng.standard_normal((n_items, rank)) / np.sqrt(rank)
 
-    # coverage pairs first, then unique random pairs
-    users = [np.arange(n_users), rng.integers(0, n_users, size=n_items)]
-    items = [rng.integers(0, n_items, size=n_users), np.arange(n_items)]
-    seen = set(zip(np.concatenate(users).tolist(), np.concatenate(items).tolist()))
-    need = n_ratings - len(seen)
+    # coverage pairs first, then unique random pairs, as keys u * n_items + i
+    cover_users = rng.integers(0, n_users, size=n_items)
+    cover_items = rng.integers(0, n_items, size=n_users)
+    keys = np.unique(np.concatenate([np.arange(n_users) * n_items + cover_items,
+                                     cover_users * n_items + np.arange(n_items)]))
+    need = n_ratings - keys.size
     while need > 0:
         u = rng.integers(0, n_users, size=int(1.3 * need) + 8)
         i = rng.integers(0, n_items, size=u.size)
-        for uu, ii in zip(u.tolist(), i.tolist()):
-            pair = (uu, ii)
-            if pair not in seen:
-                seen.add(pair)
-                need -= 1
-                if need == 0:
-                    break
-    pairs = np.array(sorted(seen), dtype=np.int64)
-    order = rng.permutation(pairs.shape[0])
-    u, i = pairs[order, 0], pairs[order, 1]
+        batch = u * n_items + i
+        uniq, first = np.unique(batch, return_index=True)
+        # each new key once, in draw order, until n_ratings are held
+        fresh = batch[np.sort(first[~np.isin(uniq, keys, assume_unique=True)])][:need]
+        keys = np.union1d(keys, fresh)
+        need -= fresh.size
+    u, i = np.divmod(keys[rng.permutation(keys.size)], n_items)
 
     scores = np.einsum("ij,ij->i", P[u], Q[i]) + noise * rng.standard_normal(u.size)
     # skewed level frequencies like typical ratings data

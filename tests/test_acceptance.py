@@ -351,7 +351,7 @@ def test_criterion_7_recommender_desk_scale(ml100k_like, tmp_path):
                                          seed=1, noise=0.1)
     big = tmp_path / "ratings.dat"
     write_movielens(users, items, ratings, big, sep="::")
-    parsed = load_movielens(big, sep="::")
+    parsed = load_movielens(big)
     assert parsed.n == 1_000_209
     assert parsed.d == 9940
 

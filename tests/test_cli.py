@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -16,6 +17,7 @@ from polyfactor.cli import main
 from polyfactor.data import load_movielens, load_svmlight, make_dataset, save_svmlight, take_rows
 from polyfactor.mcrank import expected_relevance
 from polyfactor.models import load_model, outputs, predict_labels
+from polyfactor.solver import SolverConfig
 from polyfactor.synth import make_multiclass, make_ratings, write_movielens
 
 
@@ -52,6 +54,7 @@ class TestTrain:
         assert manifest["data"]["sha256"]
         assert manifest["config"]["k_max"] == 4
         assert manifest["config"]["seed"] == 0 and "seed" not in manifest
+        assert "sep" not in manifest["config"]
 
     @pytest.mark.parametrize("flags", [("--model", "fm"), ("--loss", "squared")],
                              ids=lambda flags: " ".join(flags))
@@ -192,6 +195,9 @@ def dropped_class(tmp_path_factory):
     ("path", "--lambdas", "nan"),
     ("path", "--lambdas", "0.1,-1"),
     ("train", "--lambda", "nan"),
+    ("train", "--lambda", "inf"),
+    ("train", "--lambda", "1e309"),
+    ("path", "--lambdas", "inf,1"),
     ("path", "--metric", "ndcg@x"),
     ("path", "--metric", "ndcg@0"),
     ("path", "--metric", "ndcg@1"),  # a multi-class loss has no ranking metric
@@ -213,6 +219,40 @@ def test_malformed_values_are_usage_errors(argv, svm_file, tmp_path, capsys, mon
     assert run(*argv, *data, "--out", out) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+class TestFlags:
+    def test_settable_values_per_command(self):
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        counts = {name: sum(not isinstance(action, argparse._HelpAction)
+                            for action in sub._actions)
+                  for name, sub in commands.items()}
+        assert counts == {"train": 13, "predict": 3, "eval": 3, "path": 13,
+                          "oracle-compare": 9}
+
+    @pytest.mark.parametrize("command", ["train", "path"])
+    def test_solver_flag_defaults_are_solver_config_defaults(self, command):
+        args = cli.build_parser().parse_args([command, "--data", "d", "--out", "o"])
+        lam = args.lam if command == "train" else SolverConfig.lam
+        assert cli._solver_config(args, cli._resolve_loss(args), lam) == SolverConfig()
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--out", "m.json"),
+        ("predict", "--model", "m.json"),
+        ("eval", "--model", "m.json"),
+        ("path", "--out", "m.json"),
+        ("oracle-compare", "--out", "nu.csv"),
+    ], ids=lambda argv: argv[0])
+    def test_sep_flag_refused(self, argv, ml_file, tmp_path, capsys):
+        # the separator comes from the file's first record
+        argv = [tmp_path / a if a.endswith((".json", ".csv")) else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--data", ml_file, "--format", "movielens", "--sep", "::")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sep ::" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPredictEval:
@@ -384,6 +424,22 @@ class TestPredictEval:
         else:
             want = outputs(model, ds.X)[:, 0]
         assert got == want.tolist()
+
+    def test_double_colon_file_needs_no_flag(self, tmp_path, capsys):
+        # the same records as a 100k-style tab file and a 1M-style "::" file
+        users, items, ratings = make_ratings(25, 30, 300, seed=1)
+        reports, models = [], []
+        for name, sep in (("u.data", "\t"), ("ratings.dat", "::")):
+            data, out = tmp_path / name, tmp_path / f"{name}.json"
+            write_movielens(users, items, ratings, data, sep=sep)
+            assert run("train", "--data", data, "--format", "movielens", "--mcrank",
+                       "--model", "fm", "--penalty", "l1linf", "--k-max", 3,
+                       "--lambda", "0.05", "--out", out) == 0
+            assert run("eval", "--model", out, "--data", data, "--format", "movielens") == 0
+            reports.append(capsys.readouterr().out)
+            models.append(out.read_bytes())
+        assert reports[0] == reports[1] and models[0] == models[1]
+        assert json.loads(reports[0].splitlines()[-1])["k"] > 0
 
     def test_mcrank_eval_reports_ranking_metrics(self, ml_file, tmp_path, capsys):
         out = tmp_path / "mc.json"

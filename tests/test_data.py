@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +17,7 @@ from polyfactor.data import (
     save_svmlight,
     split,
 )
+from polyfactor.synth import make_ratings
 
 
 def write(tmp_path, name, text):
@@ -104,7 +108,7 @@ class TestMovielens:
 
     def test_double_colon_separator(self, tmp_path):
         text = "1::10::5::978300760\n2::20::3::978300761\n"
-        ds = load_movielens(write(tmp_path, "r.dat", text), sep="::")
+        ds = load_movielens(write(tmp_path, "r.dat", text))
         assert ds.n == 2 and ds.d == 4
         assert ds.y.tolist() == [5, 3]
 
@@ -128,9 +132,21 @@ class TestMovielens:
         assert ds.group_ids.tolist() == [0, 0, 1]
 
     def test_bad_separator_rejected(self, tmp_path):
-        path = write(tmp_path, "u.data", "1\t1\t1\n")
-        with pytest.raises(DataError, match="separator"):
-            load_movielens(path, sep="|")
+        # a record with neither "::" nor a tab gives one field on the tab
+        path = write(tmp_path, "u.data", "1|1|1\n2|1|4\n")
+        with pytest.raises(DataError, match=re.escape(
+                "line 1: expected 3 fields separated by '\\t'")):
+            load_movielens(path)
+
+    @pytest.mark.parametrize("text, lineno, sep", [
+        ("1\t1\t1\n\n2\t1\t4\n3::2::5\n", 4, "\t"),
+        ("1::1::1\n2\t1\t4\n", 2, "::"),
+    ], ids=["tab-then-double-colon", "double-colon-then-tab"])
+    def test_first_record_decides_the_separator(self, tmp_path, text, lineno, sep):
+        path = write(tmp_path, "u.data", text)
+        with pytest.raises(DataError, match=re.escape(
+                f"line {lineno}: expected 3 fields separated by {sep!r}")):
+            load_movielens(path)
 
     def test_bad_rating_rejected(self, tmp_path):
         path = write(tmp_path, "u.data", "1\t1\t0\n")
@@ -205,3 +221,55 @@ class TestDatasetInvariants:
         X = rng.standard_normal((2, 2))
         with pytest.raises(DataError):
             make_dataset(X, np.array([0, 1]), 2)
+
+
+def reference_make_ratings(n_users, n_items, n_ratings, rank=4, seed=0, noise=0.05):
+    """make_ratings with its pairs drawn one at a time into a Python set."""
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((n_users, rank)) / np.sqrt(rank)
+    Q = rng.standard_normal((n_items, rank)) / np.sqrt(rank)
+    users = [np.arange(n_users), rng.integers(0, n_users, size=n_items)]
+    items = [rng.integers(0, n_items, size=n_users), np.arange(n_items)]
+    seen = set(zip(np.concatenate(users).tolist(), np.concatenate(items).tolist()))
+    need = n_ratings - len(seen)
+    while need > 0:
+        u = rng.integers(0, n_users, size=int(1.3 * need) + 8)
+        i = rng.integers(0, n_items, size=u.size)
+        for pair in zip(u.tolist(), i.tolist()):
+            if pair not in seen and need > 0:
+                seen.add(pair)
+                need -= 1
+    pairs = np.array(sorted(seen), dtype=np.int64)
+    order = rng.permutation(pairs.shape[0])
+    u, i = pairs[order, 0], pairs[order, 1]
+    scores = np.einsum("ij,ij->i", P[u], Q[i]) + noise * rng.standard_normal(u.size)
+    cuts = np.quantile(scores, np.cumsum([0.06, 0.11, 0.27, 0.34, 0.22])[:-1])
+    return u + 1, i + 1, (1 + np.searchsorted(cuts, scores)).astype(np.int64)
+
+
+class TestMakeRatings:
+    @pytest.mark.parametrize("shape, rank, seed, digest", [
+        ((40, 60, 800), 4, 0, "a68dbaee69ff1a5c98960490f86c76dc5ab10c47e7be26f2237f3d98f043d4f8"),
+        ((5, 6, 30), 4, 3, "845e6c6f3eeb75a6a116edc594de317caed4f30f64b83c32eeb20a359a215090"),
+        ((5, 6, 11), 2, 1, "c1da6ce3ee746b6a1fb44fb2f034d875e50991b7666a0e40a551ecc94a8a7243"),
+    ], ids=["40x60-800", "5x6-all-pairs", "5x6-coverage-only"])
+    def test_output_pinned(self, shape, rank, seed, digest):
+        # sha256 of the stacked (users, items, ratings) int64 arrays as the
+        # generator drew them when it kept its pairs in a Python set
+        out = make_ratings(*shape, rank=rank, seed=seed)
+        assert all(a.dtype == np.int64 for a in out)
+        assert hashlib.sha256(np.stack(out).astype("<i8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("shape", [(40, 60, 800), (5, 6, 11), (5, 6, 30), (12, 7, 50)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_set_loop_reference(self, shape, seed):
+        for got, want in zip(make_ratings(*shape, seed=seed),
+                             reference_make_ratings(*shape, seed=seed)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_pairs_unique_and_covering(self):
+        users, items, ratings = make_ratings(30, 45, 500, seed=2)
+        assert len(set(zip(users.tolist(), items.tolist()))) == 500
+        assert set(users.tolist()) == set(range(1, 31))
+        assert set(items.tolist()) == set(range(1, 46))
+        assert set(ratings.tolist()) <= set(range(1, 6))

@@ -279,12 +279,23 @@ class TestLoadValidation:
         ("H", 0.5, "'H' must be a flat list"),
         ("lambda", [0.1], "'lambda' must be a positive number"),
         ("lambda", -1.0, "'lambda' must be a positive number"),
+        ("lambda", float("inf"), "'lambda' must be a positive number, not inf"),
+        pytest.param("lambda", 10**400, "'lambda' must be a positive number", id="lambda-huge-int"),
         ("label_map", 3, "'label_map' must be a list"),
         ("bias_augmented", "no", "'bias_augmented' must be true or false"),
     ])
     def test_malformed_values_named(self, field, bad, match, tmp_path, rng):
         with pytest.raises(ValueError, match=match):
             load_model(self.write(tmp_path, rng, **{field: bad}))
+
+    @pytest.mark.parametrize("label_map", [
+        ["a", "b", "c"], [None, 2, 3], [[1], 2, 3], [True, False, True], [1, 2, float("nan")],
+        [1, 2, 10**400],
+    ], ids=["strings", "null", "list", "bools", "nan", "huge-int"])
+    def test_label_map_entries_must_be_finite_numbers(self, label_map, tmp_path, rng):
+        # such entries used to load, and eval or predict then misread them
+        with pytest.raises(ValueError, match="'label_map' must be a list of finite numbers"):
+            load_model(self.write(tmp_path, rng, label_map=label_map))
 
     def test_empty_model_loads(self, tmp_path, rng):
         # k = 0 with empty arrays is a valid (empty) model
