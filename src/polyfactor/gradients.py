@@ -29,6 +29,14 @@ its feature pairs (a, b) with weight x_ia x_ib (FM: a != b only, halved) to
 the slot of (a, b) in X^T X's pattern, so every refresh fills all m operators
 with the single product M @ D.
 
+When X's pair graph (an edge (a, b) for every FM row with nonzeros at
+a != b) is 2-colourable, ``mirror`` holds a colouring s in {-1, +1}^d. Every
+A_c is then bipartite along it: the FM diagonal is zero and s_a s_b = -1 on
+every stored entry, so diag(s) A_c diag(s) = -A_c for every output and
+every D, and q(s o h) = -q(h). It is None for PN (whose diagonal is
+nonzero) and for any FM data with a row of three or more nonzeros (that row
+is a triangle).
+
 Selection applies the operators through ``apply_block`` (a (b, d) block of
 vectors, all outputs, in one call); ``apply_all`` is its one-vector case.
 Item j of a block depends on row j alone, bit for bit and in the same memory
@@ -80,6 +88,34 @@ def _row_pairs(X: sp.csr_matrix, kind: str):
     return a * d + b, rows, w
 
 
+def _sign_mirror(X: sp.csr_matrix, kind: str) -> np.ndarray | None:
+    """A colouring s in {-1, +1}^d with s_a s_b = -1 on every FM row pair
+    (a, b), or None (PN, a row of three or more nonzeros, an odd cycle).
+
+    Each column's key 2 r + t holds the largest column index r it has
+    reached and the parity t of its distance from r. Each breadth-first
+    level is one scatter-max of the neighbours' keys with the parity flipped
+    (key ^ 1), taken where it brings a larger r, so every component is
+    coloured from its largest index at once; one check on the pairs follows.
+    """
+    r = np.diff(X.indptr)
+    if kind != "fm" or (r > 2).any():
+        return None
+    first = X.indptr[:-1][r == 2]
+    a, b = X.indices[first], X.indices[first + 1]
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    key = 2 * np.arange(X.shape[1], dtype=np.int64)
+    while True:
+        offer = np.full_like(key, -1)
+        np.maximum.at(offer, src, key[dst] ^ 1)
+        take = offer >> 1 > key >> 1
+        if not take.any():
+            break
+        key[take] = offer[take]
+    s = 1.0 - 2.0 * (key & 1)
+    return s if (s[a] != s[b]).all() else None
+
+
 class GradientOperator:
     """Per-output quadratic forms over a fixed Dataset.
 
@@ -87,7 +123,8 @@ class GradientOperator:
     ``set_gradients`` installs them; everything else is read-only and cheap.
     ``storage`` names how the operators are held (``dense``, ``sparse`` or
     ``free``, see the module docstring); for the stored forms ``stack @ h``
-    gives every A_c h at once and ``blocks[c]`` is A_c.
+    gives every A_c h at once and ``blocks[c]`` is A_c. ``mirror`` is the
+    sign vector s with s o (A_c (s o h)) = -A_c h, or None (module docstring).
     """
 
     def __init__(self, ds, kind: str, n_outputs: int | None = None):
@@ -102,6 +139,7 @@ class GradientOperator:
             raise ValueError("the data has no features (d = 0), so there is no "
                              "basis vector to select")
         self.m = ds.m if n_outputs is None else int(n_outputs)
+        self.mirror = _sign_mirror(X, kind)
         r = np.diff(X.indptr).astype(np.int64)
         pairs = int(r @ r) if kind == "pn" else int(r @ (r - 1))
         if self.m * self.d * self.d <= X.nnz:

@@ -65,23 +65,6 @@ def check_model(model: Model) -> None:
             raise ValueError(f"basis row norm {worst} exceeds the unit ball")
 
 
-def activation(kind: str, h: np.ndarray, x) -> float:
-    """Activation of one hidden unit on one sample.
-
-    PN: (h^T x)^2.  FM: sum over feature pairs i<j of x_i h_i x_j h_j,
-    computed as ((h^T x)^2 - sum_j h_j^2 x_j^2) / 2 in O(nnz(x)).
-    """
-    if sp.issparse(x):
-        x = x.toarray().ravel()
-    x = np.asarray(x, dtype=np.float64)
-    s = float(h @ x)
-    if kind == "pn":
-        return s * s
-    if kind == "fm":
-        return 0.5 * (s * s - float((h * h) @ (x * x)))
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
 def hidden_activations(kind: str, H: np.ndarray, X, X2=None, Z=None) -> np.ndarray:
     """Activation matrix Phi (n x k): Phi[i, r] = sigma(h_r, x_i).
 

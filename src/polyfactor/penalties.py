@@ -34,16 +34,6 @@ def dual_norm(kind: str, G: np.ndarray) -> float:
     return float(np.abs(G).sum(axis=1).max())
 
 
-def row_norm(kind: str, v: np.ndarray) -> float:
-    """The per-row norm the penalty sums over rows."""
-    _check_kind(kind)
-    if kind == "l1":
-        return float(np.abs(v).sum())
-    if kind == "l1l2":
-        return float(np.linalg.norm(v))
-    return float(np.abs(v).max()) if v.size else 0.0
-
-
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto {u : ||u||_1 <= radius} (exact, sort-based)."""
     if radius < 0:

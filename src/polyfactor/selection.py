@@ -9,7 +9,8 @@ reorthogonalisation. The l1 route keeps the end with the largest |q|, the
 dominant eigenpair of the strongest output. The group routes (p = 2 or 1)
 refine the distinct ends of every output with a nonzero spectrum by a
 normalized-gradient recursion with Armijo backtracking, which never
-decreases the objective f_p.
+decreases the objective f_p; on operators with a sign mirror
+(``GradientOperator.mirror``) only the top ends, see ``select_group``.
 All starts run in lockstep as one (b, d) block with one stacked apply per
 step; a start leaves the block when its own recursion stops, and every
 start's result is bit-identical to refining it alone. Every route's score
@@ -250,7 +251,12 @@ def select_group(op: GradientOperator, p: int, seed: int) -> SelectionResult:
     (``q.any(axis=1)``) are refined (not just the single best), and the
     best refined point by f_p is returned. The single-init guarantee is
     preserved since that init is one of the candidates; the extra starts
-    only help escape bad basins.
+    only help escape bad basins. When ``op.mirror`` is set, only the top
+    end of each such output is refined: the spectrum is symmetric, the
+    bottom end is (to the eigensolver's accuracy) the top end's sign
+    mirror, and refining a mirror gives the mirror of the refined point
+    with the same f_p. A bottom-end l1 pick is thus covered by its mirror,
+    which has the same f_p.
 
     The distinct starts (|h_i . h_j| < 1 - 1e-6) are refined together as
     one (b, d) block, with one stacked apply per step for all of them; a
@@ -265,8 +271,9 @@ def select_group(op: GradientOperator, p: int, seed: int) -> SelectionResult:
         h = H[0, 0]  # what select_l1 picks when every eigenvalue is 0
         quads = op.quad_values(h)
         return SelectionResult(h=h, score=_score_from_quads(quads, p), quad_values=quads)
+    starts = H[live] if op.mirror is None else H[live, :1]
     distinct = []
-    for h in H[live].reshape(-1, op.d):
+    for h in starts.reshape(-1, op.d):
         if all(abs(h @ g) < 1.0 - 1e-6 for g in distinct):
             distinct.append(h)
     H, traces = _refine_starts(op, np.array(distinct), p)

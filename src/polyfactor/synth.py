@@ -60,6 +60,8 @@ def make_ratings(n_users: int, n_items: int, n_ratings: int, rank: int = 4,
     """
     if n_ratings < n_users + n_items:
         raise ValueError("need at least one rating per user and per item")
+    if n_ratings > n_users * n_items:
+        raise ValueError(f"{n_ratings} ratings exceed the {n_users * n_items} user/item pairs")
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((n_users, rank)) / np.sqrt(rank)
     Q = rng.standard_normal((n_items, rank)) / np.sqrt(rank)

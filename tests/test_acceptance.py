@@ -15,14 +15,15 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
+from oracles import activation, row_norm
 from polyfactor.cli import main as cli_main
 from polyfactor.data import (SplitSpec, load_movielens, load_svmlight, make_dataset, save_svmlight,
                              split, take_rows)
 from polyfactor.gradients import GradientOperator
 from polyfactor.losses import LOSSES, loss_gradient, loss_gradients, loss_value
 from polyfactor.mcrank import evaluate_ranking, fit_mcrank
-from polyfactor.models import accuracy, activation
-from polyfactor.penalties import PENALTIES, prox, row_norm
+from polyfactor.models import accuracy
+from polyfactor.penalties import PENALTIES, prox
 from polyfactor.refit import refit_full, refit_output
 from polyfactor.selection import (
     _spectrum_ends,

@@ -273,3 +273,10 @@ class TestMakeRatings:
         assert set(users.tolist()) == set(range(1, 31))
         assert set(items.tolist()) == set(range(1, 46))
         assert set(ratings.tolist()) <= set(range(1, 6))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (5, 6, 31), (2, 3, 100)])
+    def test_more_ratings_than_pairs_refused(self, shape):
+        # there are only n_users * n_items distinct pairs; asking for more
+        # used to wait forever for a pair that does not exist
+        with pytest.raises(ValueError, match="exceed the"):
+            make_ratings(*shape)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import SHAPES, random_operator, shaped_operator
+from oracles import activation
 from polyfactor.data import make_dataset
 from polyfactor.gradients import DENSE_BLOCK, GradientOperator
 from polyfactor.losses import loss_gradient, loss_values
-from polyfactor.models import Model, activation, empty_model, hidden_activations
+from polyfactor.models import Model, empty_model, hidden_activations
 from polyfactor.mcrank import build_ordinal
 
 
@@ -177,6 +179,85 @@ class TestBackend:
             return
         with pytest.raises(FloatingPointError, match="non-finite gradient operator.*overflow"):
             huge.set_gradients(op.D)
+
+
+def pair_rows(pairs, d, extra=()):
+    """A 0/1 design with one row per column pair, then the rows ``extra``
+    (tuples of columns; empty for an all-zero row)."""
+    rows = [tuple(pr) for pr in pairs] + [tuple(r) for r in extra]
+    X = np.zeros((len(rows), d))
+    for i, cols in enumerate(rows):
+        X[i, list(cols)] = 1.0
+    return make_dataset(X, np.ones(len(rows), dtype=np.int64), 2)
+
+
+def two_colourable(pairs, d):
+    return any(all(s[a] != s[b] for a, b in pairs)
+               for s in itertools.product((0, 1), repeat=d))
+
+
+class TestMirror:
+    """``op.mirror``: a sign vector s with s_a s_b = -1 on every FM row pair,
+    so that s o (A_c (s o h)) = -A_c h, or None when no such s exists."""
+
+    def test_one_hot_fm_data(self, rng):
+        # users 0-5, items 6-13, and columns 14 and 15 in no pair (isolated),
+        # plus all-zero rows and single-nonzero rows
+        pairs = np.stack([rng.integers(0, 6, 40), rng.integers(6, 14, 40)], axis=1)
+        ds = pair_rows(pairs, 16, extra=[(), (3,), (), (15,)])
+        op = GradientOperator(ds, "fm")
+        s = op.mirror
+        assert s is not None and set(np.unique(s)) <= {-1.0, 1.0}
+        assert np.all(s[pairs[:, 0]] * s[pairs[:, 1]] == -1.0)
+        op.set_gradients(rng.standard_normal((ds.n, 2)))
+        for c in range(2):
+            M = op.dense_matrix(c)  # its diagonal is a rounding residue
+            assert np.allclose(s[:, None] * M * s[None, :], -M, rtol=0, atol=1e-12)
+
+    def test_components_coloured_apart(self):
+        # an even cycle, a path longer than the cycle, and two isolated columns
+        cycle = [(i, (i + 1) % 6) for i in range(6)]
+        path = [(i, i + 1) for i in range(6, 17)]
+        s = GradientOperator(pair_rows(cycle + path, 20), "fm").mirror
+        assert s is not None
+        assert all(s[a] * s[b] == -1.0 for a, b in cycle + path)
+
+    def test_none_for_pn_triangles_and_odd_cycles(self, rng):
+        pairs = np.stack([rng.integers(0, 4, 20), rng.integers(4, 9, 20)], axis=1)
+        assert GradientOperator(pair_rows(pairs, 9), "pn").mirror is None
+        assert GradientOperator(pair_rows(pairs, 9, extra=[(0, 4, 5)]), "fm").mirror is None
+        # a 5-cycle of 2-nonzero rows next to a bipartite component
+        cycle = [(9, 10), (10, 11), (11, 12), (12, 13), (9, 13)]
+        assert GradientOperator(pair_rows(np.vstack([pairs, cycle]), 14), "fm").mirror is None
+
+    def test_matches_brute_force_colouring(self, rng):
+        for _ in range(200):
+            d = int(rng.integers(2, 9))
+            pairs = [tuple(rng.choice(d, 2, replace=False)) for _ in range(rng.integers(1, 10))]
+            s = GradientOperator(pair_rows(pairs, d), "fm").mirror
+            assert (s is not None) == two_colourable(pairs, d), pairs
+            assert s is None or all(s[a] * s[b] == -1.0 for a, b in pairs)
+
+    @pytest.mark.parametrize("shape", [(60, 6, 1, 1.0, True, "dense")] + SHAPES[::-1],
+                             ids=lambda shape: ("one-hot-" if shape[4] else "") + shape[-1])
+    def test_mirror_negates_every_output(self, shape, rng):
+        # one-hot FM rows reach the dense and the sparse storage with a
+        # mirror; rows of three or more nonzeros (the other shapes, and all
+        # matrix-free FM data) are triangles, so there the mirror is None
+        for _ in range(10):
+            op = shaped_operator(rng, shape, "fm")
+            s = op.mirror
+            if not shape[4]:
+                assert s is None
+                continue
+            H = rng.standard_normal((3, op.d))
+            AH, AM = op.apply_block(H), op.apply_block(s * H)
+            assert np.array_equal(s * AM, -AH)
+            for c in range(op.m):
+                M = op.dense_matrix(c)
+                assert np.allclose(s * (M @ (s * H[0])), -(M @ H[0]), rtol=0, atol=1e-12)
+                assert np.abs(AH[0, c] - M @ H[0]).max() < 1e-12
+            assert np.array_equal(op.quad_values(s * H[0]), -op.quad_values(H[0]))
 
 
 class TestRefresh:

@@ -5,11 +5,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from oracles import activation
 from polyfactor.data import make_dataset
 from polyfactor.models import (
     Model,
     accuracy,
-    activation,
     check_model,
     empty_model,
     hidden_activations,

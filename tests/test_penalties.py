@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from oracles import row_norm
 from polyfactor.penalties import (
     PENALTIES,
     dual_norm,
@@ -9,7 +10,6 @@ from polyfactor.penalties import (
     project_l1_ball,
     project_unit_rows,
     prox,
-    row_norm,
 )
 
 
