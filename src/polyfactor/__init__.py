@@ -2,7 +2,7 @@
 greedy conditional-gradient basis selection with group-sparse refitting."""
 
 from .data import Dataset, SplitSpec, load_movielens, load_svmlight, save_svmlight, split
-from .losses import loss_gradient, loss_gradients, loss_value, loss_values
+from .losses import loss_gradients, loss_values
 from .models import Model, load_model, outputs, predict_class, save_model
 from .solver import SolverConfig, TraceRecord, fit, fit_path, support_check
 
@@ -15,9 +15,7 @@ __all__ = [
     "load_svmlight",
     "save_svmlight",
     "split",
-    "loss_value",
     "loss_values",
-    "loss_gradient",
     "loss_gradients",
     "Model",
     "outputs",

@@ -37,11 +37,11 @@ every D, and q(s o h) = -q(h). It is None for PN (whose diagonal is
 nonzero) and for any FM data with a row of three or more nonzeros (that row
 is a triangle).
 
-Selection applies the operators through ``apply_block`` (a (b, d) block of
-vectors, all outputs, in one call); ``apply_all`` is its one-vector case.
-Item j of a block depends on row j alone, bit for bit and in the same memory
-layout, so that a lockstep recursion over b starts reproduces b single-start
-recursions exactly.
+Selection reads the operators three ways: ``matvec`` applies one output's
+A_c (the spectrum ends), ``apply_all`` every output's at once (the quadratic
+forms), and ``weighted`` the combination sum_c w_c A_c that a refinement
+round takes the top eigenvector of, built once per round in the storage's
+own form.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .losses import loss_gradients, targets_for
 from .models import MODEL_KINDS, outputs
 
 # entries of the scaled copy held at once: the row block X_b (x) D_b of a
-# dense-storage refresh, or the (n, m, chunk) block of a matrix-free apply_block
+# dense-storage refresh
 DENSE_BLOCK = 1 << 18
 
 
@@ -207,34 +207,18 @@ class GradientOperator:
         return stack
 
     def apply_all(self, h: np.ndarray) -> np.ndarray:
-        """Every output's operator applied to one vector: row c is A_c h."""
-        return self.apply_block(h[None])[0]
-
-    def apply_block(self, H: np.ndarray) -> np.ndarray:
-        """Every output's operator applied to a (b, d) block of vectors.
-
-        Item j of the (b, m, d) result depends on H[j] alone: it is
-        apply_all(H[j]) bit for bit and in the same memory layout (C-ordered
-        for the stored forms, F-ordered matrix-free), so that a block of starts
-        matches single starts and per-item BLAS products on it take the
-        single-vector path. The matrix-free form runs in chunks of vectors
-        whose (n, m, chunk) scaled copy holds at most DENSE_BLOCK entries.
-        """
-        b, n, d, m = H.shape[0], self.n, self.d, self.m
+        """Every output's operator applied to one vector: row c is A_c h,
+        bit for bit ``matvec(c, h)``. The (m, d) result is C-ordered for the
+        stored forms and F-ordered matrix-free."""
         if self.storage == "dense":
-            # one GEMV per (vector, output): the GEMM stack @ H.T rounds differently
-            return np.matmul(self.stack, H[:, None, :, None]).reshape(b, m, d)
+            # one GEMV per output: the GEMM stack @ h rounds differently
+            return np.matmul(self.stack, h[:, None]).reshape(self.m, self.d)
         if self.storage == "sparse":
-            return np.ascontiguousarray((self.stack @ H.T).T).reshape(b, m, d)
-        Z = self.X @ H.T
-        T = np.empty((b, d, m))  # item j is the F-ordered transpose of T[j]
-        step = max(1, DENSE_BLOCK // (n * m))
-        for lo in range(0, b, step):
-            Y = (Z[:, lo:lo + step, None] * self.D[:, None, :]).reshape(n, -1)
-            T[lo:lo + step] = (self.XT @ Y).reshape(d, -1, m).transpose(1, 0, 2)
+            return (self.stack @ h).reshape(self.m, self.d)
+        T = self.XT @ ((self.X @ h)[:, None] * self.D)
         if self.kind == "fm":
-            T = 0.5 * (T - self.S * H[:, :, None])
-        return T.transpose(0, 2, 1)
+            T = 0.5 * (T - self.S * h[:, None])
+        return T.T
 
     def matvec(self, c: int, h: np.ndarray) -> np.ndarray:
         """Apply the output-c operator to a vector."""
@@ -245,9 +229,26 @@ class GradientOperator:
             return t
         return 0.5 * (t - self.S[:, c] * h)
 
+    def weighted(self, w: np.ndarray):
+        """The function h -> sum_c w_c A_c h for output weights w, built in
+        this storage: the summed (d, d) array (dense), one CSR on X^T X's
+        pattern with the values M @ (D w) (sparse), or X^T ((D w) o (X h)),
+        FM minus (S w) o h and halved (matrix-free)."""
+        if self.storage == "dense":
+            return np.tensordot(w, self.stack, 1).__matmul__
+        if self.storage == "sparse":
+            P = self._block
+            vals = self.M @ (self.D @ w)
+            return sp.csr_matrix((vals, P.indices, P.indptr), shape=P.shape).__matmul__
+        u, X, XT = self.D @ w, self.X, self.XT
+        if self.kind == "pn":
+            return lambda h: XT @ (u * (X @ h))
+        s = self.S @ w
+        return lambda h: 0.5 * (XT @ (u * (X @ h)) - s * h)
+
     def weighted_matvec(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Apply sum_c w_c A_c to a vector."""
-        return w @ self.apply_all(h)
+        return self.weighted(w)(h)
 
     def quad_values(self, h: np.ndarray) -> np.ndarray:
         """All per-output quadratic forms h^T A_c h as a length-m vector."""

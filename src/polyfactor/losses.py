@@ -112,20 +112,6 @@ def loss_gradients(kind: str, labels, O: np.ndarray) -> np.ndarray:
     return loss_pass(kind, labels, O)[1]()
 
 
-def loss_value(kind: str, y, o: np.ndarray) -> float:
-    """Single-sample loss; ``y`` is a class index (or sign vector / target)."""
-    o = np.atleast_2d(np.asarray(o, dtype=np.float64))
-    labels = np.atleast_2d(y) if kind == "binary-logistic" else np.atleast_1d(y)
-    return float(loss_values(kind, labels, o)[0])
-
-
-def loss_gradient(kind: str, y, o: np.ndarray) -> np.ndarray:
-    """Single-sample gradient w.r.t. the output vector."""
-    o = np.atleast_2d(np.asarray(o, dtype=np.float64))
-    labels = np.atleast_2d(y) if kind == "binary-logistic" else np.atleast_1d(y)
-    return loss_gradients(kind, labels, o)[0]
-
-
 def targets_for(kind: str, ds):
     """Pick the label object a loss consumes from a Dataset."""
     if kind == "binary-logistic":

@@ -81,34 +81,40 @@ def rmse(preds, truths) -> float:
     return float(np.sqrt(np.mean((preds - truths) ** 2)))
 
 
-def _dcg(ratings_in_rank_order, k: int) -> float:
-    top = np.asarray(ratings_in_rank_order, dtype=np.float64)[:k]
-    gains = 2.0 ** top - 1.0
-    discounts = np.log2(np.arange(2, top.size + 2))
-    return float((gains / discounts).sum())
-
-
 def ndcg_at(groups: RankingGroups, preds, k: int) -> float:
     """Mean over groups of DCG@k / IDCG@k with exponential gains.
 
     Within a group, items are ranked by descending prediction with ties
-    broken by sample index; groups with zero ideal gain are skipped.
+    broken by sample index; groups with zero ideal gain are skipped. One
+    lexsort ranks every group at once, and each group's DCG adds its gains
+    one rank position at a time, in the order a per-group sum takes them.
     """
     preds = np.asarray(preds, dtype=np.float64)
     if not groups.groups:
         raise ValueError("need at least one ranking group")
-    scores = []
-    for _, idx, ratings in groups.groups:
-        if idx.size == 0:
-            raise ValueError("empty ranking group")
-        order = np.argsort(-preds[idx], kind="stable")
-        ideal = _dcg(np.sort(ratings)[::-1], k)
-        if ideal == 0.0:
-            continue
-        scores.append(_dcg(ratings[order], k) / ideal)
-    if not scores:
+    sizes = np.array([idx.size for _, idx, _ in groups.groups])
+    if not sizes.all():
+        raise ValueError("empty ranking group")
+    idx = np.concatenate([idx for _, idx, _ in groups.groups])
+    ratings = np.concatenate([r for _, _, r in groups.groups]).astype(np.float64)
+    group = np.repeat(np.arange(sizes.size), sizes)
+    first = np.cumsum(sizes) - sizes      # each group's first position
+    discounts = np.log2(np.arange(2, k + 2))
+
+    def dcg(order):
+        gains = 2.0 ** ratings[order] - 1.0
+        total = np.zeros(sizes.size)
+        for j in range(min(k, sizes.max())):
+            has = sizes > j
+            total[has] += gains[first[has] + j] / discounts[j]
+        return total
+
+    ranked = dcg(np.lexsort((np.arange(idx.size), -preds[idx], group)))
+    ideal = dcg(np.lexsort((-ratings, group)))
+    kept = ideal != 0.0
+    if not kept.any():
         raise ValueError("all groups had zero ideal gain")
-    return float(np.mean(scores))
+    return float(np.mean(ranked[kept] / ideal[kept]))
 
 
 def evaluate_ranking(model: Model, ds: Dataset, ks=(1, 5)) -> dict:

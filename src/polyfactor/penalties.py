@@ -1,5 +1,5 @@
-"""Row-sparsity penalties on the output matrix: values, dual norms and
-proximal operators (all row-wise over V's k rows of length m)."""
+"""Row-sparsity penalties on the output matrix: values and proximal
+operators (all row-wise over V's k rows of length m)."""
 
 from __future__ import annotations
 
@@ -20,18 +20,6 @@ def penalty_value(kind: str, V: np.ndarray) -> float:
     if kind == "l1l2":
         return float(np.linalg.norm(V, axis=1).sum())
     return float(np.abs(V).max(axis=1).sum())
-
-
-def dual_norm(kind: str, G: np.ndarray) -> float:
-    """max over the unit penalty ball of <Delta, G>."""
-    _check_kind(kind)
-    if G.size == 0:
-        return 0.0
-    if kind == "l1":
-        return float(np.abs(G).max())
-    if kind == "l1l2":
-        return float(np.linalg.norm(G, axis=1).max())
-    return float(np.abs(G).sum(axis=1).max())
 
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:

@@ -7,21 +7,22 @@ operators get them exactly from one batched eigh over the (m, d, d) stack;
 sparse and matrix-free operators from a seeded Lanczos run with full
 reorthogonalisation. The l1 route keeps the end with the largest |q|, the
 dominant eigenpair of the strongest output. The group routes (p = 2 or 1)
-refine the distinct ends of every output with a nonzero spectrum by a
-normalized-gradient recursion with Armijo backtracking, which never
-decreases the objective f_p; on operators with a sign mirror
+refine the distinct ends of every output with a nonzero spectrum, each by
+its own ``refine`` call, on operators with a sign mirror
 (``GradientOperator.mirror``) only the top ends, see ``select_group``.
-All starts run in lockstep as one (b, d) block with one stacked apply per
-step; a start leaves the block when its own recursion stops, and every
-start's result is bit-identical to refining it alone. Every route's score
-is the penalty's dual norm of g_h, which ``fit`` also reads as its stopping
-certificate; an all-zero spectrum scores 0.0. An exhaustive
+Refinement runs in rounds: each round moves to the top eigenvector of the
+weighted operator sum_c w_c A_c, with weights w read off the current
+quadratic forms, and is kept only when it raises the objective f_p. The
+same Lanczos routine serves the spectrum ends and the rounds. Every route's
+score is the penalty's dual norm of g_h, which ``fit`` also reads as its
+stopping certificate; an all-zero spectrum scores 0.0. An exhaustive
 sign-pattern eigensolver provides the exact optimum for small output
 counts, plus two cheap baselines for method comparisons.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -34,13 +35,10 @@ class OracleLimitError(ValueError):
     """Exact selection requested for too many outputs (cost is 2^m)."""
 
 
-LANCZOS_EPS = 0.01            # eigenpair accuracy in (0, 1), see _lanczos_ends
+LANCZOS_EPS = 0.01            # eigenpair accuracy in (0, 1), see _lanczos
 LANCZOS_MAX_STEPS = 300       # Lanczos step cap (d caps it too)
-REFINE_MAX_STEPS = 100
-ARMIJO_SLOPE = 1e-4           # sufficient-increase share of the slope
-ARMIJO_SHRINK = 0.5
-ARMIJO_MAX_BACKTRACKS = 30
-HUBER_DELTA = 1.0             # smoothing width of the p = 1 search direction
+REFINE_MAX_ROUNDS = 50        # refinement round cap, see refine
+HUBER_DELTA = 1.0             # smoothing width of the p = 1 round weights
 ORACLE_LIMIT = 12             # largest output count the exact oracle accepts
 
 
@@ -72,21 +70,23 @@ def _seeded_unit_vector(d: int, seed_key) -> np.ndarray:
     return v / nrm
 
 
-def _lanczos_ends(op: GradientOperator, c: int, seed: int):
-    """Top and bottom Ritz pairs of the output-c operator.
+def _lanczos(apply, v0: np.ndarray, ends):
+    """Ritz pairs at the given ends of a symmetric operator's spectrum.
 
-    Lanczos with full reorthogonalisation from a seeded start. It stops once
-    both end Ritz residuals beta_k |s_k| are at most 0.05 LANCZOS_EPS max|theta|, or
-    when the Krylov space is exhausted, after at most min(d, LANCZOS_MAX_STEPS)
-    steps. Returns the top and bottom Ritz vectors as the rows of a (2, d)
-    array and their Ritz values as a (2,) array.
+    Lanczos with full reorthogonalisation from the unit vector v0, applying
+    the operator by ``apply``. ``ends`` indexes the ascending Ritz values (-1
+    the top, 0 the bottom). It stops once every requested end's Ritz residual
+    beta_k |s_k| is at most 0.05 LANCZOS_EPS max|theta|, or when the Krylov
+    space is exhausted, after at most min(d, LANCZOS_MAX_STEPS) steps.
+    Returns the Ritz vectors as the rows of a (len(ends), d) array and their
+    Ritz values.
     """
-    steps = min(op.d, LANCZOS_MAX_STEPS)
-    Q = np.empty((steps, op.d))           # Lanczos vectors, one per row
-    T = np.zeros((steps, steps))          # their tridiagonal projection of A_c
-    Q[0] = _seeded_unit_vector(op.d, (seed, c, 0))
+    steps = min(v0.size, LANCZOS_MAX_STEPS)
+    Q = np.empty((steps, v0.size))        # Lanczos vectors, one per row
+    T = np.zeros((steps, steps))          # their tridiagonal projection
+    Q[0] = v0
     for k in range(steps):
-        w = op.matvec(c, Q[k])
+        w = apply(Q[k])
         T[k, k] = Q[k] @ w
         basis = Q[:k + 1]
         for _ in range(2):  # twice is enough for orthogonality to rounding
@@ -94,15 +94,15 @@ def _lanczos_ends(op: GradientOperator, c: int, seed: int):
         beta = np.linalg.norm(w)
         theta, S = np.linalg.eigh(T[:k + 1, :k + 1])
         tol = 0.05 * LANCZOS_EPS * max(abs(theta[0]), abs(theta[-1]))
-        if k + 1 == steps or beta * max(abs(S[k, 0]), abs(S[k, -1])) <= tol:
+        if k + 1 == steps or beta * max(abs(S[k, j]) for j in ends) <= tol:
             break
         Q[k + 1] = w / beta
         T[k + 1, k] = T[k, k + 1] = beta
-    H = np.empty((2, op.d))
-    for i, j in enumerate((-1, 0)):
+    H = np.empty((len(ends), v0.size))
+    for i, j in enumerate(ends):
         h = basis.T @ S[:, j]  # one GEMV per end: a batched product rounds differently
         H[i] = h / np.linalg.norm(h)
-    return H, theta[[-1, 0]]
+    return H, theta[list(ends)]
 
 
 def _spectrum_ends(op: GradientOperator, seed: int):
@@ -115,7 +115,9 @@ def _spectrum_ends(op: GradientOperator, seed: int):
     stored Grams; the other storages run Lanczos on the output's matvec.
     """
     if op.storage != "dense":
-        ends = [_lanczos_ends(op, c, seed) for c in range(op.m)]
+        ends = [_lanczos(functools.partial(op.matvec, c),
+                         _seeded_unit_vector(op.d, (seed, c, 0)), (-1, 0))
+                for c in range(op.m)]
         return np.stack([H for H, _ in ends]), np.stack([q for _, q in ends])
     vals, vecs = np.linalg.eigh(op.stack)
     return vecs.transpose(0, 2, 1)[:, [-1, 0]], vals[:, [-1, 0]]
@@ -131,116 +133,57 @@ def select_l1(op: GradientOperator, seed: int) -> SelectionResult:
     return SelectionResult(h=h, score=float(np.abs(quads).max()), quad_values=quads)
 
 
-def _rowdots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Item j is A[j] @ B[j] for (b, d) blocks, by the dot an unbatched
-    product makes (np.einsum and norm(axis=1) round differently)."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+def _top_eigvector(op: GradientOperator, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The top unit eigenvector of M_w = sum_c w_c A_c, signed to agree with h.
 
-
-def _matvecs(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Item j is M[j] @ V[j] for a (b, m, d) stack, by the same GEMV."""
-    return np.matmul(M, V[:, :, None])[:, :, 0]
-
-
-def _f_rows(Q: np.ndarray, p: int) -> np.ndarray:
-    """f_value of every row of Q, rounded as f_value rounds one row."""
-    return np.abs(Q).sum(axis=1) if p == 1 else _rowdots(Q, Q)
-
-
-def _refine_starts(op: GradientOperator, H0: np.ndarray, p: int):
-    """Refine a (b, d) block of starts in lockstep; returns (H, traces).
-
-    Row j of H and traces[j] are what the recursion documented at ``refine``
-    gives from H0[j] alone, bit for bit: every per-start product is the same
-    BLAS call on the same layout, and the Armijo search runs per row with
-    exact halvings. The active starts carry H, AH = [A_c h], q and f. Each
-    step makes one apply_block on their directions and judges every trial
-    point in O(m b). A start retires, and the arrays are compacted, when it
-    meets a stop condition: zero gradient, no ascent direction, a failed
-    Armijo search, or a flat step.
+    Dense storage takes it exactly from one eigh of the summed (d, d) array;
+    the other storages run Lanczos on ``op.weighted(w)`` warm-started at h,
+    stopping on the top end's residual test.
     """
-    if p not in (1, 2):
-        raise ValueError(f"p must be 1 or 2, got {p}")
-    H = np.array(H0, dtype=np.float64, order="C")
-    out = np.empty_like(H)
-    active = np.arange(H.shape[0])
-    AH = op.apply_block(H)
-    Q = _matvecs(AH, H)
-    F = _f_rows(Q, p)
-    traces = [[float(f)] for f in F]
-
-    def retire(stop, *arrays):
-        out[active[stop]] = H[stop]
-        keep = ~stop
-        return [active[keep]] + [a[keep] for a in arrays]
-
-    for _ in range(REFINE_MAX_STEPS):
-        W = 4.0 * Q if p == 2 else 2.0 * np.clip(Q / HUBER_DELTA, -1.0, 1.0)
-        G = np.matmul(W[:, None, :], AH)[:, 0]
-        gnorm = np.sqrt(_rowdots(G, G))
-        zero = gnorm == 0.0
-        direction = G / np.where(zero, 1.0, gnorm)[:, None] - H
-        slope = _rowdots(G, direction)
-        stop = zero | (slope <= 0.0)
-        if stop.any():
-            active, H, AH, Q, F, direction, slope = retire(
-                stop, H, AH, Q, F, direction, slope)
-            if not active.size:
-                break
-        AD = op.apply_block(direction)
-        cross = 2.0 * _matvecs(AH, direction)
-        curve = _matvecs(AD, direction)
-        eta = np.ones(active.size)
-        for _ in range(ARMIJO_MAX_BACKTRACKS):
-            Q_new = Q + eta[:, None] * (cross + eta[:, None] * curve)
-            F_new = _f_rows(Q_new, p)
-            accepted = F_new >= F + ARMIJO_SLOPE * eta * slope
-            if accepted.all():
-                break
-            eta = np.where(accepted, eta, eta * ARMIJO_SHRINK)
-        if not accepted.all():
-            active, H, AH, Q, F, direction, AD, eta, Q_new, F_new = retire(
-                ~accepted, H, AH, Q, F, direction, AD, eta, Q_new, F_new)
-            if not active.size:
-                break
-        improved = F_new - F
-        H = H + eta[:, None] * direction
-        AH = AH + eta[:, None, None] * AD
-        Q, F = Q_new, F_new
-        for j, f in zip(active, F):
-            traces[j].append(float(f))
-        stop = improved < 1e-8 * np.maximum(np.abs(F), 1e-30)
-        if stop.any():
-            active, H, AH, Q, F = retire(stop, H, AH, Q, F)
-            if not active.size:
-                break
-    out[active] = H
-    return out, traces
+    if op.storage == "dense":
+        top = np.linalg.eigh(np.tensordot(w, op.stack, 1))[1][:, -1]
+    else:
+        top = _lanczos(op.weighted(w), h / np.linalg.norm(h), (-1,))[0][0]
+    return -top if top @ h < 0.0 else top
 
 
 def refine(op: GradientOperator, h0: np.ndarray, p: int) -> SelectionResult:
-    """Ascend f_p from h0 by h <- (1-eta) h + eta grad/||grad||.
+    """Ascend f_p from the unit vector h0 by rounds on the weighted operator.
 
-    The step eta starts at 1 and backtracks under an Armijo test; accepted
-    steps never decrease the raw f_p, so the iterate sequence is monotone.
-    For p = 1 the search direction uses a Huber-smoothed gradient while
-    acceptance is still judged on the unsmoothed objective. The recursion
-    stops on a zero gradient, a direction with no ascent, an Armijo search
-    that fails ARMIJO_MAX_BACKTRACKS times, a step that gains less than
-    1e-8 f, or after REFINE_MAX_STEPS steps. Its only settings are those
-    module constants.
-
-    Each step makes one stacked apply, AD = [A_c d] for the direction d.
-    The carried AH = [A_c h] gives the gradient, every trial point is judged
-    from q(h + eta d) = q + 2 eta (AH d) + eta^2 (AD d) in O(m), and an
-    accepted step advances AH by eta AD. The returned quadratic forms are
-    recomputed from the final h. This is the one-start case of the lockstep
-    block recursion that ``select_group`` runs over all its starts.
+    Each round takes the weights w of the current quadratic forms q(h) (p =
+    2: w = q; p = 1: w = clip(q / HUBER_DELTA, -1, 1), the gradient of the
+    Huber-smoothed f_1) and moves to the top unit eigenvector h' of M_w =
+    sum_c w_c A_c (``_top_eigvector``). h lies in the Krylov space, so
+    h'^T M_w h' = w . q(h') >= w . q(h); as f_2 and the smoothed f_1 are
+    convex in q, each round is a minorize-maximize step, and its fixed points
+    are the h that are top eigenvectors of M_w(h). A round is accepted only
+    when the raw f_p rises, so the trace of accepted values is increasing.
+    The rounds stop on a round that does not rise, one that gains less than
+    1e-8 f (it is still accepted), all-zero weights, or after
+    REFINE_MAX_ROUNDS rounds. The quadratic forms are recomputed from each
+    round's h by ``quad_values``.
     """
-    H, traces = _refine_starts(op, np.asarray(h0, dtype=np.float64)[None], p)
-    q = op.quad_values(H[0])
-    return SelectionResult(h=H[0], score=_score_from_quads(q, p), quad_values=q,
-                           trace=traces[0])
+    if p not in (1, 2):
+        raise ValueError(f"p must be 1 or 2, got {p}")
+    h = np.asarray(h0, dtype=np.float64)
+    q = op.quad_values(h)
+    f = f_value(q, p)
+    trace = [f]
+    for _ in range(REFINE_MAX_ROUNDS):
+        w = q if p == 2 else np.clip(q / HUBER_DELTA, -1.0, 1.0)
+        if not w.any():
+            break
+        h_new = _top_eigvector(op, w, h)
+        q_new = op.quad_values(h_new)
+        f_new = f_value(q_new, p)
+        if not f_new > f:
+            break
+        gain = f_new - f
+        h, q, f = h_new, q_new, f_new
+        trace.append(f)
+        if gain < 1e-8 * f:
+            break
+    return SelectionResult(h=h, score=_score_from_quads(q, p), quad_values=q, trace=trace)
 
 
 def select_group(op: GradientOperator, p: int, seed: int) -> SelectionResult:
@@ -258,12 +201,10 @@ def select_group(op: GradientOperator, p: int, seed: int) -> SelectionResult:
     with the same f_p. A bottom-end l1 pick is thus covered by its mirror,
     which has the same f_p.
 
-    The distinct starts (|h_i . h_j| < 1 - 1e-6) are refined together as
-    one (b, d) block, with one stacked apply per step for all of them; a
-    start leaves the block when its own recursion stops. Every start's
-    result is bit-identical to refining it alone with ``refine``. When
-    every output's spectrum is all zero, the top end of output 0 (the l1
-    route's pick) comes back unrefined, with score 0.0.
+    Each distinct start (|h_i . h_j| < 1 - 1e-6) goes through its own
+    ``refine`` call; the first of equal bests wins. When every output's
+    spectrum is all zero, the top end of output 0 (the l1 route's pick)
+    comes back unrefined, with score 0.0.
     """
     H, q = _spectrum_ends(op, seed)
     live = q.any(axis=1)
@@ -276,16 +217,8 @@ def select_group(op: GradientOperator, p: int, seed: int) -> SelectionResult:
     for h in starts.reshape(-1, op.d):
         if all(abs(h @ g) < 1.0 - 1e-6 for g in distinct):
             distinct.append(h)
-    H, traces = _refine_starts(op, np.array(distinct), p)
-    best = None
-    for h, trace in zip(H, traces):
-        q = op.quad_values(h)
-        f = f_value(q, p)
-        if best is None or f > best[0]:
-            best = (f, h, q, trace)
-    _, h, q, trace = best
-    return SelectionResult(h=h, score=_score_from_quads(q, p), quad_values=q,
-                           trace=trace)
+    refined = [refine(op, h, p) for h in distinct]
+    return max(refined, key=lambda res: f_value(res.quad_values, p))
 
 
 def exact_oracle_linf(op: GradientOperator) -> SelectionResult:

@@ -15,12 +15,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
-from oracles import activation, row_norm
+from oracles import activation, loss_gradient, loss_value, row_norm
 from polyfactor.cli import main as cli_main
 from polyfactor.data import (SplitSpec, load_movielens, load_svmlight, make_dataset, save_svmlight,
                              split, take_rows)
 from polyfactor.gradients import GradientOperator
-from polyfactor.losses import LOSSES, loss_gradient, loss_gradients, loss_value
+from polyfactor.losses import LOSSES, loss_gradients
 from polyfactor.mcrank import evaluate_ranking, fit_mcrank
 from polyfactor.models import accuracy
 from polyfactor.penalties import PENALTIES, prox

@@ -6,10 +6,10 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import SHAPES, random_operator, shaped_operator
-from oracles import activation
+from oracles import activation, loss_gradient
 from polyfactor.data import make_dataset
 from polyfactor.gradients import DENSE_BLOCK, GradientOperator
-from polyfactor.losses import loss_gradient, loss_values
+from polyfactor.losses import loss_values
 from polyfactor.models import Model, empty_model, hidden_activations
 from polyfactor.mcrank import build_ordinal
 
@@ -92,13 +92,17 @@ class TestBackend:
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     @pytest.mark.parametrize("block", [1, 40])
     def test_free_block_in_chunks(self, kind, block, rng, monkeypatch):
-        # the matrix-free shape (n m = 15) applies 7 vectors one at a time,
-        # or in chunks of 2 with a short last one
+        # DENSE_BLOCK chunks only the dense refresh: the matrix-free shape
+        # (n m = 15) applies each of 7 vectors to every output at once, the
+        # same under any block size and row for row as matvec
         op = shaped_operator(rng, SHAPES[0], kind)
         H = rng.standard_normal((7, op.d))
-        whole = op.apply_block(H)
+        whole = [op.apply_all(h) for h in H]
         monkeypatch.setattr("polyfactor.gradients.DENSE_BLOCK", block)
-        assert np.array_equal(op.apply_block(H), whole)
+        for h, rows in zip(H, whole):
+            assert np.array_equal(op.apply_all(h), rows)
+            for c in range(op.m):
+                assert np.array_equal(rows[c], op.matvec(c, h))
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_dense_storage_memory_on_sparse_x(self, kind, rng):
@@ -251,13 +255,17 @@ class TestMirror:
                 assert s is None
                 continue
             H = rng.standard_normal((3, op.d))
-            AH, AM = op.apply_block(H), op.apply_block(s * H)
-            assert np.array_equal(s * AM, -AH)
+            for h in H:
+                AH, AM = op.apply_all(h), op.apply_all(s * h)
+                assert np.array_equal(s * AM, -AH)
             for c in range(op.m):
                 M = op.dense_matrix(c)
                 assert np.allclose(s * (M @ (s * H[0])), -(M @ H[0]), rtol=0, atol=1e-12)
-                assert np.abs(AH[0, c] - M @ H[0]).max() < 1e-12
+                assert np.abs(op.apply_all(H[0])[c] - M @ H[0]).max() < 1e-12
             assert np.array_equal(op.quad_values(s * H[0]), -op.quad_values(H[0]))
+            w = rng.standard_normal(op.m)
+            assert np.array_equal(s * op.weighted_matvec(w, s * H[0]),
+                                  -op.weighted_matvec(w, H[0]))
 
 
 class TestRefresh:

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import loss_gradient, loss_value
 from polyfactor.losses import (
     LOSSES,
     MULTICLASS_LOSSES,
-    loss_gradient,
     loss_gradients,
     loss_pass,
-    loss_value,
     loss_values,
     targets_for,
 )

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import set_fista
+from oracles import ndcg_loop
 from polyfactor.data import make_dataset
 from polyfactor.mcrank import (
     RankingGroups,
@@ -150,6 +151,28 @@ class TestMetrics:
 
             best = max(dcg(list(p)) for p in permutations(ratings))
             assert got == pytest.approx(dcg(ratings[order]) / best)
+
+    def test_ndcg_matches_per_group_loop(self, rng):
+        # 6,000 rows in groups of 1-40 with tied predictions and some groups
+        # of zero ideal gain (all ratings 0). The vectorised sum adds each
+        # group's gains in rank order, as numpy sums fewer than 8 terms; from
+        # 8 terms on numpy's pairwise sum may reorder them
+        n = 6000
+        ids = rng.integers(0, 300, size=n) * 7
+        ratings = rng.integers(0, 6, size=n).astype(np.float64)
+        ratings[np.isin(ids, ids[:40])] = 0.0
+        preds = rng.integers(0, 4, size=n).astype(np.float64)
+        groups = RankingGroups.from_ids(ids, ratings)
+        for k in (1, 5):
+            assert ndcg_at(groups, preds, k) == ndcg_loop(groups, preds, k)
+        assert abs(ndcg_at(groups, preds, 10) - ndcg_loop(groups, preds, 10)) <= 1e-15
+        single = RankingGroups.from_ids([4, 4], [0.0, 0.0])
+        for fn in (ndcg_at, ndcg_loop):
+            with pytest.raises(ValueError, match="zero ideal gain"):
+                fn(single, np.zeros(2), 1)
+            with pytest.raises(ValueError, match="empty ranking group"):
+                fn(RankingGroups(groups=((0, np.zeros(0, dtype=np.int64), np.zeros(0)),)),
+                   np.zeros(1), 1)
 
     def test_ndcg_bounds(self, rng):
         for _ in range(20):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from oracles import row_norm
+from oracles import dual_norm, row_norm
 from polyfactor.penalties import (
     PENALTIES,
-    dual_norm,
     penalty_value,
     project_l1_ball,
     project_unit_rows,

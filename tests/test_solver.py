@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import SHAPES, set_fista, shaped_operator
+from oracles import dual_norm
 from polyfactor import solver
 from polyfactor.data import make_dataset
 from polyfactor.losses import loss_values
 from polyfactor.models import MODEL_KINDS, accuracy
-from polyfactor.penalties import PENALTIES, dual_norm
+from polyfactor.penalties import PENALTIES
 from polyfactor.solver import (
     ConfigError,
     SolverConfig,
