@@ -116,6 +116,7 @@ def load_svmlight(path, augment_bias: bool = False, d: int | None = None) -> Dat
     the largest index seen.
     """
     shift = 1 if augment_bias else 0
+    top = int(np.iinfo(np.int64).max)  # the largest column index the arrays hold
     labels = []
     indptr = [0]
     indices = []
@@ -148,6 +149,8 @@ def load_svmlight(path, augment_bias: bool = False, d: int | None = None) -> Dat
                     raise DataError(f"{path}: line {lineno}: index {i} is not 1-based")
                 if i <= prev:
                     raise DataError(f"{path}: line {lineno}: indices must be strictly increasing")
+                if i + shift > top:
+                    raise DataError(f"{path}: line {lineno}: feature index {i} is too large")
                 if not np.isfinite(v):
                     raise DataError(f"{path}: line {lineno}: non-finite value {v_str!r}")
                 prev = i
@@ -208,6 +211,7 @@ def load_movielens(path) -> Dataset:
     users = []
     items = []
     ratings = []
+    top = int(np.iinfo(np.int64).max)  # the largest id the arrays hold
     sep = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -225,8 +229,13 @@ def load_movielens(path) -> Dataset:
                 r = float(fields[2])
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: bad record {line!r}") from None
-            if r < 1 or r != int(r):
-                raise DataError(f"{path}: line {lineno}: rating {r} outside 1..m")
+            # chained so that nan fails too
+            if not 1.0 <= r < 2.0**63 or r != int(r):
+                raise DataError(f"{path}: line {lineno}: rating {fields[2]!r} is not "
+                                f"an integer in [1, 2^63)")
+            if abs(u) > top or abs(i) > top:
+                raise DataError(f"{path}: line {lineno}: user or item id past "
+                                f"+-(2^63 - 1) in {line!r}")
             users.append(u)
             items.append(i)
             ratings.append(int(r))

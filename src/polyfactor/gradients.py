@@ -37,11 +37,11 @@ every D, and q(s o h) = -q(h). It is None for PN (whose diagonal is
 nonzero) and for any FM data with a row of three or more nonzeros (that row
 is a triangle).
 
-Selection reads the operators three ways: ``matvec`` applies one output's
-A_c (the spectrum ends), ``apply_all`` every output's at once (the quadratic
-forms), and ``weighted`` the combination sum_c w_c A_c that a refinement
-round takes the top eigenvector of, built once per round in the storage's
-own form.
+Selection applies the operators one way, ``weighted``: the combination
+sum_c w_c A_c, built once per weight vector in the storage's own form. A
+refinement round takes the top eigenvector of it, and a spectrum end runs
+Lanczos on it with w the c-th unit vector, which is A_c bit for bit.
+``quad_values`` reads every output's h^T A_c h at once.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ class GradientOperator:
     ``set_gradients`` installs them; everything else is read-only and cheap.
     ``storage`` names how the operators are held (``dense``, ``sparse`` or
     ``free``, see the module docstring); for the stored forms ``stack @ h``
-    gives every A_c h at once and ``blocks[c]`` is A_c. ``mirror`` is the
-    sign vector s with s o (A_c (s o h)) = -A_c h, or None (module docstring).
+    gives every A_c h at once. ``mirror`` is the sign vector s with
+    s o (A_c (s o h)) = -A_c h, or None (module docstring).
     """
 
     def __init__(self, ds, kind: str, n_outputs: int | None = None):
@@ -182,13 +182,10 @@ class GradientOperator:
                     self.S = _finite(np.asarray(self.ds.X2.T @ D))
             elif self.storage == "dense":
                 self.stack = self._dense_stack(D)
-                self.blocks = self.stack
             else:
                 vals = _finite(np.ascontiguousarray((self.M @ D).T))
-                B, P = self._stacked, self._block
+                B = self._stacked
                 self.stack = sp.csr_matrix((vals.ravel(), B.indices, B.indptr), shape=B.shape)
-                self.blocks = [sp.csr_matrix((v, P.indices, P.indptr), shape=P.shape)
-                               for v in vals]
         self.D = D
 
     def _dense_stack(self, D: np.ndarray) -> np.ndarray:
@@ -205,29 +202,6 @@ class GradientOperator:
             stack[:, np.arange(d), np.arange(d)] = 0.0
             stack *= 0.5
         return stack
-
-    def apply_all(self, h: np.ndarray) -> np.ndarray:
-        """Every output's operator applied to one vector: row c is A_c h,
-        bit for bit ``matvec(c, h)``. The (m, d) result is C-ordered for the
-        stored forms and F-ordered matrix-free."""
-        if self.storage == "dense":
-            # one GEMV per output: the GEMM stack @ h rounds differently
-            return np.matmul(self.stack, h[:, None]).reshape(self.m, self.d)
-        if self.storage == "sparse":
-            return (self.stack @ h).reshape(self.m, self.d)
-        T = self.XT @ ((self.X @ h)[:, None] * self.D)
-        if self.kind == "fm":
-            T = 0.5 * (T - self.S * h[:, None])
-        return T.T
-
-    def matvec(self, c: int, h: np.ndarray) -> np.ndarray:
-        """Apply the output-c operator to a vector."""
-        if self.storage != "free":
-            return self.blocks[c] @ h
-        t = self.XT @ (self.D[:, c] * (self.X @ h))
-        if self.kind == "pn":
-            return t
-        return 0.5 * (t - self.S[:, c] * h)
 
     def weighted(self, w: np.ndarray):
         """The function h -> sum_c w_c A_c h for output weights w, built in
@@ -246,14 +220,22 @@ class GradientOperator:
         s = self.S @ w
         return lambda h: 0.5 * (XT @ (u * (X @ h)) - s * h)
 
+    def matvec(self, c: int, h: np.ndarray) -> np.ndarray:
+        """Apply the output-c operator to a vector (``weighted`` at the c-th
+        unit vector; the benchmark tracer wraps it by name)."""
+        return self.weighted(np.eye(self.m)[c])(h)
+
     def weighted_matvec(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Apply sum_c w_c A_c to a vector."""
         return self.weighted(w)(h)
 
     def quad_values(self, h: np.ndarray) -> np.ndarray:
         """All per-output quadratic forms h^T A_c h as a length-m vector."""
-        if self.storage != "free":
-            return self.apply_all(h) @ h
+        if self.storage == "dense":
+            # one GEMV per output: the GEMM stack @ h rounds differently
+            return np.matmul(self.stack, h[:, None]).reshape(self.m, self.d) @ h
+        if self.storage == "sparse":
+            return (self.stack @ h).reshape(self.m, self.d) @ h
         z = self.X @ h
         t = (z * z) @ self.D
         if self.kind == "pn":

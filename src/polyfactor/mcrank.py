@@ -22,19 +22,20 @@ from .solver import ConfigError, SolverConfig, TraceRecord, fit
 
 @dataclass(frozen=True)
 class RankingGroups:
-    """Per-group (query/user) sample indices and their true ratings."""
+    """Samples grouped by query/user id: ``order`` holds the sample indices
+    sorted by id, stable within a group, ``sizes`` each group's count in
+    ascending id order, and ``ratings`` the true ratings in ``order``."""
 
-    groups: tuple  # tuple of (group_id, index array, rating array)
+    order: np.ndarray
+    sizes: np.ndarray
+    ratings: np.ndarray
 
     @staticmethod
     def from_ids(group_ids, ratings) -> "RankingGroups":
         group_ids = np.asarray(group_ids)
-        ratings = np.asarray(ratings)
         order = np.argsort(group_ids, kind="stable")
-        gids, starts = np.unique(group_ids[order], return_index=True)
-        ends = np.append(starts[1:], order.size)
-        return RankingGroups(groups=tuple((gid, order[a:b], ratings[order[a:b]])
-                                          for gid, a, b in zip(gids, starts, ends)))
+        sizes = np.unique(group_ids[order], return_counts=True)[1]
+        return RankingGroups(order=order, sizes=sizes, ratings=np.asarray(ratings)[order])
 
 
 def build_ordinal(ds: Dataset) -> Dataset:
@@ -90,13 +91,12 @@ def ndcg_at(groups: RankingGroups, preds, k: int) -> float:
     one rank position at a time, in the order a per-group sum takes them.
     """
     preds = np.asarray(preds, dtype=np.float64)
-    if not groups.groups:
+    sizes, idx = groups.sizes, groups.order
+    if not sizes.size:
         raise ValueError("need at least one ranking group")
-    sizes = np.array([idx.size for _, idx, _ in groups.groups])
     if not sizes.all():
         raise ValueError("empty ranking group")
-    idx = np.concatenate([idx for _, idx, _ in groups.groups])
-    ratings = np.concatenate([r for _, _, r in groups.groups]).astype(np.float64)
+    ratings = groups.ratings.astype(np.float64)
     group = np.repeat(np.arange(sizes.size), sizes)
     first = np.cumsum(sizes) - sizes      # each group's first position
     discounts = np.log2(np.arange(2, k + 2))

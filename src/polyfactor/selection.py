@@ -22,7 +22,6 @@ counts, plus two cheap baselines for method comparisons.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -112,12 +111,12 @@ def _spectrum_ends(op: GradientOperator, seed: int):
     and q[c] (2,) their eigenvalues, q[c, i] = H[c, i]^T A_c H[c, i]. The
     eigenvalues come back sorted, so A_c has an all-zero spectrum exactly
     when ``not q[c].any()``. Dense storage takes one batched eigh over the
-    stored Grams; the other storages run Lanczos on the output's matvec.
+    stored Grams; the other storages run Lanczos on ``op.weighted(e_c)``,
+    e_c the c-th unit vector, which applies A_c alone.
     """
     if op.storage != "dense":
-        ends = [_lanczos(functools.partial(op.matvec, c),
-                         _seeded_unit_vector(op.d, (seed, c, 0)), (-1, 0))
-                for c in range(op.m)]
+        ends = [_lanczos(op.weighted(e), _seeded_unit_vector(op.d, (seed, c, 0)), (-1, 0))
+                for c, e in enumerate(np.eye(op.m))]
         return np.stack([H for H, _ in ends]), np.stack([q for _, q in ends])
     vals, vecs = np.linalg.eigh(op.stack)
     return vecs.transpose(0, 2, 1)[:, [-1, 0]], vals[:, [-1, 0]]

@@ -74,10 +74,11 @@ def ndcg_loop(groups, preds, k: int) -> float:
     """mcrank.ndcg_at one group at a time: rank by descending prediction,
     ties by sample index, skip groups with zero ideal gain."""
     preds = np.asarray(preds, dtype=np.float64)
-    if not groups.groups:
+    if not groups.sizes.size:
         raise ValueError("need at least one ranking group")
+    cuts = np.cumsum(groups.sizes)[:-1]
     scores = []
-    for _, idx, ratings in groups.groups:
+    for idx, ratings in zip(np.split(groups.order, cuts), np.split(groups.ratings, cuts)):
         if idx.size == 0:
             raise ValueError("empty ranking group")
         order = np.argsort(-preds[idx], kind="stable")

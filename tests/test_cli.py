@@ -221,6 +221,28 @@ def test_malformed_values_are_usage_errors(argv, svm_file, tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt, text", [
+    ("movielens", "1\t1\t3\n2\t1\tinf\n"),
+    ("movielens", "1\t1\t3\n2\t1\t1e400\n"),
+    ("movielens", "1\t1\t3\n2\t1\t1e300\n"),
+    ("movielens", "1\t1\t3\n2\t1\tnan\n"),
+    ("movielens", f"1\t1\t3\n{2**63}\t1\t3\n"),
+    ("movielens", f"1\t1\t3\n1\t{2**64}\t3\n"),
+    ("svmlight", f"1 1:1.0\n2 {2**63}:1.0\n"),
+], ids=["inf-rating", "1e400-rating", "1e300-rating", "nan-rating", "big-user", "big-item",
+        "big-index"])
+def test_numbers_past_the_arrays_are_data_errors(fmt, text, tmp_path, capsys):
+    # each loader refuses a number its arrays cannot hold, naming the line
+    data = tmp_path / "input.txt"
+    data.write_text(text)
+    out = tmp_path / "model.json"
+    flags = ("--mcrank", "--model", "fm") if fmt == "movielens" else ()
+    assert run("train", "--data", data, "--format", fmt, *flags, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 2: " in err and not out.exists()
+
+
 class TestFlags:
     def test_settable_values_per_command(self):
         parser = cli.build_parser()

@@ -78,6 +78,16 @@ class TestSvmlight:
         with pytest.raises(DataError, match="line 2"):
             load_svmlight(path)
 
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_index_past_int64_refused(self, tmp_path, augment):
+        # a column index must fit int64; with the bias column one index less does
+        big = 2**63 - augment
+        ok = load_svmlight(write(tmp_path, "a.txt", f"1 {big - 1}:1.0\n"), augment_bias=augment)
+        assert ok.d == 2**63 - 1
+        path = write(tmp_path, "b.txt", f"1 1:1.0\n2 {big}:1.0\n")
+        with pytest.raises(DataError, match=f"line 2: feature index {big} is too large"):
+            load_svmlight(path, augment_bias=augment)
+
     def test_round_trip(self, tmp_path, rng):
         n, d = 30, 8
         X = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.4)
@@ -155,6 +165,26 @@ class TestMovielens:
         path = write(tmp_path, "u.data", "1\t1\t3.5\n")
         with pytest.raises(DataError, match="rating"):
             load_movielens(path)
+
+    @pytest.mark.parametrize("rating", ["nan", "inf", "-inf", "1e400", "1e300", "9.3e18"])
+    def test_rating_past_int64_refused(self, tmp_path, rating):
+        path = write(tmp_path, "u.data", f"1\t1\t3\n2\t1\t{rating}\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"line 2: rating '{rating}' is not an integer in [1, 2^63)")):
+            load_movielens(path)
+
+    @pytest.mark.parametrize("record", [f"{2**63}\t1\t3", f"1\t{2**63}\t3",
+                                        f"-{2**63 + 1}\t1\t3"],
+                             ids=["user", "item", "negative-user"])
+    def test_id_past_int64_refused(self, tmp_path, record):
+        path = write(tmp_path, "u.data", f"1\t1\t3\n{record}\n")
+        with pytest.raises(DataError, match="line 2: user or item id past"):
+            load_movielens(path)
+
+    def test_largest_int64_ids_load(self, tmp_path):
+        big = 2**63 - 1
+        ds = load_movielens(write(tmp_path, "u.data", f"{big}\t{-big}\t2\n1\t1\t1\n"))
+        assert ds.n == 2 and ds.d == 4 and ds.y.tolist() == [2, 1]
 
 
 class TestSplit:

@@ -93,15 +93,18 @@ class TestBackend:
     @pytest.mark.parametrize("block", [1, 40])
     def test_free_block_in_chunks(self, kind, block, rng, monkeypatch):
         # DENSE_BLOCK chunks only the dense refresh: the matrix-free shape
-        # (n m = 15) applies each of 7 vectors to every output at once, the
-        # same under any block size and row for row as matvec
+        # (n m = 15) applies each of 7 vectors to every output and reads
+        # their quadratic forms the same under any block size, and each
+        # output's apply is matvec's
         op = shaped_operator(rng, SHAPES[0], kind)
         H = rng.standard_normal((7, op.d))
-        whole = [op.apply_all(h) for h in H]
+        E = np.eye(op.m)
+        whole = [([op.weighted(e)(h) for e in E], op.quad_values(h)) for h in H]
         monkeypatch.setattr("polyfactor.gradients.DENSE_BLOCK", block)
-        for h, rows in zip(H, whole):
-            assert np.array_equal(op.apply_all(h), rows)
-            for c in range(op.m):
+        for h, (rows, quads) in zip(H, whole):
+            assert np.array_equal(op.quad_values(h), quads)
+            for c, e in enumerate(E):
+                assert np.array_equal(op.weighted(e)(h), rows[c])
                 assert np.array_equal(rows[c], op.matvec(c, h))
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
@@ -131,7 +134,7 @@ class TestBackend:
         op.set_gradients(rng.standard_normal((6, 2)))
         assert op.storage == "sparse"
         h = rng.standard_normal(4)
-        assert not op.apply_all(h).any()
+        assert not op.weighted(rng.standard_normal(2))(h).any()
         assert not op.matvec(1, h).any()
         assert not op.quad_values(h).any()
 
@@ -255,13 +258,15 @@ class TestMirror:
                 assert s is None
                 continue
             H = rng.standard_normal((3, op.d))
+            E = np.eye(op.m)
             for h in H:
-                AH, AM = op.apply_all(h), op.apply_all(s * h)
-                assert np.array_equal(s * AM, -AH)
+                for e in E:
+                    A = op.weighted(e)
+                    assert np.array_equal(s * A(s * h), -A(h))
             for c in range(op.m):
                 M = op.dense_matrix(c)
                 assert np.allclose(s * (M @ (s * H[0])), -(M @ H[0]), rtol=0, atol=1e-12)
-                assert np.abs(op.apply_all(H[0])[c] - M @ H[0]).max() < 1e-12
+                assert np.abs(op.weighted(E[c])(H[0]) - M @ H[0]).max() < 1e-12
             assert np.array_equal(op.quad_values(s * H[0]), -op.quad_values(H[0]))
             w = rng.standard_normal(op.m)
             assert np.array_equal(s * op.weighted_matvec(w, s * H[0]),
@@ -332,14 +337,15 @@ class TestMatvec:
                 assert np.abs(op.matvec(c, h) - M @ h).max() < 1e-12
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
-    def test_apply_all_stacks_every_output(self, kind, rng):
+    def test_unit_weights_apply_each_output(self, kind, rng):
+        # weighted at the c-th unit vector is A_c, on every storage
         for shape in SHAPES:
             op = shaped_operator(rng, shape, kind)
             h = rng.standard_normal(op.d)
-            stacked = op.apply_all(h)
-            assert stacked.shape == (op.m, op.d)
-            for c in range(op.m):
-                assert np.abs(stacked[c] - op.dense_matrix(c) @ h).max() < 1e-12
+            for c, e in enumerate(np.eye(op.m)):
+                applied = op.weighted(e)(h)
+                assert applied.shape == (op.d,)
+                assert np.abs(applied - op.dense_matrix(c) @ h).max() < 1e-12
 
     def test_fm_dense_form_disambiguation(self, rng):
         # dense FM operator equals (X^T D_c X - sum_i D_ic diag(x_i)^2) / 2
@@ -368,9 +374,10 @@ class TestMatvec:
         for shape in SHAPES:
             op = shaped_operator(rng, shape, kind)
             h = rng.standard_normal(op.d)
-            w = rng.standard_normal(op.m)
-            expected = sum(w[c] * (op.dense_matrix(c) @ h) for c in range(op.m))
-            assert np.allclose(op.weighted_matvec(w, h), expected, rtol=1e-12, atol=1e-12)
+            # random weights, and the one-hot weights of the spectrum ends
+            for w in [rng.standard_normal(op.m), *np.eye(op.m)]:
+                expected = sum(w[c] * (op.dense_matrix(c) @ h) for c in range(op.m))
+                assert np.allclose(op.weighted_matvec(w, h), expected, rtol=1e-12, atol=1e-12)
 
 
 class TestGradRow:

@@ -171,8 +171,8 @@ class TestMetrics:
             with pytest.raises(ValueError, match="zero ideal gain"):
                 fn(single, np.zeros(2), 1)
             with pytest.raises(ValueError, match="empty ranking group"):
-                fn(RankingGroups(groups=((0, np.zeros(0, dtype=np.int64), np.zeros(0)),)),
-                   np.zeros(1), 1)
+                fn(RankingGroups(order=np.zeros(0, dtype=np.int64), sizes=np.array([0]),
+                                 ratings=np.zeros(0)), np.zeros(1), 1)
 
     def test_ndcg_bounds(self, rng):
         for _ in range(20):
@@ -187,18 +187,18 @@ class TestMetrics:
             n = int(rng.integers(0, 60))
             ids = rng.integers(-5, 6, size=n) * 1000  # unsorted, negative, sparse ids
             ratings = rng.integers(1, 6, size=n)
-            groups = RankingGroups.from_ids(ids, ratings).groups
-            expected = [(gid, np.flatnonzero(ids == gid)) for gid in sorted(set(ids.tolist()))]
-            assert [g for g, _, _ in groups] == [g for g, _ in expected]
-            for (_, idx, r), (_, want) in zip(groups, expected):
-                assert np.array_equal(idx, want)
-                assert np.array_equal(r, ratings[want])
+            groups = RankingGroups.from_ids(ids, ratings)
+            expected = [np.flatnonzero(ids == gid) for gid in sorted(set(ids.tolist()))]
+            assert groups.sizes.tolist() == [want.size for want in expected]
+            want = np.concatenate([np.zeros(0, dtype=np.int64), *expected])
+            assert np.array_equal(groups.order, want)
+            assert np.array_equal(groups.ratings, ratings[want])
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             rmse(np.zeros(0), np.zeros(0))
-        with pytest.raises(ValueError):
-            ndcg_at(RankingGroups(groups=()), np.zeros(3), 1)
+        with pytest.raises(ValueError, match="at least one ranking group"):
+            ndcg_at(RankingGroups.from_ids([], []), np.zeros(3), 1)
 
     def test_truth_is_the_label_value(self, rng):
         # rmse and the nDCG gains read label_map[y - 1], not the class index y
