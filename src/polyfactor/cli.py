@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError, OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError, RuntimeError, ValueError, FloatingPointError) as exc:
+    except (DataError, OSError, RuntimeError, ValueError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,7 +133,7 @@ def load_svmlight(path, augment_bias: bool = False, d: int | None = None) -> Dat
                 label = float(parts[0])
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: bad label {parts[0]!r}") from None
-            if not np.isfinite(label):
+            if not math.isfinite(label):
                 raise DataError(f"{path}: line {lineno}: non-finite label")
             if augment_bias:
                 indices.append(0)
@@ -151,7 +152,7 @@ def load_svmlight(path, augment_bias: bool = False, d: int | None = None) -> Dat
                     raise DataError(f"{path}: line {lineno}: indices must be strictly increasing")
                 if i + shift > top:
                     raise DataError(f"{path}: line {lineno}: feature index {i} is too large")
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise DataError(f"{path}: line {lineno}: non-finite value {v_str!r}")
                 prev = i
                 # file indices are 1-based; unshifted they map to columns i-1

@@ -38,10 +38,10 @@ nonzero) and for any FM data with a row of three or more nonzeros (that row
 is a triangle).
 
 Selection applies the operators one way, ``weighted``: the combination
-sum_c w_c A_c, built once per weight vector in the storage's own form. A
-refinement round takes the top eigenvector of it, and a spectrum end runs
-Lanczos on it with w the c-th unit vector, which is A_c bit for bit.
-``quad_values`` reads every output's h^T A_c h at once.
+sum_c w_c A_c, built once per weight vector in the storage's own form. Its
+one eigen-solve, ``eigenpairs``, serves the spectrum ends (w = e_c, which
+is A_c bit for bit) and the refinement rounds. ``quad_values`` reads every
+output's h^T A_c h at once.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ from .models import MODEL_KINDS, outputs
 # entries of the scaled copy held at once: the row block X_b (x) D_b of a
 # dense-storage refresh
 DENSE_BLOCK = 1 << 18
+LANCZOS_EPS = 0.01            # eigenpair accuracy in (0, 1), see _lanczos
+LANCZOS_MAX_STEPS = 300       # Lanczos step cap (d caps it too)
 
 
 OVERFLOW_CAUSE = ("the likely cause is feature values so large that their products "
@@ -116,6 +118,41 @@ def _sign_mirror(X: sp.csr_matrix, kind: str) -> np.ndarray | None:
     return s if (s[a] != s[b]).all() else None
 
 
+def _lanczos(apply, v0: np.ndarray, ends):
+    """Ritz pairs at the given ends of a symmetric operator's spectrum.
+
+    Lanczos with full reorthogonalisation from the unit vector v0, applying
+    the operator by ``apply``. ``ends`` indexes the ascending Ritz values (-1
+    the top, 0 the bottom). It stops once every requested end's Ritz residual
+    beta_k |s_k| is at most 0.05 LANCZOS_EPS max|theta|, or when the Krylov
+    space is exhausted, after at most min(d, LANCZOS_MAX_STEPS) steps.
+    Returns the Ritz vectors as the rows of a (len(ends), d) array and their
+    Ritz values.
+    """
+    steps = min(v0.size, LANCZOS_MAX_STEPS)
+    Q = np.empty((steps, v0.size))        # Lanczos vectors, one per row
+    T = np.zeros((steps, steps))          # their tridiagonal projection
+    Q[0] = v0
+    for k in range(steps):
+        w = apply(Q[k])
+        T[k, k] = Q[k] @ w
+        basis = Q[:k + 1]
+        for _ in range(2):  # twice is enough for orthogonality to rounding
+            w = w - basis.T @ (basis @ w)
+        beta = np.linalg.norm(w)
+        theta, S = np.linalg.eigh(T[:k + 1, :k + 1])
+        tol = 0.05 * LANCZOS_EPS * max(abs(theta[0]), abs(theta[-1]))
+        if k + 1 == steps or beta * max(abs(S[k, j]) for j in ends) <= tol:
+            break
+        Q[k + 1] = w / beta
+        T[k + 1, k] = T[k, k + 1] = beta
+    H = np.empty((len(ends), v0.size))
+    for i, j in enumerate(ends):
+        h = basis.T @ S[:, j]  # one GEMV per end: a batched product rounds differently
+        H[i] = h / np.linalg.norm(h)
+    return H, theta[list(ends)]
+
+
 class GradientOperator:
     """Per-output quadratic forms over a fixed Dataset.
 
@@ -146,11 +183,6 @@ class GradientOperator:
             self.storage = "dense"
         elif pairs <= 2 * X.nnz:
             self.storage = "sparse"
-        else:
-            self.storage = "free"
-        if self.storage == "free":
-            self.XT = X.T.tocsr()
-        elif self.storage == "sparse":
             # the pair map on the slots of X^T X's pattern, in row-major order:
             # (M @ D)[s, c] is the slot-s entry of A_c
             keys, rows, w = _row_pairs(X, kind)
@@ -160,6 +192,9 @@ class GradientOperator:
             self._block = sp.csr_matrix((np.ones(slots.size), slots % self.d, indptr),
                                         shape=(self.d, self.d))
             self._stacked = sp.vstack([self._block] * self.m, format="csr")
+        else:
+            self.storage = "free"
+            self.XT = X.T.tocsr()
 
     def refresh(self, model) -> None:
         """Recompute D from the model's outputs and its loss's gradients."""
@@ -228,6 +263,20 @@ class GradientOperator:
     def weighted_matvec(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Apply sum_c w_c A_c to a vector."""
         return self.weighted(w)(h)
+
+    def eigenpairs(self, W: np.ndarray, starts, ends):
+        """Eigenpairs of sum_c w_c A_c for each row w of the (r, m) weights W:
+        unit eigenvectors H (r, len(ends), d) as rows and eigenvalues q (r,
+        len(ends)), at ``ends`` of the ascending spectrum (-1 the top, 0 the
+        bottom). Dense storage runs one batched eigh and ignores ``starts``;
+        the others run ``_lanczos`` on ``weighted(w)`` from the row's start."""
+        if self.storage == "dense":
+            # one GEMV per row: a GEMM W @ stack rounds each row by the batch
+            M = np.matmul(W[:, None], self.stack.reshape(self.m, -1))
+            vals, vecs = np.linalg.eigh(M.reshape(-1, self.d, self.d))
+            return vecs.transpose(0, 2, 1)[:, list(ends)], vals[:, list(ends)]
+        runs = [_lanczos(self.weighted(w), v0, ends) for w, v0 in zip(W, starts)]
+        return np.stack([H for H, _ in runs]), np.stack([q for _, q in runs])
 
     def quad_values(self, h: np.ndarray) -> np.ndarray:
         """All per-output quadratic forms h^T A_c h as a length-m vector."""

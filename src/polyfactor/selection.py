@@ -2,22 +2,21 @@
 
 Every route starts from the two ends of each output's spectrum: the top and
 bottom eigenpairs of A_c, all from ``_spectrum_ends`` as two arrays, the
-unit eigenvectors H (m, 2, d) and their eigenvalues q (m, 2). Dense-stored
-operators get them exactly from one batched eigh over the (m, d, d) stack;
-sparse and matrix-free operators from a seeded Lanczos run with full
-reorthogonalisation. The l1 route keeps the end with the largest |q|, the
-dominant eigenpair of the strongest output. The group routes (p = 2 or 1)
-refine the distinct ends of every output with a nonzero spectrum, each by
-its own ``refine`` call, on operators with a sign mirror
-(``GradientOperator.mirror``) only the top ends, see ``select_group``.
-Refinement runs in rounds: each round moves to the top eigenvector of the
-weighted operator sum_c w_c A_c, with weights w read off the current
-quadratic forms, and is kept only when it raises the objective f_p. The
-same Lanczos routine serves the spectrum ends and the rounds. Every route's
-score is the penalty's dual norm of g_h, which ``fit`` also reads as its
-stopping certificate; an all-zero spectrum scores 0.0. An exhaustive
-sign-pattern eigensolver provides the exact optimum for small output
-counts, plus two cheap baselines for method comparisons.
+unit eigenvectors H (m, 2, d) and their eigenvalues q (m, 2). The l1 route
+keeps the end with the largest |q|, the dominant eigenpair of the strongest
+output. The group routes (p = 2 or 1) refine the distinct ends of every
+output with a nonzero spectrum, each by its own ``refine`` call, on
+operators with a sign mirror (``GradientOperator.mirror``) only the top
+ends, see ``select_group``. Refinement runs in rounds: each round moves to
+the top eigenvector of the weighted operator sum_c w_c A_c, with weights w
+read off the current quadratic forms, and is kept only when it raises the
+objective f_p. ``GradientOperator.eigenpairs`` solves both the spectrum
+ends and the rounds (exactly on dense storage, by seeded or warm-started
+Lanczos on the others), so selection never reads how operators are stored.
+Every route's score is the penalty's dual norm of g_h, which ``fit`` also
+reads as its stopping certificate; an all-zero spectrum scores 0.0. An
+exhaustive sign-pattern eigensolver provides the exact optimum for small
+output counts, plus two cheap baselines for method comparisons.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ class OracleLimitError(ValueError):
     """Exact selection requested for too many outputs (cost is 2^m)."""
 
 
-LANCZOS_EPS = 0.01            # eigenpair accuracy in (0, 1), see _lanczos
-LANCZOS_MAX_STEPS = 300       # Lanczos step cap (d caps it too)
 REFINE_MAX_ROUNDS = 50        # refinement round cap, see refine
 HUBER_DELTA = 1.0             # smoothing width of the p = 1 round weights
 ORACLE_LIMIT = 12             # largest output count the exact oracle accepts
@@ -69,57 +66,17 @@ def _seeded_unit_vector(d: int, seed_key) -> np.ndarray:
     return v / nrm
 
 
-def _lanczos(apply, v0: np.ndarray, ends):
-    """Ritz pairs at the given ends of a symmetric operator's spectrum.
-
-    Lanczos with full reorthogonalisation from the unit vector v0, applying
-    the operator by ``apply``. ``ends`` indexes the ascending Ritz values (-1
-    the top, 0 the bottom). It stops once every requested end's Ritz residual
-    beta_k |s_k| is at most 0.05 LANCZOS_EPS max|theta|, or when the Krylov
-    space is exhausted, after at most min(d, LANCZOS_MAX_STEPS) steps.
-    Returns the Ritz vectors as the rows of a (len(ends), d) array and their
-    Ritz values.
-    """
-    steps = min(v0.size, LANCZOS_MAX_STEPS)
-    Q = np.empty((steps, v0.size))        # Lanczos vectors, one per row
-    T = np.zeros((steps, steps))          # their tridiagonal projection
-    Q[0] = v0
-    for k in range(steps):
-        w = apply(Q[k])
-        T[k, k] = Q[k] @ w
-        basis = Q[:k + 1]
-        for _ in range(2):  # twice is enough for orthogonality to rounding
-            w = w - basis.T @ (basis @ w)
-        beta = np.linalg.norm(w)
-        theta, S = np.linalg.eigh(T[:k + 1, :k + 1])
-        tol = 0.05 * LANCZOS_EPS * max(abs(theta[0]), abs(theta[-1]))
-        if k + 1 == steps or beta * max(abs(S[k, j]) for j in ends) <= tol:
-            break
-        Q[k + 1] = w / beta
-        T[k + 1, k] = T[k, k + 1] = beta
-    H = np.empty((len(ends), v0.size))
-    for i, j in enumerate(ends):
-        h = basis.T @ S[:, j]  # one GEMV per end: a batched product rounds differently
-        H[i] = h / np.linalg.norm(h)
-    return H, theta[list(ends)]
-
-
 def _spectrum_ends(op: GradientOperator, seed: int):
     """The top and bottom eigenpairs of every output: (H, q).
 
     H[c] (2, d) holds output c's top and bottom unit eigenvectors as rows,
     and q[c] (2,) their eigenvalues, q[c, i] = H[c, i]^T A_c H[c, i]. The
     eigenvalues come back sorted, so A_c has an all-zero spectrum exactly
-    when ``not q[c].any()``. Dense storage takes one batched eigh over the
-    stored Grams; the other storages run Lanczos on ``op.weighted(e_c)``,
-    e_c the c-th unit vector, which applies A_c alone.
+    when ``not q[c].any()``. ``op.eigenpairs`` solves at the unit weight
+    vectors; the Lanczos starts are drawn from ``seed`` only when it runs.
     """
-    if op.storage != "dense":
-        ends = [_lanczos(op.weighted(e), _seeded_unit_vector(op.d, (seed, c, 0)), (-1, 0))
-                for c, e in enumerate(np.eye(op.m))]
-        return np.stack([H for H, _ in ends]), np.stack([q for _, q in ends])
-    vals, vecs = np.linalg.eigh(op.stack)
-    return vecs.transpose(0, 2, 1)[:, [-1, 0]], vals[:, [-1, 0]]
+    starts = (_seeded_unit_vector(op.d, (seed, c, 0)) for c in range(op.m))
+    return op.eigenpairs(np.eye(op.m), starts, [-1, 0])
 
 
 def select_l1(op: GradientOperator, seed: int) -> SelectionResult:
@@ -133,16 +90,8 @@ def select_l1(op: GradientOperator, seed: int) -> SelectionResult:
 
 
 def _top_eigvector(op: GradientOperator, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The top unit eigenvector of M_w = sum_c w_c A_c, signed to agree with h.
-
-    Dense storage takes it exactly from one eigh of the summed (d, d) array;
-    the other storages run Lanczos on ``op.weighted(w)`` warm-started at h,
-    stopping on the top end's residual test.
-    """
-    if op.storage == "dense":
-        top = np.linalg.eigh(np.tensordot(w, op.stack, 1))[1][:, -1]
-    else:
-        top = _lanczos(op.weighted(w), h / np.linalg.norm(h), (-1,))[0][0]
+    """The top unit eigenvector of M_w = sum_c w_c A_c, signed to agree with h."""
+    top = op.eigenpairs(w[None], [h / np.linalg.norm(h)], [-1])[0][0, 0]
     return -top if top @ h < 0.0 else top
 
 

@@ -15,6 +15,7 @@ import polyfactor
 from polyfactor import cli, solver
 from polyfactor.cli import main
 from polyfactor.data import load_movielens, load_svmlight, make_dataset, save_svmlight, take_rows
+from polyfactor.gradients import GradientOperator
 from polyfactor.mcrank import expected_relevance
 from polyfactor.models import load_model, outputs, predict_labels
 from polyfactor.solver import SolverConfig
@@ -89,6 +90,18 @@ class TestTrain:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [data]
 
+    def test_out_of_memory_is_one_error_line(self, svm_file, tmp_path, capsys, monkeypatch):
+        # an operator too large to allocate (an svmlight feature index of
+        # 10^12 asks for terabytes) ends in one error line, not a traceback
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(GradientOperator, "__init__", no_memory)
+        out = tmp_path / "model.json"
+        assert run("train", "--data", svm_file, "--out", out) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+        assert not out.exists()
+
     def test_missing_data_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("train", "--out", tmp_path / "m.json")
@@ -133,8 +146,8 @@ class TestTrain:
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run(*args, "--out", tmp_path / "m1.json", "--trace", t1)
         run(*args, "--out", tmp_path / "m2.json", "--trace", t2)
-        rows1 = list(csv.reader(t1.open()))
-        rows2 = list(csv.reader(t2.open()))
+        with t1.open() as f1, t2.open() as f2:
+            rows1, rows2 = list(csv.reader(f1)), list(csv.reader(f2))
         assert [r[:4] for r in rows1] == [r[:4] for r in rows2]
         assert rows1[0] == ["t", "objective", "score", "k", "seconds"]
 
@@ -566,7 +579,8 @@ class TestOracleCompare:
         code = run("oracle-compare", "--instances", 12, "--n", 24, "--d", 8,
                    "--m-max", 4, "--out", out, "--seed", 3)
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert {r["method"] for r in rows} == {
             "exact", "l1-init+refine", "l1-init", "random-init",
             "random-init+refine", "best-data"}
@@ -585,7 +599,8 @@ class TestOracleCompare:
         code = run("oracle-compare", "--data", svm_file, "--instances", 0,
                    "--out", out, "--seed", 3)
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert {r["instance"] for r in rows} == {"dataset"}
         assert [r["method"] for r in rows] == [
             "exact", "l1-init+refine", "l1-init", "random-init",

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from conftest import SHAPES, random_operator, shaped_operator
 from oracles import activation, loss_gradient
 from polyfactor.data import make_dataset
-from polyfactor.gradients import DENSE_BLOCK, GradientOperator
+from polyfactor.gradients import DENSE_BLOCK, LANCZOS_EPS, GradientOperator
 from polyfactor.losses import loss_values
 from polyfactor.models import Model, empty_model, hidden_activations
 from polyfactor.mcrank import build_ordinal
@@ -378,6 +378,46 @@ class TestMatvec:
             for w in [rng.standard_normal(op.m), *np.eye(op.m)]:
                 expected = sum(w[c] * (op.dense_matrix(c) @ h) for c in range(op.m))
                 assert np.allclose(op.weighted_matvec(w, h), expected, rtol=1e-12, atol=1e-12)
+
+
+def no_starts():
+    """A start generator that fails when drawn from (dense storage draws none)."""
+    raise AssertionError("dense storage drew a Lanczos start")
+    yield
+
+
+class TestEigenpairs:
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: shape[-1])
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_rows_are_one_row_calls(self, shape, kind, rng):
+        # unit weights (the spectrum ends) and random weights (the rounds)
+        op = shaped_operator(rng, shape, kind)
+        W = np.vstack([np.eye(op.m), rng.standard_normal((3, op.m))])
+        starts = rng.standard_normal((len(W), op.d))
+        starts /= np.linalg.norm(starts, axis=1)[:, None]
+        if op.storage == "dense":
+            starts = no_starts()
+        H, q = op.eigenpairs(W, starts, [-1, 0])
+        assert H.shape == (len(W), 2, op.d) and q.shape == (len(W), 2)
+        for i, w in enumerate(W):
+            one = no_starts() if op.storage == "dense" else starts[i:i + 1]
+            H1, q1 = op.eigenpairs(w[None], one, [-1, 0])
+            assert np.array_equal(H1[0], H[i]) and np.array_equal(q1[0], q[i])
+            A = sum(w[c] * op.dense_matrix(c) for c in range(op.m))
+            vals = np.linalg.eigvalsh(A)
+            rho = np.abs(vals).max()
+            assert np.abs(q[i] - vals[[-1, 0]]).max() <= LANCZOS_EPS * rho + 1e-12
+            for h, val in zip(H[i], q[i]):
+                assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
+                assert abs(val - h @ A @ h) <= 1e-10 * max(rho, 1.0)
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_dense_unit_weights_are_the_stack_eigh(self, kind, rng):
+        op = shaped_operator(rng, SHAPES[1], kind)
+        vals, vecs = np.linalg.eigh(op.stack)
+        H, q = op.eigenpairs(np.eye(op.m), no_starts(), [-1, 0])
+        assert np.array_equal(q, vals[:, [-1, 0]])
+        assert np.array_equal(H, vecs.transpose(0, 2, 1)[:, [-1, 0]])
 
 
 class TestGradRow:

@@ -3,12 +3,11 @@ import pytest
 
 from conftest import SHAPES, random_operator, shaped_operator
 from polyfactor.data import make_dataset
-from polyfactor.gradients import GradientOperator
-from polyfactor import selection
+from polyfactor.gradients import LANCZOS_EPS, GradientOperator
+from polyfactor import gradients, selection
 from polyfactor.losses import loss_gradients
 from polyfactor.selection import (
     HUBER_DELTA,
-    LANCZOS_EPS,
     REFINE_MAX_ROUNDS,
     OracleLimitError,
     SelectionResult,
@@ -465,13 +464,20 @@ class TestSelectGroup:
 
 class TestExactOracle:
     def test_single_output_matches_power_method(self, rng, monkeypatch):
-        op, _ = random_operator(rng, 10, 6, 1)
-        exact = exact_oracle_linf(op)
-        monkeypatch.setattr(selection, "LANCZOS_EPS", 1e-3)
-        _, q = _spectrum_ends(op, 3)
-        val = np.abs(q[0]).max()
-        assert exact.score >= val >= (1 - 1e-3) * exact.score
-        assert exact.score >= select_l1(op, 3).score >= (1 - 1e-3) * exact.score
+        # the (100, 150) operator is matrix-free and wide enough for Lanczos
+        # to stop on its residual test, which the tighter LANCZOS_EPS sets
+        monkeypatch.setattr(gradients, "LANCZOS_EPS", 1e-3)
+        for n, d in [(10, 6), (100, 150)]:
+            op, _ = random_operator(rng, n, d, 1)
+            exact = exact_oracle_linf(op)
+            H, q = _spectrum_ends(op, 3)
+            val = np.abs(q[0]).max()
+            assert exact.score >= val >= (1 - 1e-3) * exact.score
+            assert exact.score >= select_l1(op, 3).score >= (1 - 1e-3) * exact.score
+            A = op.dense_matrix(0)
+            for h, end in zip(H[0], q[0]):
+                residual = np.linalg.norm(A @ h - end * h)
+                assert residual <= 0.05 * 1e-3 * exact.score * (1 + 1e-6) + 1e-12
 
     def test_two_orthogonal_outputs(self):
         # f_1 = h1^2 + h2^2 = 1 on the whole unit sphere
