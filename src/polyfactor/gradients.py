@@ -198,7 +198,7 @@ class GradientOperator:
 
     def refresh(self, model) -> None:
         """Recompute D from the model's outputs and its loss's gradients."""
-        O = outputs(model, self.X, self.ds.X2 if model.kind == "fm" else None)
+        O = outputs(model, self.ds.Xmul, self.ds.X2mul if model.kind == "fm" else None)
         self.set_gradients(loss_gradients(model.loss, targets_for(model.loss, self.ds), O))
 
     def set_gradients(self, D: np.ndarray) -> None:
@@ -224,13 +224,16 @@ class GradientOperator:
         self.D = D
 
     def _dense_stack(self, D: np.ndarray) -> np.ndarray:
-        """The (m, d, d) stack of A_c, summed over blocks of rows. The sum is
-        checked before FM zeroes its diagonal, which may hold the overflow."""
+        """The (m, d, d) stack of A_c, summed over blocks of rows of the
+        dataset's ``Xmul`` (densified block by block when it is CSR). The sum
+        is checked before FM zeroes its diagonal, which may hold the overflow."""
         n, d, m = self.n, self.d, self.m
         T = np.zeros((d, m * d))
         step = max(1, DENSE_BLOCK // (m * d))
         for lo in range(0, n, step):
-            Xb = self.X[lo:lo + step].toarray()
+            Xb = self.ds.Xmul[lo:lo + step]
+            if sp.issparse(Xb):
+                Xb = Xb.toarray()
             T += Xb.T @ (D[lo:lo + step, :, None] * Xb[:, None, :]).reshape(-1, m * d)
         stack = np.ascontiguousarray(_finite(T).reshape(d, m, d).transpose(1, 0, 2))
         if self.kind == "fm":
@@ -281,7 +284,9 @@ class GradientOperator:
     def quad_values(self, h: np.ndarray) -> np.ndarray:
         """All per-output quadratic forms h^T A_c h as a length-m vector."""
         if self.storage == "dense":
-            # one GEMV per output: the GEMM stack @ h rounds differently
+            # one GEMV per output: the GEMM stack @ h rounds differently, and
+            # so does a GEMV on a strided h
+            h = np.ascontiguousarray(h)
             return np.matmul(self.stack, h[:, None]).reshape(self.m, self.d) @ h
         if self.storage == "sparse":
             return (self.stack @ h).reshape(self.m, self.d) @ h

@@ -5,15 +5,17 @@ for a per-class weight rho_c, so every gradient sums to zero. The
 "binary-logistic" loss treats the m outputs as independent binary problems
 against a {-1,+1} label matrix; "squared" is plain single-output regression.
 
-Each loss is written once, in ``loss_pass``: one forward pass gives the
-per-sample values and a thunk for the gradient, and the thunk reuses what
-the pass computed. ``logistic`` / ``smoothed-hinge`` keep the shifted
-exponentials E = exp(Z - zmax) and their row sums s (gradient E / s with 1
-subtracted at the label); ``squared-hinge`` keeps the clipped margins M
-(gradient 2M with the label entry set to minus the row sum); ``squared``
-keeps the residual. ``binary-logistic`` keeps nothing: its thunk computes
--Y / (1 + exp(Y o)) from the outputs (a thunk reusing the pass's
-exp(-|z|) keeps two more n x m arrays alive per point and ran slower).
+Each loss is written once, in ``_forward``: one forward pass gives thunks
+for the per-sample values and for the gradient, both reading what the pass
+computed, so ``loss_gradients`` never computes the values and
+``loss_values`` never the gradient. ``logistic`` / ``smoothed-hinge`` keep
+the shifted exponentials E = exp(Z - zmax) and their row sums s (gradient
+E / s with 1 subtracted at the label); ``squared-hinge`` keeps the clipped
+margins M (gradient 2M with the label entry set to minus the row sum);
+``squared`` keeps the residual. ``binary-logistic`` keeps nothing: its
+gradient thunk computes -Y / (1 + exp(Y o)) from the outputs (a thunk
+reusing the values' exp(-|z|) keeps two more n x m arrays alive per point
+and ran slower).
 
 The binary logistic value ln(1 + e^{-z}), z = y o, is evaluated as
 max(-z, 0) + log1p(exp(-|z|)), which runs on numpy's vectorised exp and
@@ -38,15 +40,69 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown loss {kind!r}; expected one of {LOSSES}")
 
 
-def _class_margins(kind, y, O):
-    """Per-sample shifted scores z with z[:, y] = 0 (hinge adds the unit bump)."""
-    n = O.shape[0]
-    oy = O[np.arange(n), y - 1]
-    Z = O - oy[:, None]
+def _class_margins(kind, at, O):
+    """Per-sample shifted scores z with z[:, y] = 0 (hinge adds the unit bump).
+
+    ``at`` holds each row's label entry as a flat index into the C-ordered O
+    (and Z): a flat take or store costs a third of the (rows, y - 1) pair
+    indexing on narrow rows, and moves the same values.
+    """
+    Z = O - O.ravel()[at][:, None]
     if kind in ("smoothed-hinge", "squared-hinge"):
-        Z = Z + 1.0
-        Z[np.arange(n), y - 1] = 0.0
+        Z += 1.0
+        Z.ravel()[at] = 0.0
     return Z
+
+
+def _forward(kind: str, labels, O: np.ndarray):
+    """One forward pass: thunks for the per-sample loss values and for the
+    n x m gradient, each reading what the pass computed (module docstring)."""
+    _check_kind(kind)
+    O = np.ascontiguousarray(O, dtype=np.float64)
+    if kind == "binary-logistic":
+        Y = np.asarray(labels, dtype=np.float64)
+
+        def binary_values():
+            z = Y * O
+            # max(-z, 0) + log1p(exp(-|z|)), in place on two n x m buffers
+            t = np.abs(z)
+            np.exp(np.negative(t, out=t), out=t)
+            np.log1p(t, out=t)
+            t += np.maximum(np.negative(z, out=z), 0.0, out=z)
+            return t.sum(axis=1)
+
+        # d/do log(1 + exp(-y o)) = -y * sigmoid(-y o)
+        return binary_values, lambda: -Y / (1.0 + np.exp(Y * O))
+    if kind == "squared":
+        if O.shape[1] != 1:
+            raise ValueError("squared loss requires a single output")
+        r = O[:, 0] - np.asarray(labels, dtype=np.float64)
+        return lambda: 0.5 * r * r, lambda: r[:, None]
+    # each row's label entry as a flat index; a label outside 1..m raises
+    rows = np.arange(O.shape[0])
+    at = np.ravel_multi_index((rows, np.asarray(labels, dtype=np.int64) - 1), O.shape)
+    Z = _class_margins(kind, at, O)
+    if kind == "squared-hinge":
+        M = np.maximum(Z, 0.0)
+        M.ravel()[at] = 0.0
+
+        def hinge_gradient():
+            G = 2.0 * M
+            G.ravel()[at] = -G.sum(axis=1)
+            return G
+
+        return lambda: (M * M).sum(axis=1), hinge_gradient
+    # both logistic variants reduce to a stabilized log-sum-exp of Z
+    zmax = np.ascontiguousarray(Z.T).max(axis=0)
+    E = np.exp(Z - zmax[:, None])
+    s = E.sum(axis=1)
+
+    def softmax_gradient():
+        G = E / s[:, None]
+        G.ravel()[at] -= 1.0
+        return G
+
+    return lambda: zmax + np.log(s), softmax_gradient
 
 
 def loss_pass(kind: str, labels, O: np.ndarray):
@@ -58,58 +114,19 @@ def loss_pass(kind: str, labels, O: np.ndarray):
     docstring lists for its loss, so a value-only caller never pays for the
     gradient.
     """
-    _check_kind(kind)
-    O = np.asarray(O, dtype=np.float64)
-    if kind == "binary-logistic":
-        Y = np.asarray(labels, dtype=np.float64)
-        z = Y * O
-        # max(-z, 0) + log1p(exp(-|z|)), in place on two n x m buffers
-        t = np.abs(z)
-        np.exp(np.negative(t, out=t), out=t)
-        np.log1p(t, out=t)
-        t += np.maximum(np.negative(z, out=z), 0.0, out=z)
-        values = t.sum(axis=1)
-        # d/do log(1 + exp(-y o)) = -y * sigmoid(-y o)
-        return values, lambda: -Y / (1.0 + np.exp(Y * O))
-    if kind == "squared":
-        if O.shape[1] != 1:
-            raise ValueError("squared loss requires a single output")
-        r = O[:, 0] - np.asarray(labels, dtype=np.float64)
-        return 0.5 * r * r, lambda: r[:, None]
-    y = np.asarray(labels, dtype=np.int64)
-    rows = np.arange(O.shape[0])
-    Z = _class_margins(kind, y, O)
-    if kind == "squared-hinge":
-        M = np.maximum(Z, 0.0)
-        M[rows, y - 1] = 0.0
-
-        def hinge_gradient():
-            G = 2.0 * M
-            G[rows, y - 1] = -G.sum(axis=1)
-            return G
-
-        return (M * M).sum(axis=1), hinge_gradient
-    # both logistic variants reduce to a stabilized log-sum-exp of Z
-    zmax = np.ascontiguousarray(Z.T).max(axis=0)
-    E = np.exp(Z - zmax[:, None])
-    s = E.sum(axis=1)
-
-    def softmax_gradient():
-        G = E / s[:, None]
-        G[rows, y - 1] -= 1.0
-        return G
-
-    return zmax + np.log(s), softmax_gradient
+    values, gradient = _forward(kind, labels, O)
+    return values(), gradient
 
 
 def loss_values(kind: str, labels, O: np.ndarray) -> np.ndarray:
     """Per-sample loss values for an n x m output matrix (see ``loss_pass``)."""
-    return loss_pass(kind, labels, O)[0]
+    return _forward(kind, labels, O)[0]()
 
 
 def loss_gradients(kind: str, labels, O: np.ndarray) -> np.ndarray:
-    """Gradient of each per-sample loss w.r.t. its output row (n x m)."""
-    return loss_pass(kind, labels, O)[1]()
+    """Gradient of each per-sample loss w.r.t. its output row (n x m): the
+    ``loss_pass`` thunk's, without computing the loss values."""
+    return _forward(kind, labels, O)[1]()
 
 
 def targets_for(kind: str, ds):

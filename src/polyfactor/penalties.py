@@ -63,6 +63,7 @@ def prox(kind: str, V: np.ndarray, threshold: float) -> np.ndarray:
 
 def project_unit_rows(H: np.ndarray) -> np.ndarray:
     """Project every row of H onto the unit l2 ball."""
-    norms = np.linalg.norm(H, axis=1)
-    scale = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
-    return H * scale[:, None]
+    # np.linalg.norm's sum without its call overhead; a row inside the ball
+    # scales by 1 / 1, exactly 1
+    norms = np.sqrt(np.add.reduce(H * H, axis=1))
+    return H * (1.0 / np.maximum(norms, 1.0))[:, None]

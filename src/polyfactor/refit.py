@@ -29,7 +29,7 @@ FISTA_TOL = 1e-3       # stop once an iteration changes the objective by less (r
 
 def penalized_objective(model: Model, ds) -> float:
     """Total training loss plus lam * Omega(V)."""
-    O = outputs(model, ds.X, ds.X2 if model.kind == "fm" else None)
+    O = outputs(model, ds.Xmul, ds.X2mul if model.kind == "fm" else None)
     targets = targets_for(model.loss, ds)
     return float(loss_values(model.loss, targets, O).sum()) + \
         model.lam * penalty_value(model.penalty, model.V)
@@ -109,8 +109,8 @@ def _fista(x0: np.ndarray, smooth, model: Model):
 def refit_output(model: Model, ds) -> tuple[Model, list[float]]:
     """Convex re-fit of V over the fixed basis (penalized, warm-started),
     by ``_fista`` at its module-level iteration cap and tolerance."""
-    Phi = hidden_activations(model.kind, model.H, ds.X,
-                             ds.X2 if model.kind == "fm" else None)
+    Phi = hidden_activations(model.kind, model.H, ds.Xmul,
+                             ds.X2mul if model.kind == "fm" else None)
     targets = targets_for(model.loss, ds)
 
     def smooth(V):
@@ -123,9 +123,9 @@ def refit_output(model: Model, ds) -> tuple[Model, list[float]]:
 
 def refit_full(model: Model, ds) -> tuple[Model, list[float]]:
     """Joint proximal-gradient descent in [V, H]; H rows stay in the unit ball."""
-    X = ds.X
-    X2 = ds.X2 if model.kind == "fm" else None
-    XT = X.T  # bound once: X.T builds a new CSC view at every call
+    X = ds.Xmul
+    X2 = ds.X2mul if model.kind == "fm" else None
+    XT = X.T  # bound once: a CSR X.T builds a new CSC view at every call
     X2T = X2.T if X2 is not None else None
     targets = targets_for(model.loss, ds)
 

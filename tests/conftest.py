@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polyfactor import refit
+from polyfactor import data, refit
 from polyfactor.data import make_dataset
 from polyfactor.gradients import GradientOperator
 
@@ -16,6 +16,16 @@ def set_fista(monkeypatch, max_iter, tol):
     """Run the FISTA refits with another iteration cap and tolerance."""
     monkeypatch.setattr(refit, "FISTA_MAX_ITER", max_iter)
     monkeypatch.setattr(refit, "FISTA_TOL", tol)
+
+
+def csr_twin(ds, monkeypatch):
+    """A copy of ``ds`` whose refits and refreshes multiply the CSR X and X∘X,
+    whatever ``data.prefer_dense`` says of its density."""
+    twin = make_dataset(ds.X, ds.y, ds.m)
+    with monkeypatch.context() as patched:
+        patched.setattr(data, "prefer_dense", lambda X: False)
+        assert twin.Xmul is twin.X and twin.X2mul is twin.X2
+    return twin
 
 
 def random_operator(rng, n, d, m, kind="pn", density=1.0, one_hot=False):

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from polyfactor.data import (
     load_movielens,
     load_svmlight,
     make_dataset,
+    prefer_dense,
     save_svmlight,
     split,
 )
@@ -251,6 +253,39 @@ class TestDatasetInvariants:
         X = rng.standard_normal((2, 2))
         with pytest.raises(DataError):
             make_dataset(X, np.array([0, 1]), 2)
+
+
+class TestProductForm:
+    def test_dense_design_multiplied_as_read_only_arrays(self, rng):
+        X = rng.standard_normal((30, 5))
+        X[rng.random(X.shape) < 0.4] = 0.0     # 60% dense: n d <= 2 nnz
+        ds = make_dataset(X, np.ones(30, dtype=np.int64), 2)
+        assert prefer_dense(ds.X)
+        assert ds.Xmul is ds.Xmul and ds.X2mul is ds.X2mul
+        assert np.array_equal(ds.Xmul, X) and np.array_equal(ds.X2mul, ds.X2.toarray())
+        assert not ds.Xmul.flags.writeable and not ds.X2mul.flags.writeable
+
+    def test_ratings_one_hot_design_stays_csr(self):
+        # the ratings workload's shape: 12,000 rows with one user (of 300)
+        # and one item (of 500) column each, so n d = 9.6M against 2 nnz = 48k
+        n, users, items = 12_000, 300, 500
+        rng = np.random.default_rng(0)
+        cols = np.stack([rng.integers(0, users, n), users + rng.integers(0, items, n)], axis=1)
+        X = sp.csr_matrix((np.ones(2 * n), np.sort(cols, axis=1).ravel(),
+                           np.arange(0, 2 * n + 1, 2)), shape=(n, users + items))
+        assert not prefer_dense(X)
+        ds = make_dataset(X, np.ones(n, dtype=np.int64), 2)
+        assert ds.Xmul is ds.X and ds.X2mul is ds.X2
+
+    def test_rule_reads_shape_and_nonzeros_only(self):
+        # a copy is bounded by 16 bytes per nonzero: a 10^6 x 3,000 X with 10
+        # nonzeros per row (24 GB dense) stays sparse; no array is built here
+        def shaped(n, d, nnz):
+            return SimpleNamespace(shape=(n, d), nnz=nnz)
+
+        assert not prefer_dense(shaped(10**6, 3000, 10**7))
+        assert prefer_dense(shaped(264, 11, 264 * 11))
+        assert prefer_dense(shaped(10, 10, 50)) and not prefer_dense(shaped(10, 10, 49))
 
 
 def reference_make_ratings(n_users, n_items, n_ratings, rank=4, seed=0, noise=0.05):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import SHAPES, random_operator, shaped_operator
+from conftest import SHAPES, csr_twin, random_operator, shaped_operator
 from oracles import activation, loss_gradient
 from polyfactor.data import make_dataset
 from polyfactor.gradients import DENSE_BLOCK, LANCZOS_EPS, GradientOperator
@@ -295,6 +295,25 @@ class TestRefresh:
         op.refresh(empty_model("fm", d, m, "binary-logistic", "l1linf", 0.1))
         assert np.allclose(op.D, -ds.Y / 2.0)
 
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_dense_x_matches_csr_x(self, kind, rng, monkeypatch):
+        # a dense design's refresh reads the dense X: the outputs, hence D,
+        # agree with the CSR X's to rounding, and the same D builds the same
+        # stack bit for bit (both blocks are the same dense rows)
+        n, d, m, k = 40, 4, 3, 3
+        ds = make_dataset(rng.standard_normal((n, d)), rng.integers(1, m + 1, size=n), m)
+        twin = csr_twin(ds, monkeypatch)
+        H = rng.standard_normal((k, d))
+        H /= np.linalg.norm(H, axis=1, keepdims=True)
+        model = Model(kind, H, rng.standard_normal((k, m)), "logistic", "l1", 0.1)
+        op, twin_op = GradientOperator(ds, kind), GradientOperator(twin, kind)
+        assert op.storage == twin_op.storage == "dense"
+        op.refresh(model)
+        twin_op.refresh(model)
+        np.testing.assert_allclose(op.D, twin_op.D, rtol=1e-12, atol=1e-15)
+        twin_op.set_gradients(op.D)
+        assert np.array_equal(op.stack, twin_op.stack)
+
     def test_matches_rowwise_loss_gradients(self, rng):
         n, d, m, k = 15, 6, 3, 4
         X = rng.standard_normal((n, d))
@@ -447,6 +466,18 @@ class TestGradRow:
             for c in range(3):
                 direct = eq8_direct(op, h, c)
                 assert abs(g[c] - direct) <= 1e-10 * max(1.0, abs(direct))
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    @pytest.mark.parametrize("shape", [(30, 6, 1, 1.0, False, "dense")] + SHAPES,
+                             ids=lambda shape: f"{shape[-1]}-m{shape[2]}")
+    def test_quad_values_ignore_memory_layout(self, shape, kind, rng):
+        # an eigh column is a strided view; its contiguous copy reads the same
+        # (a one-output dense stack rounded the two differently)
+        for _ in range(30):
+            op = shaped_operator(rng, shape, kind)
+            view = np.linalg.eigh(op.dense_matrix(0))[1][:, -1]
+            assert not view.flags.c_contiguous
+            assert np.array_equal(op.quad_values(view), op.quad_values(view.copy()))
 
     def test_quad_values_match_dense_quadratic_forms(self, rng):
         for kind in ("pn", "fm"):

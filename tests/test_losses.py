@@ -206,6 +206,42 @@ class TestLossPass:
                 assert np.array_equal(grad(), ref_grad)  # the thunk can run again
                 assert np.array_equal(loss_values(kind, y, O), ref_values)
                 assert np.array_equal(loss_gradients(kind, y, O), ref_grad)
+                # the label entries are found by flat index in any memory layout
+                values, grad = loss_pass(kind, y, np.asfortranarray(O))
+                assert np.array_equal(values, ref_values)
+                assert np.array_equal(grad(), ref_grad)
+
+    @pytest.mark.parametrize("kind", LOSSES)
+    def test_gradients_skip_the_values(self, kind, rng, monkeypatch):
+        # loss_gradients returns the pass's gradient bit for bit and never
+        # runs the log / log1p that only the values need
+        n, m = 50, 1 if kind == "squared" else 4
+        O = 3.0 * rng.standard_normal((n, m))
+        if kind == "binary-logistic":
+            labels = rng.choice([-1.0, 1.0], size=(n, m))
+        elif kind == "squared":
+            labels = rng.standard_normal(n)
+        else:
+            labels = rng.integers(1, m + 1, size=n)
+        expected = loss_pass(kind, labels, O)[1]()
+
+        def values_only(*args, **kwargs):
+            raise AssertionError("a loss value was computed")
+
+        monkeypatch.setattr(np, "log", values_only)
+        monkeypatch.setattr(np, "log1p", values_only)
+        got = loss_gradients(kind, labels, O)
+        monkeypatch.undo()
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("kind", MULTICLASS_LOSSES)
+    @pytest.mark.parametrize("label", [0, 4])
+    def test_label_outside_outputs_refused(self, kind, label, rng):
+        # a label entry is found by flat index, which must not run into the
+        # next row (label m + 1) or wrap to the last column (label 0)
+        O = rng.standard_normal((3, 3))
+        with pytest.raises(ValueError):
+            loss_pass(kind, np.array([1, label, 2]), O)
 
     def test_squared_needs_one_output(self):
         y, O = np.zeros(3), np.zeros((3, 2))

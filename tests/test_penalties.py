@@ -141,6 +141,20 @@ class TestProjections:
                 q = random_ball_point(rng, "l1", (1, 5))[0] * radius
                 assert np.sum((p - v) ** 2) <= np.sum((q - v) ** 2) + 1e-10
 
+    def test_unit_row_projection_matches_norm_reference(self, rng):
+        # bit for bit the np.linalg.norm form, on rows inside, on and outside
+        # the ball, zero rows and huge rows
+        for _ in range(200):
+            k, d = rng.integers(0, 6), rng.integers(1, 30)
+            H = rng.standard_normal((k, d)) * np.exp(rng.uniform(-3, 3, size=(k, 1)))
+            if k:
+                H[0] /= np.linalg.norm(H[0])
+                H[rng.integers(k)] = 0.0
+                H[rng.integers(k)] *= 1e150
+            norms = np.linalg.norm(H, axis=1)
+            reference = H * np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)[:, None]
+            assert np.array_equal(project_unit_rows(H), reference)
+
     def test_unit_row_projection(self, rng):
         H = rng.standard_normal((6, 4)) * 3.0
         P = project_unit_rows(H)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import set_fista
+from conftest import csr_twin, set_fista
 from polyfactor import losses, refit
 from polyfactor.data import make_dataset
 from polyfactor.gradients import GradientOperator
@@ -334,6 +334,35 @@ class TestFeatureSquares:
         assert np.array_equal(hidden_activations(kind, model.H, ds.X, ds.X2),
                               hidden_activations(kind, model.H, ds.X))
         assert np.array_equal(outputs(model, ds.X, ds.X2), outputs(model, ds.X))
+
+
+class TestDenseProducts:
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    @pytest.mark.parametrize("refit_fn", [refit_output, refit_full])
+    def test_dense_x_matches_csr_x(self, refit_fn, kind, monkeypatch):
+        # dense X (the fixture's) and its CSR twin run the same iterations at
+        # the package's own refit tolerance; every loss pass agrees to
+        # rounding. The full refit's traces agree less closely: hundreds of
+        # non-convex steps amplify the per-pass rounding (2e-8 relative at
+        # most over these seeds for PN; the output refit's stay within 4e-16)
+        set_fista(monkeypatch, 1000, 1e-3)
+        trace_rtol = 1e-12 if refit_fn is refit_output else 1e-6
+        for seed in range(8):
+            model, ds = make_problem(np.random.default_rng(seed), kind=kind)
+            twin = csr_twin(ds, monkeypatch)
+            assert isinstance(ds.Xmul, np.ndarray) and isinstance(ds.X2mul, np.ndarray)
+            (fitted, trace), calls = capture_fista(monkeypatch, refit_fn, model, ds)
+            (_, twin_trace), twin_calls = capture_fista(monkeypatch, refit_fn, model, twin)
+            assert len(trace) == len(twin_trace) > 2
+            np.testing.assert_allclose(trace, twin_trace, rtol=trace_rtol, atol=0)
+            x_end = np.hstack([fitted.V, fitted.H]) if refit_fn is refit_full else fitted.V
+            for x in (calls[0][0], x_end):
+                value, grad = calls[0][1](x)
+                twin_value, twin_grad = twin_calls[0][1](x)
+                assert value == pytest.approx(twin_value, rel=1e-12, abs=0)
+                np.testing.assert_allclose(grad(), twin_grad(), rtol=1e-12, atol=1e-13)
+            assert penalized_objective(fitted, ds) == \
+                pytest.approx(penalized_objective(fitted, twin), rel=1e-12, abs=0)
 
 
 class TestPrune:
