@@ -15,19 +15,22 @@ The operators are stored in one of three ways, chosen from X alone:
 
 - ``dense``: an (m, d, d) stack, when it has no more entries than X has
   nonzeros (m d^2 <= nnz(X); small dense X such as the vowel-shaped set);
-- ``sparse``: an (m d, d) CSR stack on the sparsity pattern of X^T X, when
-  the rows' feature pairs number at most 2 nnz(X) (one-hot rows, such as
-  user/item ratings with two nonzeros per row);
+- ``sparse``: every A_c's values on the slots (stored entries) of X^T X's
+  sparsity pattern, when the rows' feature pairs number at most 2 nnz(X)
+  (one-hot rows, such as user/item ratings with two nonzeros per row);
 - ``free``: matrix-free applies, O(nnz(X)) each, for everything else.
 
-The dense storage keeps no state beyond X: each refresh fills the stack with
-X^T (D[:, c] o X) for all outputs in one GEMM per block of rows, densifying
-at most DENSE_BLOCK entries of the scaled copy at a time (FM: diagonal zeroed,
-then halved), so its memory stays within X plus the stack. The sparse
-storage keeps a pair map M built with the operator: each row i contributes
-its feature pairs (a, b) with weight x_ia x_ib (FM: a != b only, halved) to
-the slot of (a, b) in X^T X's pattern, so every refresh fills all m operators
-with the single product M @ D.
+Each refresh builds one array from D and checks it finite. The dense
+storage keeps no state beyond X: it fills the stack with X^T (D[:, c] o X)
+for all outputs in one GEMM per block of rows, densifying at most
+DENSE_BLOCK entries of the scaled copy at a time (FM: diagonal zeroed, then
+halved), so its memory stays within X plus the stack. The sparse storage
+keeps a pair map M built with the operator: each row i contributes its
+feature pairs (a, b) with weight x_ia x_ib (FM: a != b only, halved) to the
+slot of (a, b) in X^T X's pattern, so the (m, slots) values P = (M @ D)^T of
+all m operators are one product. The matrix-free storage builds the
+diagonals S = (X o X)^T D (FM subtracts them; PN builds them so that an
+overflowing X is refused by name).
 
 When X's pair graph (an edge (a, b) for every FM row with nonzeros at
 a != b) is 2-colourable, ``mirror`` holds a colouring s in {-1, +1}^d. Every
@@ -159,8 +162,7 @@ class GradientOperator:
     It holds no gradients until ``refresh`` (from a model) or
     ``set_gradients`` installs them; everything else is read-only and cheap.
     ``storage`` names how the operators are held (``dense``, ``sparse`` or
-    ``free``, see the module docstring); for the stored forms ``stack @ h``
-    gives every A_c h at once. ``mirror`` is the sign vector s with
+    ``free``, see the module docstring). ``mirror`` is the sign vector s with
     s o (A_c (s o h)) = -A_c h, or None (module docstring).
     """
 
@@ -189,12 +191,12 @@ class GradientOperator:
             slots, slot_of = np.unique(keys, return_inverse=True)
             self.M = sp.csr_matrix((w, (slot_of.ravel(), rows)), shape=(slots.size, self.n))
             indptr = np.searchsorted(slots, np.arange(self.d + 1) * self.d)
-            self._block = sp.csr_matrix((np.ones(slots.size), slots % self.d, indptr),
-                                        shape=(self.d, self.d))
-            self._stacked = sp.vstack([self._block] * self.m, format="csr")
+            b = slots % self.d
+            self._block = sp.csr_matrix((np.ones(slots.size), b, indptr), shape=(self.d, self.d))
+            self._pairs = (np.diff(indptr), b)  # each row a's slot count, each slot's b
         else:
             self.storage = "free"
-            self.XT = X.T.tocsr()
+            self.XT = X.T
 
     def refresh(self, model) -> None:
         """Recompute D from the model's outputs and its loss's gradients."""
@@ -202,25 +204,22 @@ class GradientOperator:
         self.set_gradients(loss_gradients(model.loss, targets_for(model.loss, self.ds), O))
 
     def set_gradients(self, D: np.ndarray) -> None:
-        """Install loss-gradient diagonals directly (updates the stored operators).
-
-        A build that overflows (dense stack, sparse values, FM diagonal S)
-        raises FloatingPointError naming the cause, as ``solver._select``
-        does for a non-finite score, instead of storing inf or nan.
+        """Install loss-gradient diagonals directly and build the storage's
+        one array from them (dense ``stack``, sparse ``P``, matrix-free ``S``).
+        A build that overflows raises FloatingPointError naming the cause, as
+        ``solver._select`` does for a non-finite score, instead of storing inf
+        or nan.
         """
         D = np.asarray(D, dtype=np.float64)
         if D.shape != (self.n, self.m):
             raise ValueError(f"D has shape {D.shape}, expected {(self.n, self.m)}")
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.storage == "free":
-                if self.kind == "fm":
-                    self.S = _finite(np.asarray(self.ds.X2.T @ D))
-            elif self.storage == "dense":
+            if self.storage == "dense":
                 self.stack = self._dense_stack(D)
+            elif self.storage == "sparse":
+                self.P = _finite(np.ascontiguousarray((self.M @ D).T))
             else:
-                vals = _finite(np.ascontiguousarray((self.M @ D).T))
-                B = self._stacked
-                self.stack = sp.csr_matrix((vals.ravel(), B.indices, B.indptr), shape=B.shape)
+                self.S = _finite(np.asarray(self.ds.X2.T @ D))
         self.D = D
 
     def _dense_stack(self, D: np.ndarray) -> np.ndarray:
@@ -288,8 +287,9 @@ class GradientOperator:
             # so does a GEMV on a strided h
             h = np.ascontiguousarray(h)
             return np.matmul(self.stack, h[:, None]).reshape(self.m, self.d) @ h
-        if self.storage == "sparse":
-            return (self.stack @ h).reshape(self.m, self.d) @ h
+        if self.storage == "sparse":  # h_a h_b, so the mirror negates q exactly
+            counts, b = self._pairs
+            return self.P @ (np.repeat(h, counts) * h[b])
         z = self.X @ h
         t = (z * z) @ self.D
         if self.kind == "pn":

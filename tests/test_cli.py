@@ -72,16 +72,23 @@ class TestTrain:
         assert not (tmp_path / "model.json.manifest.json").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("argv", [("train", "--model", "pn"), ("train", "--model", "fm"),
-                                      ("path",), ("oracle-compare", "--instances", "0")],
-                             ids=" ".join)
-    def test_overflowing_features_refused(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, shape", [
+        (("train", "--model", "pn"), (60, 3)), (("train", "--model", "fm"), (60, 3)),
+        (("path",), (60, 3)), (("oracle-compare", "--instances", "0"), (60, 3)),
+        # 30 x 20 dense rows hold PN's operators matrix-free
+        (("train", "--model", "pn"), (30, 20)), (("path",), (30, 20))],
+        ids=["train --model pn", "train --model fm", "path", "oracle-compare --instances 0",
+             "train --model pn free", "path free"])
+    def test_overflowing_features_refused(self, argv, shape, tmp_path, capsys):
         # finite values whose products overflow: the operator build refuses
         # them, with no numpy warning before the one error line
-        X = np.random.default_rng(0).standard_normal((60, 3))
+        X = np.random.default_rng(0).standard_normal(shape)
         X[:, 0] *= 1e200
         data = tmp_path / "huge.svm"
-        save_svmlight(make_dataset(X, np.arange(60) % 3 + 1, 3), data)
+        ds = make_dataset(X, np.arange(shape[0]) % 3 + 1, 3)
+        if shape[1] > 3:
+            assert GradientOperator(ds, "pn").storage == "free"
+        save_svmlight(ds, data)
         side = {"train": ("--trace", tmp_path / "side.out"),
                 "path": ("--report", tmp_path / "side.out")}.get(argv[0], ())
         assert run(*argv, "--data", data, "--out", tmp_path / "model.json", *side) == 1

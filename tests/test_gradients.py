@@ -127,6 +127,30 @@ class TestBackend:
         h = rng.standard_normal(d)
         assert np.abs(op.matvec(1, h) - oracle_matrix(X.toarray(), D, 1, kind) @ h).max() < 1e-12
 
+    def test_sparse_storage_memory(self):
+        # one-hot FM rows over 300 + 500 columns (37,476 slots): build and two
+        # refreshes retain the pair map plus one (m, slots) value array and
+        # the slots' pattern, not an m-fold stacked CSR as well
+        n, m = 20_000, 5
+        rng = np.random.default_rng(0)
+        cols = np.stack([rng.integers(0, 300, n), rng.integers(300, 800, n)], 1)
+        X = sp.csr_matrix((np.ones(2 * n), (np.repeat(np.arange(n), 2), cols.ravel())),
+                          shape=(n, 800))
+        ds = make_dataset(X, np.ones(n, dtype=np.int64), m)
+        D1, D2 = rng.standard_normal((2, n, m))
+        tracemalloc.start()
+        try:
+            op = GradientOperator(ds, "fm")
+            op.set_gradients(D1)
+            op.set_gradients(D2)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        slots = op.P.shape[1]
+        assert (op.storage, slots) == ("sparse", 37_476)
+        pair_map = op.M.data.nbytes + op.M.indices.nbytes + op.M.indptr.nbytes
+        assert retained < pair_map + (8 * m + 40) * slots
+
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_all_zero_design(self, kind, rng):
         ds = make_dataset(np.zeros((6, 4)), np.ones(6, dtype=np.int64), 2)
@@ -175,15 +199,11 @@ class TestBackend:
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: shape[-1])
     def test_overflowing_build_refused(self, shape, kind, rng):
-        # finite features whose products overflow float64, on every storage;
-        # matrix-free PN builds nothing, so it stores the finite D alone
+        # finite features whose products overflow float64, on every storage
         op = shaped_operator(rng, shape, kind)
         ds = make_dataset(op.X * 1e200, np.ones(op.n, dtype=np.int64), op.m)
         huge = GradientOperator(ds, kind, n_outputs=op.m)
         assert huge.storage == op.storage
-        if (huge.storage, kind) == ("free", "pn"):
-            huge.set_gradients(op.D)
-            return
         with pytest.raises(FloatingPointError, match="non-finite gradient operator.*overflow"):
             huge.set_gradients(op.D)
 
