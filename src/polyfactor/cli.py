@@ -16,7 +16,7 @@ from .data import (DataError, SplitSpec, format_label, load_movielens, load_svml
                    make_dataset, split)
 from .gradients import GradientOperator
 from .losses import LOSSES, MULTICLASS_LOSSES
-from .mcrank import build_ordinal, evaluate_ranking, expected_relevance, fit_mcrank
+from .mcrank import build_ordinal, evaluate_ranking, expected_relevance
 from .models import (MODEL_KINDS, accuracy, empty_model, load_model, outputs, predict_labels,
                      save_model)
 from .penalties import PENALTIES
@@ -102,10 +102,10 @@ def _write_manifest(args, cfg: SolverConfig, augment: bool, artifacts: dict) -> 
         "version": __version__,
         "config": {
             **asdict(cfg),
-            "mcrank": bool(getattr(args, "mcrank", False)),
+            "mcrank": args.mcrank,
             "augment_bias": augment,
             "format": args.format,
-            "deterministic_trace": bool(getattr(args, "deterministic_trace", False)),
+            "deterministic_trace": args.deterministic_trace,
         },
         "data": {"path": args.data, "sha256": _sha256(args.data)},
         "artifacts": artifacts,
@@ -120,11 +120,10 @@ def cmd_train(args) -> int:
     loss = _resolve_loss(args)
     augment = _resolve_augment(args, loss)
     ds = _load(args, augment)
-    cfg = _solver_config(args, loss, args.lam)
     if args.mcrank:
-        model, trace = fit_mcrank(ds, cfg)
-    else:
-        model, trace = fit(ds, cfg)
+        ds = build_ordinal(ds)
+    cfg = _solver_config(args, loss, args.lam)
+    model, trace = fit(ds, cfg)
     save_model(model, args.out)
     artifacts = {"model": args.out, "trace": args.trace}
     if args.trace:
@@ -271,9 +270,6 @@ def cmd_oracle_compare(args) -> int:
         if ds.d > 64:
             raise UsageError(f"dataset has d={ds.d}; the exact oracle needs a "
                              f"dense eigensolve (d <= 64)")
-        if ds.m > ORACLE_LIMIT:
-            raise UsageError(f"dataset has m={ds.m} outputs; exact selection is "
-                             f"exponential in m (limit {ORACLE_LIMIT})")
         op = GradientOperator(ds, args.model, n_outputs=ds.m)
         op.refresh(empty_model(args.model, ds.d, ds.m, "logistic", "l1", 1.0))
         run("dataset", op, ds)

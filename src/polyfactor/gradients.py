@@ -28,7 +28,8 @@ halved), so its memory stays within X plus the stack. The sparse storage
 keeps a pair map M built with the operator: each row i contributes its
 feature pairs (a, b) with weight x_ia x_ib (FM: a != b only, halved) to the
 slot of (a, b) in X^T X's pattern, so the (m, slots) values P = (M @ D)^T of
-all m operators are one product. The matrix-free storage builds the
+all m operators are one product. M is read at refresh only: the applies
+read P and the slots' pattern. The matrix-free storage builds the
 diagonals S = (X o X)^T D (FM subtracts them; PN builds them so that an
 overflowing X is refused by name).
 
@@ -192,8 +193,9 @@ class GradientOperator:
             self.M = sp.csr_matrix((w, (slot_of.ravel(), rows)), shape=(slots.size, self.n))
             indptr = np.searchsorted(slots, np.arange(self.d + 1) * self.d)
             b = slots % self.d
-            self._block = sp.csr_matrix((np.ones(slots.size), b, indptr), shape=(self.d, self.d))
             self._pairs = (np.diff(indptr), b)  # each row a's slot count, each slot's b
+            pattern = sp.csr_matrix((np.ones(slots.size), b, indptr), shape=(self.d, self.d))
+            self._pattern = (pattern.indices, pattern.indptr)  # scipy's dtype, so no copy
         else:
             self.storage = "free"
             self.XT = X.T
@@ -243,14 +245,13 @@ class GradientOperator:
     def weighted(self, w: np.ndarray):
         """The function h -> sum_c w_c A_c h for output weights w, built in
         this storage: the summed (d, d) array (dense), one CSR on X^T X's
-        pattern with the values M @ (D w) (sparse), or X^T ((D w) o (X h)),
-        FM minus (S w) o h and halved (matrix-free)."""
+        pattern with the values w @ P (sparse; P[c] itself at w = e_c), or
+        X^T ((D w) o (X h)), FM minus (S w) o h and halved (matrix-free)."""
         if self.storage == "dense":
             return np.tensordot(w, self.stack, 1).__matmul__
         if self.storage == "sparse":
-            P = self._block
-            vals = self.M @ (self.D @ w)
-            return sp.csr_matrix((vals, P.indices, P.indptr), shape=P.shape).__matmul__
+            indices, indptr = self._pattern
+            return sp.csr_matrix((w @ self.P, indices, indptr), shape=(self.d, self.d)).__matmul__
         u, X, XT = self.D @ w, self.X, self.XT
         if self.kind == "pn":
             return lambda h: XT @ (u * (X @ h))

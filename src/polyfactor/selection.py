@@ -224,6 +224,7 @@ def baseline_random(op: GradientOperator, seed: int) -> SelectionResult:
 
 def compare_methods(op: GradientOperator, seed: int, ds) -> dict[str, SelectionResult]:
     """Run every selection method (plus the exact oracle) on one instance."""
+    exact = exact_oracle_linf(op)  # first: it refuses more than ORACLE_LIMIT outputs
     results = {
         "l1-init+refine": select_group(op, 1, seed),
         "l1-init": select_l1(op, seed),
@@ -231,5 +232,4 @@ def compare_methods(op: GradientOperator, seed: int, ds) -> dict[str, SelectionR
     }
     results["random-init+refine"] = refine(op, results["random-init"].h, 1)
     results["best-data"] = baseline_best_data(op, ds)
-    results["exact"] = exact_oracle_linf(op)
-    return results
+    return results | {"exact": exact}

@@ -619,3 +619,15 @@ class TestOracleCompare:
         code = run("oracle-compare", "--m-max", 13, "--out", tmp_path / "x.csv")
         assert code == 2
         assert "exponential" in capsys.readouterr().err
+
+    def test_dataset_over_limit_refused(self, tmp_path, capsys):
+        # every one of 13 labels present, so the file loads as m = 13
+        rng = np.random.default_rng(0)
+        data = tmp_path / "thirteen.svm"
+        save_svmlight(make_dataset(rng.standard_normal((26, 4)), np.tile(np.arange(1, 14), 2), 13),
+                      data)
+        out = tmp_path / "x.csv"
+        code = run("oracle-compare", "--data", data, "--instances", 0, "--out", out)
+        assert code == 2
+        assert "exponential" in capsys.readouterr().err
+        assert not out.exists()

@@ -130,7 +130,8 @@ class TestBackend:
     def test_sparse_storage_memory(self):
         # one-hot FM rows over 300 + 500 columns (37,476 slots): build and two
         # refreshes retain the pair map plus one (m, slots) value array and
-        # the slots' pattern, not an m-fold stacked CSR as well
+        # the slots' pattern (int64 columns for quad_values, int32 indices for
+        # weighted), no m-fold stacked CSR and no value array on the pattern
         n, m = 20_000, 5
         rng = np.random.default_rng(0)
         cols = np.stack([rng.integers(0, 300, n), rng.integers(300, 800, n)], 1)
@@ -149,7 +150,24 @@ class TestBackend:
         slots = op.P.shape[1]
         assert (op.storage, slots) == ("sparse", 37_476)
         pair_map = op.M.data.nbytes + op.M.indices.nbytes + op.M.indptr.nbytes
-        assert retained < pair_map + (8 * m + 40) * slots
+        assert retained < pair_map + (8 * m + 16) * slots
+
+    @pytest.mark.parametrize("kind", ["pn", "fm"])
+    def test_sparse_weighted_sums_the_stored_values(self, kind, rng):
+        # weighted(w) is the CSR of w @ P on the slots of X^T X's pattern (FM:
+        # off the diagonal), bit for bit; at w = e_c that is P[c] exactly
+        op = shaped_operator(rng, SHAPES[2], kind)
+        absX = abs(op.X.toarray())
+        pattern = absX.T @ absX > 0
+        if kind == "fm":
+            np.fill_diagonal(pattern, False)
+        rows, cols = np.nonzero(pattern)
+        cases = [(w, w @ op.P) for w in rng.standard_normal((3, op.m))]
+        for w, values in cases + list(zip(np.eye(op.m), op.P)):
+            expected = sp.csr_matrix((values, (rows, cols)), shape=(op.d, op.d)).toarray()
+            apply = op.weighted(w)
+            for j, e in enumerate(np.eye(op.d)):
+                assert np.array_equal(apply(e), expected[:, j])
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_all_zero_design(self, kind, rng):
