@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -229,6 +231,10 @@ def save_svmlight(ds: Dataset, path) -> None:
             fh.write(f"{labels[int(ds.y[r]) - 1]} {feats}".rstrip() + "\n")
 
 
+# a MovieLens record's first three fields, as the whole-file reader holds them
+_RECORD = np.dtype([("user", np.int64), ("item", np.int64), ("rating", np.float64)])
+
+
 def load_movielens(path) -> Dataset:
     """Parse a MovieLens ratings file into one-hot user/item rows.
 
@@ -238,42 +244,89 @@ def load_movielens(path) -> Dataset:
     user ids map (sorted) to the first columns, item ids to the following
     ones, so every row has exactly two unit entries. Ratings become the
     label levels 1..m with m = max rating.
+
+    A plain file is read whole by numpy's parser (``_read_whole``). Any
+    other file (one that parser refuses, or whose values fail a check) goes
+    through the line loop ``_read_lines``. The two give the same arrays for
+    every file both accept, so the reader is an optimisation only, and every
+    refusal comes from the loop and names its line.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    records = _read_whole(text)
+    if records is None:
+        records = _read_lines(path, text)
+    return _one_hot_ratings(*records)
+
+
+def _read_whole(text: str):
+    """(user ids, item ids, ratings) of a plain ratings file in one
+    ``np.loadtxt`` pass, or None when the line loop must read it: numpy
+    refuses a field or warns (warnings are errors, so every numpy version
+    agrees), a ``::`` file also holds a tab, or a value fails one of the
+    loop's checks. Python's ``int`` accepts some ids numpy refuses (``1_0``,
+    non-ASCII digits); those files go through the loop too."""
+    first = next((line for line in io.StringIO(text) if line.strip()), "")
+    if "::" in first:
+        if "\t" in text:
+            return None
+        text = text.replace("::", "\t")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = np.loadtxt(io.StringIO(text), dtype=_RECORD, delimiter="\t", comments=None,
+                           usecols=(0, 1, 2), ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    users, items, r = a["user"], a["item"], a["rating"]
+    low = np.iinfo(np.int64).min  # numpy reads it; the loop refuses its magnitude
+    # chained so that nan fails too
+    if not ((r >= 1.0) & (r < 2.0**63) & (r == np.floor(r))).all() \
+            or (users == low).any() or (items == low).any():
+        return None
+    return users, items, r.astype(np.int64)
+
+
+def _read_lines(path, text: str):
+    """(user ids, item ids, ratings) of any ratings file, one line at a
+    time: each refusal names its line."""
     users = []
     items = []
     ratings = []
     top = int(np.iinfo(np.int64).max)  # the largest id the arrays hold
     sep = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if sep is None:
-                sep = "::" if "::" in line else "\t"
-            fields = line.split(sep)
-            if len(fields) < 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 fields separated by {sep!r}")
-            try:
-                u = int(fields[0])
-                i = int(fields[1])
-                r = float(fields[2])
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad record {line!r}") from None
-            # chained so that nan fails too
-            if not 1.0 <= r < 2.0**63 or r != int(r):
-                raise DataError(f"{path}: line {lineno}: rating {fields[2]!r} is not "
-                                f"an integer in [1, 2^63)")
-            if abs(u) > top or abs(i) > top:
-                raise DataError(f"{path}: line {lineno}: user or item id past "
-                                f"+-(2^63 - 1) in {line!r}")
-            users.append(u)
-            items.append(i)
-            ratings.append(int(r))
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if sep is None:
+            sep = "::" if "::" in line else "\t"
+        fields = line.split(sep)
+        if len(fields) < 3:
+            raise DataError(f"{path}: line {lineno}: expected 3 fields separated by {sep!r}")
+        try:
+            u = int(fields[0])
+            i = int(fields[1])
+            r = float(fields[2])
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: bad record {line!r}") from None
+        # chained so that nan fails too
+        if not 1.0 <= r < 2.0**63 or r != int(r):
+            raise DataError(f"{path}: line {lineno}: rating {fields[2]!r} is not "
+                            f"an integer in [1, 2^63)")
+        if abs(u) > top or abs(i) > top:
+            raise DataError(f"{path}: line {lineno}: user or item id past "
+                            f"+-(2^63 - 1) in {line!r}")
+        users.append(u)
+        items.append(i)
+        ratings.append(int(r))
+    return (np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64),
+            np.asarray(ratings, dtype=np.int64))
 
-    n = len(ratings)
-    user_ids = np.asarray(users, dtype=np.int64)
-    item_ids = np.asarray(items, dtype=np.int64)
+
+def _one_hot_ratings(user_ids, item_ids, y) -> Dataset:
+    """The MovieLens Dataset of ``load_movielens`` from its three arrays."""
+    n = y.size
     uniq_users, user_col = np.unique(user_ids, return_inverse=True)
     uniq_items, item_col = np.unique(item_ids, return_inverse=True)
     n_users = uniq_users.size
@@ -286,7 +339,6 @@ def load_movielens(path) -> Dataset:
     data = np.ones(2 * n, dtype=np.float64)
     X = sp.csr_matrix((data, indices, indptr), shape=(n, d))
 
-    y = np.asarray(ratings, dtype=np.int64)
     m = int(y.max()) if n else 1
     return make_dataset(X, y, m, label_map=range(1, m + 1), group_ids=user_col)
 

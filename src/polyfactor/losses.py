@@ -23,8 +23,12 @@ log1p (``np.logaddexp`` is a scalar loop) and never overflows. Each entry is
 within 1 ulp of the exact value, as logaddexp(0, -z) is, but the two round
 differently in a few percent of entries, by at most 2 ulp. The row maxima
 of the margins are taken as a column reduction of the contiguous transpose,
-which is exact and cheaper than an axis-1 reduction on narrow rows; the row
-sums stay axis-1 sums, so their rounding is unchanged.
+which is exact and cheaper than an axis-1 reduction on narrow rows.
+``binary-logistic`` sums its rows that way too: a column reduction adds each
+row left to right, as numpy's axis-1 sum does on rows of fewer than 8
+entries (it adds wider rows pairwise, in 8 partial sums), so below 8 outputs
+the values are bit for bit the axis-1 sums, and at 8 or more they may differ
+by an ulp. The other losses' row sums stay axis-1 sums.
 """
 
 from __future__ import annotations
@@ -69,7 +73,8 @@ def _forward(kind: str, labels, O: np.ndarray):
             np.exp(np.negative(t, out=t), out=t)
             np.log1p(t, out=t)
             t += np.maximum(np.negative(z, out=z), 0.0, out=z)
-            return t.sum(axis=1)
+            # row sums as a column reduction, which adds left to right
+            return np.ascontiguousarray(t.T).sum(axis=0)
 
         # d/do log(1 + exp(-y o)) = -y * sigmoid(-y o)
         return binary_values, lambda: -Y / (1.0 + np.exp(Y * O))

@@ -1,5 +1,7 @@
 import hashlib
 import re
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from polyfactor import data
 from polyfactor.data import (
     SPLIT_FRACTIONS,
     DataError,
@@ -19,7 +22,55 @@ from polyfactor.data import (
     save_svmlight,
     split,
 )
-from polyfactor.synth import make_ratings
+from polyfactor.synth import make_ratings, write_movielens
+
+
+# MovieLens fields: tokens Python's int / float and numpy's parser may read
+# differently, ids at the int64 ends, and ratings that fail the checks
+ID_TOKENS = (["1", "2", "7", "1682"],
+             [" 3", "+3", "-0", "007", "1_0", "٣", "3.0", "1e3", "", str(2**63 - 1),
+              str(-(2**63 - 1)), str(-2**63), str(2**63)])
+RATING_TOKENS = (["1", "3", "5"],
+                 ["4.0", "4.", " 2", "+2", "nan", "infinity", "0", "3.5", "1e1", "-0", "1_0", ""])
+PADS = (["", " "], ["\x0c", "\u3000", "\t"])
+
+
+@st.composite
+def movielens_texts(draw):
+    """A MovieLens-like text: records of 3-5 fields on one separator (at
+    times another), blank and whitespace-only lines, LF or CRLF ends. One
+    token in eight is drawn from the irregular ones, so many files are
+    plain."""
+    def token(choices):
+        regular, irregular = choices
+        return draw(st.sampled_from(irregular if draw(st.integers(0, 7)) == 0 else regular))
+
+    sep = draw(st.sampled_from(["\t", "::"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(token(([""], ["  ", "\t", " \t "])))
+            continue
+        fields = [token(ID_TOKENS), token(ID_TOKENS), token(RATING_TOKENS)]
+        fields += [token((["881250949"], ["x", ""])) for _ in range(draw(st.integers(0, 2)))]
+        joint = token(([sep], ["\t", "::", " "]))
+        lines.append(token(PADS) + joint.join(fields) + token(PADS))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def loop_dataset(path):
+    """The Dataset the line loop alone builds from a ratings file."""
+    return data._one_hot_ratings(*data._read_lines(path, path.read_text(encoding="utf-8")))
+
+
+def assert_same_ratings(ds, expected):
+    for got, want in [(ds.X.indptr, expected.X.indptr), (ds.X.indices, expected.X.indices),
+                      (ds.X.data, expected.X.data), (ds.y, expected.y),
+                      (ds.group_ids, expected.group_ids)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert ds.X.shape == expected.X.shape
+    assert (ds.m, ds.label_map) == (expected.m, expected.label_map)
 
 
 def write(tmp_path, name, text):
@@ -187,6 +238,37 @@ class TestMovielens:
         big = 2**63 - 1
         ds = load_movielens(write(tmp_path, "u.data", f"{big}\t{-big}\t2\n1\t1\t1\n"))
         assert ds.n == 2 and ds.d == 4 and ds.y.tolist() == [2, 1]
+
+    @pytest.mark.parametrize("sep", ["\t", "::"])
+    def test_plain_file_read_whole(self, tmp_path, sep, monkeypatch):
+        # a plain file never reaches the line loop
+        u, i, r = make_ratings(30, 40, 200, rank=2, seed=3)
+        path = tmp_path / "r.data"
+        write_movielens(u, i, r, path, sep=sep)
+        expected = loop_dataset(path)
+        monkeypatch.setattr(data, "_read_lines", None)
+        assert_same_ratings(load_movielens(path), expected)
+
+    @pytest.mark.parametrize("text", ["1_0\t1\t3\n", "٣\t1\t3\n", "1\t3.0\t3\n",
+                                      f"-{2**63}\t1\t3\n", "1::1::3\t4\n", "1\t1\tnan\n"],
+                             ids=["underscore", "arabic-indic", "float-id", "int64-min",
+                                  "tab-in-double-colon", "nan-rating"])
+    def test_irregular_file_goes_to_the_loop(self, text):
+        assert data._read_whole(text) is None
+
+    @given(text=movielens_texts())
+    def test_whole_file_read_matches_the_line_loop(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ratings"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                expected = loop_dataset(path)
+            except DataError as exc:
+                with pytest.raises(DataError) as got:
+                    load_movielens(path)
+                assert str(got.value) == str(exc)
+            else:
+                assert_same_ratings(load_movielens(path), expected)
 
 
 class TestSplit:

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from conftest import SHAPES, csr_twin, random_operator, shaped_operator
 from oracles import activation, loss_gradient
+from polyfactor import gradients
 from polyfactor.data import make_dataset
 from polyfactor.gradients import DENSE_BLOCK, LANCZOS_EPS, GradientOperator
 from polyfactor.losses import loss_values
@@ -467,6 +468,41 @@ class TestEigenpairs:
             for h, val in zip(H[i], q[i]):
                 assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
                 assert abs(val - h @ A @ h) <= 1e-10 * max(rho, 1.0)
+
+    @staticmethod
+    def diagonal_run(d, gap):
+        # a diagonal operator whose two ends stand `gap` clear of the rest
+        lam = np.linspace(-1.0, 1.0, d)
+        lam[[0, -1]] = -1.0 - gap, 1.0 + gap
+        steps = []
+
+        def apply(h):
+            steps.append(1)
+            return lam * h
+
+        H, q = gradients._lanczos(apply, np.full(d, d ** -0.5), [-1, 0])
+        return H, q, len(steps)
+
+    def test_lanczos_buffers_grow_with_the_steps(self):
+        # 36 steps at d = 20,000 use 5.8 MB of rows; a buffer sized for
+        # LANCZOS_MAX_STEPS would take 48 MB
+        tracemalloc.start()
+        try:
+            H, q, steps = self.diagonal_run(20_000, 0.045)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps == 36
+        assert peak < 12e6
+        assert np.abs(q - [1.045, -1.045]).max() <= LANCZOS_EPS * 1.045
+
+    @pytest.mark.parametrize("d, gap", [(60, 0.0), (2_000, 0.02)])
+    def test_grown_buffers_round_as_a_full_one(self, d, gap, monkeypatch):
+        H, q, steps = self.diagonal_run(d, gap)
+        assert steps > gradients.LANCZOS_FIRST_ROWS + gradients.LANCZOS_FIRST_ROWS // 2
+        monkeypatch.setattr(gradients, "LANCZOS_FIRST_ROWS", gradients.LANCZOS_MAX_STEPS)
+        H_full, q_full, _ = self.diagonal_run(d, gap)
+        assert np.array_equal(H, H_full) and np.array_equal(q, q_full)
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_dense_unit_weights_are_the_stack_eigh(self, kind, rng):

@@ -192,6 +192,22 @@ class TestLossPass:
             ref = binary_logistic_reference(zi)
             assert abs(gi - ref) <= 2 * np.spacing(ref), (zi, gi, ref)
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_binary_logistic_rows_sum_left_to_right(self, m, rng):
+        # each row's value adds its per-entry values left to right; below 8
+        # outputs that is numpy's axis-1 sum, bit for bit
+        O = 3.0 * rng.standard_normal((300, m)) * np.exp(2.0 * rng.standard_normal((300, m)))
+        Y = rng.choice([-1.0, 1.0], size=(300, m))
+        t = np.column_stack([loss_values("binary-logistic", Y[:, [c]], O[:, [c]])
+                             for c in range(m)])
+        left_to_right = t[:, 0].copy()
+        for c in range(1, m):
+            left_to_right += t[:, c]
+        got = loss_values("binary-logistic", Y, O)
+        assert np.array_equal(got, left_to_right)
+        if m <= 7:
+            assert np.array_equal(got, t.sum(axis=1))
+
     @pytest.mark.parametrize("kind", MULTICLASS_LOSSES)
     def test_multiclass_bit_identical_to_separate_passes(self, kind, rng):
         for scale in (0.5, 3.0, 1e4):
