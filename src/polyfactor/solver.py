@@ -1,11 +1,15 @@
 """Outer greedy loop: select a basis vector, append it with zero output
 weights, refit correctively, prune, and track the penalized objective.
-A path driver fits one model per regularization weight with interleaved
-validation and returns the best (lambda, iteration) pair.
+A path driver fits one model per regularization weight, on every usable
+CPU, with interleaved validation and returns the best (lambda, iteration)
+pair.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -172,8 +176,17 @@ def fit_path(train: Dataset, valid: Dataset, cfg: SolverConfig, lam_grid,
 
     ``lam_grid`` is strictly decreasing and sets every fit's weight; cfg.lam
     is not read. ``metric_fn(model, dataset) -> float`` defaults to
-    classification accuracy. Lambda values run one after another, in grid
-    order.
+    classification accuracy; the first iteration with the best metric wins,
+    in grid order, and a nan metric ranks below every number.
+
+    The weights are independent fits, split across
+    ``min(len(lam_grid), len(os.sched_getaffinity(0)))`` processes: this one
+    and forked children, which send back their report entries and
+    candidate models. So ``metric_fn`` may run in a child, and its side
+    effects need not reach the caller. With one CPU or one weight, or where
+    the platform cannot fork, every weight is fitted here. The report, the
+    best model and the warnings, re-emitted in grid order, are the same
+    either way.
     """
     lams = tuple(float(l) for l in lam_grid)
     if not lams:
@@ -183,27 +196,144 @@ def fit_path(train: Dataset, valid: Dataset, cfg: SolverConfig, lam_grid,
     if metric_fn is None:
         metric_fn = accuracy
     cfgs = [replace(cfg, lam=lam) for lam in lams]  # refuses a bad weight before any fit
-
     sign = 1.0 if higher_is_better else -1.0
-    best = None  # (signed metric, lam, t, model)
+
+    def fit_one(i):
+        return _fit_weight(train, valid, cfgs[i], metric_fn, sign)
+
+    workers = min(len(lams), _usable_cpus())
+    if workers > 1:
+        outcomes = _run_forked(_shares(len(lams), workers), fit_one)
+    else:
+        outcomes = _run_share(range(len(lams)), fit_one)
+
+    best = None  # ((rank, metric, t, model), lam)
     report = []
-    for lam, lam_cfg in zip(lams, cfgs):
-        entries = []
+    shown = {}  # a warning repeated across weights shows once, as within one fit
+    for i, lam in enumerate(lams):
+        entries, lam_best, warned, error = outcomes[i]
+        for message, category, filename, lineno in warned:
+            warnings.warn_explicit(message, category, filename, lineno, registry=shown)
+        if error is not None:
+            raise error
         report.append({"lambda": lam, "iterations": entries})
-
-        def hook(t, model):
-            nonlocal best
-            metric = float(metric_fn(model, valid))
-            entries.append({"t": t, "k": model.k, "metric": metric})
-            if best is None or sign * metric > best[0]:
-                best = (sign * metric, lam, t, model)
-
-        fit(train, lam_cfg, iteration_hook=hook)
+        if lam_best is not None and (best is None or lam_best[0] > best[0][0]):
+            best = lam_best, lam
     if best is None:
         raise ConfigError("no model was produced on any lambda (degenerate data?)")
-    signed_metric, lam, t, model = best
+    (_, metric, t, model), lam = best
     for entry in report:
         entry["selected"] = bool(entry["lambda"] == lam)
-    return model, {"best": {"lambda": lam, "t": t, "metric": sign * signed_metric,
-                            "k": model.k},
+    return model, {"best": {"lambda": lam, "t": t, "metric": metric, "k": model.k},
                    "per_lambda": report}
+
+
+def _fit_weight(train: Dataset, valid: Dataset, cfg: SolverConfig, metric_fn, sign: float):
+    """One weight of a path. Returns (entries, best, warned, error): the
+    report's per-iteration entries; the (rank, metric, t, model) of the first
+    iteration with the highest rank, sign * metric with nan lowest, or None;
+    the warnings raised as (message, category, filename, lineno), for the
+    caller to re-emit; and the exception the fit failed with, or None."""
+    entries, best, error = [], None, None
+
+    def hook(t, model):
+        nonlocal best
+        metric = float(metric_fn(model, valid))
+        entries.append({"t": t, "k": model.k, "metric": metric})
+        rank = -np.inf if np.isnan(metric) else sign * metric
+        if best is None or rank > best[0]:
+            best = (rank, metric, t, model)
+
+    with warnings.catch_warnings(record=True) as caught:  # under the caller's filters
+        try:
+            fit(train, cfg, iteration_hook=hook)
+        except Exception as exc:
+            error = exc
+    warned = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    return entries, best, warned, error
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell or
+    cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shares(n: int, workers: int) -> list[list[int]]:
+    """Deal grid positions 0..n-1 into ``workers`` shares, each in grid order.
+    A fit costs more the smaller its weight, so the deal starts at the end
+    of the grid and turns back at every lap, and the shares cost about the
+    same: n = 10 over 2 workers gives [1, 2, 5, 6, 9] and [0, 3, 4, 7, 8]."""
+    shares = [[] for _ in range(workers)]
+    for dealt, i in enumerate(range(n - 1, -1, -1)):
+        lap, seat = divmod(dealt, workers)
+        shares[seat if lap % 2 == 0 else workers - 1 - seat].append(i)
+    return [share[::-1] for share in shares]
+
+
+def _run_share(share, fit_one) -> dict:
+    """{position: outcome} of a share's weights, fitted in grid order up to
+    and including the first that fails: no later weight can be reported."""
+    outcomes = {}
+    for i in share:
+        outcomes[i] = fit_one(i)
+        if outcomes[i][-1] is not None:
+            break
+    return outcomes
+
+
+def _run_forked(shares, fit_one) -> dict:
+    """Fit the last share here and every other share in a forked child;
+    return all their outcomes. Every child is reaped before this
+    returns or raises, and killed first if this process fails."""
+    children = []  # (pid, read end of its pipe)
+    reaped = set()
+    try:
+        for share in shares[:-1]:
+            children.append(_fork_share(share, fit_one))
+        outcomes = _run_share(shares[-1], fit_one)
+        for pid, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if status != 0:
+                raise RuntimeError(f"a fit_path worker exited with status {status} "
+                                   f"and no result")
+            outcomes.update(pickle.loads(payload))
+        return outcomes
+    finally:
+        for pid, read in children:
+            os.close(read)
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_share(share, fit_one):
+    """Fork a child that fits ``share`` and writes its outcomes, pickled, to a
+    pipe. Returns (pid, read end)."""
+    read, write = os.pipe()
+    try:
+        # the child copies the data and metric_fn instead of unpickling them;
+        # OpenBLAS, whose pool is numpy's only other thread, stops that pool
+        # across a fork in its own atfork handler
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            payload = pickle.dumps(_run_share(share, fit_one), pickle.HIGHEST_PROTOCOL)
+            with open(write, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)  # never return into the caller, nor flush its buffers
+    os.close(write)
+    return pid, read

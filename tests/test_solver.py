@@ -1,3 +1,7 @@
+import os
+import signal
+import sys
+import time
 import warnings
 from dataclasses import replace
 
@@ -9,7 +13,7 @@ from oracles import dual_norm
 from polyfactor import solver
 from polyfactor.data import make_dataset
 from polyfactor.losses import loss_values
-from polyfactor.models import MODEL_KINDS, accuracy
+from polyfactor.models import MODEL_KINDS, accuracy, save_model
 from polyfactor.penalties import PENALTIES
 from polyfactor.solver import (
     ConfigError,
@@ -212,6 +216,13 @@ class TestSupportCheck:
                 support_check(model, ds, iterations=model.k - 1)
 
 
+@pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n} workers")
+def workers(request, monkeypatch):
+    # the CPU set fit_path sees: one CPU runs inline, more fork children
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
 class TestFitPath:
     @staticmethod
     def two_way(n, seed):
@@ -238,7 +249,7 @@ class TestFitPath:
         _, report = fit_path(tr, va, cfg, lam_grid=(1e9, 1e-4))
         assert report["best"]["lambda"] == 1e-4
 
-    def test_reproducible_selection(self, rng):
+    def test_reproducible_selection(self, workers):
         tr, va = self.two_way(120, 14)
         cfg = small_config(penalty="l1l2", k_max=4, seed=21)
         a = fit_path(tr, va, cfg, lam_grid=(0.1, 0.01))
@@ -246,7 +257,7 @@ class TestFitPath:
         assert a[1] == b[1]
         assert np.array_equal(a[0].H, b[0].H)
 
-    def test_path_matches_separate_fits(self):
+    def test_path_matches_separate_fits(self, workers):
         tr, va = self.two_way(160, 18)
         cfg = small_config(penalty="l1l2", k_max=3)
         grid = (0.3, 0.1, 0.03)
@@ -261,10 +272,162 @@ class TestFitPath:
         # each lambda of the path takes the same route as a separate fit
         assert [entry["iterations"] for entry in report["per_lambda"]] == per_lambda
 
+    @pytest.mark.parametrize("higher_is_better", [True, False])
+    def test_report_and_model_bit_equal_to_one_process(self, workers, higher_is_better,
+                                                       monkeypatch, tmp_path):
+        # the forked path reports, picks and saves exactly what the inline
+        # path does; the metric picks a late iteration on the lower side
+        tr, va = self.two_way(160, 20)
+        cfg = small_config(penalty="l1", k_max=4, refit="full")
+        grid = (0.5, 0.2, 0.1, 0.05, 0.02)
+        kw = dict(lam_grid=grid, higher_is_better=higher_is_better,
+                  metric_fn=None if higher_is_better else lambda m, ds: float(m.k))
+        model, report = fit_path(tr, va, cfg, **kw)
+        save_model(model, tmp_path / "forked.json")
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
+        model_1, report_1 = fit_path(tr, va, cfg, **kw)
+        save_model(model_1, tmp_path / "inline.json")
+        assert report == report_1
+        assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "inline.json").read_bytes()
+        assert model.H.tobytes() == model_1.H.tobytes()
+        assert model.V.tobytes() == model_1.V.tobytes()
+
+    def test_nan_metric_ranks_below_every_number(self, workers):
+        # a nan at every first iteration neither wins nor blocks a later number
+        tr, va = self.two_way(120, 22)
+        cfg = small_config(penalty="l1l2", k_max=3)
+
+        def metric(model, ds):
+            return np.nan if model.k == 1 else accuracy(model, ds)
+
+        _, report = fit_path(tr, va, cfg, lam_grid=(0.1, 0.03, 0.01), metric_fn=metric)
+        finite = [e["metric"] for entry in report["per_lambda"] for e in entry["iterations"]
+                  if not np.isnan(e["metric"])]
+        assert finite and report["best"]["metric"] == max(finite)
+
+    @pytest.mark.parametrize("cpus, grid", [(1, (0.3, 0.1, 0.03)), (4, (0.1,))],
+                             ids=["one CPU", "one lambda"])
+    def test_one_cpu_or_one_lambda_never_forks(self, cpus, grid, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        tr, va = self.two_way(80, 24)
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", no_fork)
+        _, report = fit_path(tr, va, small_config(k_max=2), lam_grid=grid)
+        assert len(report["per_lambda"]) == len(grid)
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_one_cpu_where_the_platform_cannot_tell_or_fork(self, missing, monkeypatch):
+        monkeypatch.delattr(os, missing)
+        assert solver._usable_cpus() == 1
+
+    @pytest.mark.parametrize("failing", [(1, 3), (2, 3), (0, 1), (0, 1, 2, 3)])
+    def test_earliest_failing_lambda_raises_its_exception(self, workers, failing,
+                                                          monkeypatch):
+        tr, va = self.two_way(80, 26)
+        grid = (0.4, 0.2, 0.1, 0.05)
+        real = solver.fit
+
+        def fit_or_fail(ds, cfg, iteration_hook=None):
+            if cfg.lam in [grid[i] for i in failing]:
+                raise FloatingPointError(f"weight {cfg.lam} failed")
+            return real(ds, cfg, iteration_hook=iteration_hook)
+
+        monkeypatch.setattr(solver, "fit", fit_or_fail)
+        with pytest.raises(FloatingPointError) as caught:
+            fit_path(tr, va, small_config(k_max=2), lam_grid=grid)
+        assert type(caught.value) is FloatingPointError
+        assert str(caught.value) == f"weight {grid[failing[0]]} failed"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+    def test_warnings_are_emitted_again_in_grid_order(self, workers, monkeypatch):
+        tr, va = self.two_way(80, 28)
+        grid = (0.4, 0.2, 0.1, 0.05, 0.02)
+        real = solver.fit
+
+        def fit_and_warn(ds, cfg, iteration_hook=None):
+            warnings.warn(f"weight {cfg.lam}")
+            return real(ds, cfg, iteration_hook=iteration_hook)
+
+        monkeypatch.setattr(solver, "fit", fit_and_warn)
+        with pytest.warns(UserWarning) as caught:
+            fit_path(tr, va, small_config(k_max=2), lam_grid=grid)
+        assert [str(w.message) for w in caught] == [f"weight {lam}" for lam in grid]
+
+    def test_zero_gradient_warning_comes_back_from_every_lambda(self, workers):
+        # fit's own warning comes back from every process; no model is produced
+        ds = make_dataset(np.zeros((8, 4)), np.array([1, 2] * 4), 2)
+        grid = (0.3, 0.1, 0.03)
+        with pytest.warns(UserWarning, match="zero gradient") as caught, \
+                pytest.raises(ConfigError, match="no model"):
+            fit_path(ds, ds, small_config(k_max=2), lam_grid=grid)
+        assert len(caught) == len(grid)
+
+
     def test_increasing_grid_rejected(self, rng):
         tr, va = self.two_way(40, 16)
         with pytest.raises(ConfigError, match="decreasing"):
             fit_path(tr, va, small_config(), lam_grid=(0.01, 0.1))
+
+
+class TestPathWorkers:
+    """The forked children of fit_path: they end in os._exit, a child that
+    dies is reported, and none outlives the path."""
+
+    @staticmethod
+    def split_fit(monkeypatch, in_child, here=lambda: None):
+        # fit runs ``in_child`` first in every forked child, ``here`` first
+        # in this process
+        parent, real = os.getpid(), solver.fit
+
+        def fit_after(ds, cfg, iteration_hook=None):
+            (here if os.getpid() == parent else in_child)()
+            return real(ds, cfg, iteration_hook=iteration_hook)
+
+        monkeypatch.setattr(solver, "fit", fit_after)
+
+    @pytest.fixture
+    def path_args(self, monkeypatch):
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 3)
+        tr, va = TestFitPath.two_way(80, 30)
+        return tr, va, small_config(k_max=2), (0.4, 0.2, 0.1, 0.05)
+
+    @pytest.mark.parametrize("death, status", [
+        (lambda: os._exit(7), 7),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+        (lambda: sys.exit(3), 1)],   # a BaseException ends the child in os._exit(1)
+        ids=["exit 7", "SIGKILL", "SystemExit"])
+    def test_child_dying_without_result_is_a_runtime_error(self, death, status,
+                                                           path_args, monkeypatch):
+        self.split_fit(monkeypatch, death)
+        with pytest.raises(RuntimeError, match=f"exited with status {status} and no result"):
+            fit_path(*path_args[:3], lam_grid=path_args[3])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_children_never_flush_inherited_buffers(self, path_args, tmp_path):
+        log = tmp_path / "log.txt"
+        with open(log, "w", encoding="utf-8") as fh:
+            fh.write("written once")  # still in this process's buffer at each fork
+            fit_path(*path_args[:3], lam_grid=path_args[3])
+        assert log.read_text(encoding="utf-8") == "written once"
+
+    def test_failing_parent_kills_and_reaps_its_children(self, path_args, monkeypatch):
+        class Interrupted(BaseException):
+            pass
+
+        def interrupt():
+            raise Interrupted
+
+        self.split_fit(monkeypatch, lambda: time.sleep(30), here=interrupt)
+        start = time.monotonic()
+        with pytest.raises(Interrupted):
+            fit_path(*path_args[:3], lam_grid=path_args[3])
+        assert time.monotonic() - start < 20  # the stalled children were killed
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestConfigValidation:
