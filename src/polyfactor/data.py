@@ -295,13 +295,15 @@ def _read_lines(path, text: str):
     ratings = []
     top = int(np.iinfo(np.int64).max)  # the largest id the arrays hold
     sep = None
-    for lineno, line in enumerate(io.StringIO(text), start=1):
-        line = line.strip()
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.strip()
         if not line:
             continue
         if sep is None:
             sep = "::" if "::" in line else "\t"
-        fields = line.split(sep)
+        # split before stripping: a leading separator opens an empty field
+        # rather than shifting a timestamp into the rating
+        fields = [field.strip() for field in raw.split(sep)]
         if len(fields) < 3:
             raise DataError(f"{path}: line {lineno}: expected 3 fields separated by {sep!r}")
         try:

@@ -211,6 +211,16 @@ class TestMovielens:
                 f"line {lineno}: expected 3 fields separated by {sep!r}")):
             load_movielens(path)
 
+    @pytest.mark.parametrize("record", ["\t3\t1\t5", "\x0c\t 3\t1\t5\x0c"],
+                             ids=["tab", "form-feed-then-tab"])
+    def test_empty_first_field_refused(self, tmp_path, record):
+        # the empty user field is not stripped away as padding: that would
+        # read the item as the user and the timestamp column as the rating
+        # (a timestamp rating of ~9e8 asks for ~9e8 label levels)
+        path = write(tmp_path, "u.data", f"1\t1\t3\n{record}\n")
+        with pytest.raises(DataError, match="line 2: bad record"):
+            load_movielens(path)
+
     def test_bad_rating_rejected(self, tmp_path):
         path = write(tmp_path, "u.data", "1\t1\t0\n")
         with pytest.raises(DataError, match="rating"):
