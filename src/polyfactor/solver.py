@@ -1,6 +1,6 @@
 """Outer greedy loop: select a basis vector, append it with zero output
 weights, refit correctively, prune, and track the penalized objective.
-A path driver fits one model per regularization weight, on every usable
+``fit_path`` fits one model per regularization weight, on every usable
 CPU, with interleaved validation and returns the best (lambda, iteration)
 pair.
 """
