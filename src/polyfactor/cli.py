@@ -23,6 +23,10 @@ from .penalties import PENALTIES
 from .selection import ORACLE_LIMIT, OracleLimitError, compare_methods, f_value
 from .solver import REFITS, ConfigError, SolverConfig, fit, fit_path, lambda_max
 
+# the widest d oracle-compare takes: its exact oracle runs a dense d x d
+# eigensolve for each of the 2^m output sign patterns
+ORACLE_MAX_D = 64
+
 
 class UsageError(Exception):
     pass
@@ -208,6 +212,7 @@ def cmd_path(args) -> int:
         except ValueError:
             raise UsageError(f"bad --lambdas {args.lambdas!r}: expected 'auto' or "
                              f"comma-separated numbers") from None
+    cfg = _solver_config(args, loss)
     ds = _load(args, _resolve_augment(args, loss))
     train_ds, valid_ds, _ = split(ds, SplitSpec(seed=args.seed))
     if args.metric.startswith("ndcg@") and valid_ds.group_ids is None:
@@ -215,7 +220,6 @@ def cmd_path(args) -> int:
                          f"movielens data carries")
     if args.mcrank:
         train_ds = build_ordinal(train_ds)
-    cfg = _solver_config(args, loss)
     if args.lambdas == "auto":
         lams = _auto_lambda_grid(train_ds, cfg)
     model, report = fit_path(train_ds, valid_ds, cfg, lam_grid=lams,
@@ -240,14 +244,21 @@ def _random_instance(rng, n, d, m):
 
 def cmd_oracle_compare(args) -> int:
     for flag, value, least in (("--n", args.n, 1), ("--d", args.d, 1),
-                               ("--instances", args.instances, 0)):
+                               ("--instances", args.instances, 0), ("--seed", args.seed, 0)):
         if value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
+    if args.d > ORACLE_MAX_D:
+        raise UsageError(f"--d {args.d} exceeds {ORACLE_MAX_D}: the exact oracle runs a "
+                         f"dense d x d eigensolve per output sign pattern")
     if args.m_max < 2:
         raise UsageError(f"--m-max must be at least 2, got {args.m_max}")
     if args.m_max > ORACLE_LIMIT:
         raise UsageError(f"exact selection is exponential in the output count; "
                          f"--m-max {args.m_max} exceeds {ORACLE_LIMIT}")
+    given = _load(args, augment=False) if args.data else None  # refused before any instance runs
+    if given is not None and given.d > ORACLE_MAX_D:
+        raise UsageError(f"dataset has d={given.d}; the exact oracle needs a "
+                         f"dense eigensolve (d <= {ORACLE_MAX_D})")
     rng = np.random.default_rng(args.seed)
     rows = []
 
@@ -265,14 +276,10 @@ def cmd_oracle_compare(args) -> int:
         op, ds = _random_instance(rng, args.n, args.d, m)
         run(f"random-{i}", op, ds)
 
-    if args.data:
-        ds = _load(args, augment=False)
-        if ds.d > 64:
-            raise UsageError(f"dataset has d={ds.d}; the exact oracle needs a "
-                             f"dense eigensolve (d <= 64)")
-        op = GradientOperator(ds, args.model, n_outputs=ds.m)
-        op.refresh(empty_model(args.model, ds.d, ds.m, "logistic", "l1", 1.0))
-        run("dataset", op, ds)
+    if given is not None:
+        op = GradientOperator(given, args.model, n_outputs=given.m)
+        op.refresh(empty_model(args.model, given.d, given.m, "logistic", "l1", 1.0))
+        run("dataset", op, given)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

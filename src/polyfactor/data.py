@@ -93,6 +93,10 @@ class Dataset:
 class SplitSpec:
     seed: int = 0  # row permutation of ``split``; the sizes are SPLIT_FRACTIONS
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise DataError(f"split seed must be at least 0, got {self.seed}")
+
 
 def prefer_dense(X: sp.csr_matrix) -> bool:
     """Whether X's products run on a dense copy: n d <= 2 nnz(X), the form

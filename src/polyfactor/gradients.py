@@ -61,7 +61,6 @@ from .models import MODEL_KINDS, outputs
 DENSE_BLOCK = 1 << 18
 LANCZOS_EPS = 0.01            # eigenpair accuracy in (0, 1), see _lanczos
 LANCZOS_MAX_STEPS = 300       # Lanczos step cap (d caps it too)
-LANCZOS_FIRST_ROWS = 16       # steps the Lanczos buffers hold before they grow
 
 
 OVERFLOW_CAUSE = ("the likely cause is feature values so large that their products "
@@ -132,15 +131,12 @@ def _lanczos(apply, v0: np.ndarray, ends):
     beta_k |s_k| is at most 0.05 LANCZOS_EPS max|theta|, or when the Krylov
     space is exhausted, after at most min(d, LANCZOS_MAX_STEPS) steps.
     Returns the Ritz vectors as the rows of a (len(ends), d) array and their
-    Ritz values. The buffers start at LANCZOS_FIRST_ROWS steps and grow by
-    half when full, so a short run at large d holds little more than the
-    rows it uses. Q grows in place and its rows keep their stride, so every
-    product on its leading rows rounds as in a buffer of full size.
+    Ritz values. Q is allocated once for every step but left unwritten
+    (np.empty), so only the rows a run writes become resident memory.
     """
     steps = min(v0.size, LANCZOS_MAX_STEPS)
-    rows = min(steps, LANCZOS_FIRST_ROWS)
-    Q = np.empty((rows, v0.size))         # Lanczos vectors, one per row
-    T = np.zeros((rows, rows))            # their tridiagonal projection
+    Q = np.empty((steps, v0.size))        # Lanczos vectors, one per row
+    T = np.zeros((steps, steps))          # their tridiagonal projection
     Q[0] = v0
     for k in range(steps):
         w = apply(Q[k])
@@ -153,13 +149,6 @@ def _lanczos(apply, v0: np.ndarray, ends):
         tol = 0.05 * LANCZOS_EPS * max(abs(theta[0]), abs(theta[-1]))
         if k + 1 == steps or beta * max(abs(S[k, j]) for j in ends) <= tol:
             break
-        if k + 1 == len(Q):  # full: room for half as many steps again
-            rows = min(steps, k + 1 + (k + 1) // 2)
-            # a realloc keeps the rows and their stride; refcheck can be off
-            # since no view of Q lives on (basis is re-sliced at the next step)
-            del basis
-            Q.resize((rows, v0.size), refcheck=False)
-            T = np.pad(T, (0, rows - k - 1))
         Q[k + 1] = w / beta
         T[k + 1, k] = T[k, k + 1] = beta
     H = np.empty((len(ends), v0.size))

@@ -99,12 +99,13 @@ def ndcg_at(groups: RankingGroups, preds, k: int) -> float:
     ratings = groups.ratings.astype(np.float64)
     group = np.repeat(np.arange(sizes.size), sizes)
     first = np.cumsum(sizes) - sizes      # each group's first position
-    discounts = np.log2(np.arange(2, k + 2))
+    depth = min(k, sizes.max())           # the ranks any group reaches
+    discounts = np.log2(np.arange(2, depth + 2))
 
     def dcg(order):
         gains = 2.0 ** ratings[order] - 1.0
         total = np.zeros(sizes.size)
-        for j in range(min(k, sizes.max())):
+        for j in range(depth):
             has = sizes > j
             total[has] += gains[first[has] + j] / discounts[j]
         return total

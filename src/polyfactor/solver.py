@@ -56,6 +56,8 @@ class SolverConfig:
             raise ConfigError("k_max must be at least 1")
         if not 0 < self.lam < np.inf:  # refuses nan too
             raise ConfigError(f"lam must be a positive finite number, not {self.lam!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass
@@ -191,7 +193,7 @@ def fit_path(train: Dataset, valid: Dataset, cfg: SolverConfig, lam_grid,
     lams = tuple(float(l) for l in lam_grid)
     if not lams:
         raise ConfigError("empty lambda grid")
-    if len(lams) > 1 and any(b >= a for a, b in zip(lams, lams[1:])):
+    if any(b >= a for a, b in zip(lams, lams[1:])):
         raise ConfigError("lambda grid must be strictly decreasing")
     if metric_fn is None:
         metric_fn = accuracy
@@ -201,11 +203,7 @@ def fit_path(train: Dataset, valid: Dataset, cfg: SolverConfig, lam_grid,
     def fit_one(i):
         return _fit_weight(train, valid, cfgs[i], metric_fn, sign)
 
-    workers = min(len(lams), _usable_cpus())
-    if workers > 1:
-        outcomes = _run_forked(_shares(len(lams), workers), fit_one)
-    else:
-        outcomes = _run_share(range(len(lams)), fit_one)
+    outcomes = _run_forked(_shares(len(lams), min(len(lams), _usable_cpus())), fit_one)
 
     best = None  # ((rank, metric, t, model), lam)
     report = []
@@ -285,55 +283,48 @@ def _run_share(share, fit_one) -> dict:
 
 
 def _run_forked(shares, fit_one) -> dict:
-    """Fit the last share here and every other share in a forked child;
-    return all their outcomes. Every child is reaped before this
-    returns or raises, and killed first if this process fails."""
-    children = []  # (pid, read end of its pipe)
-    reaped = set()
+    """{position: outcome} of every share: the last fitted here, each other
+    one in a forked child, which inherits the data and ``fit_one``, sends
+    its outcomes back pickled on its own pipe and ends in os._exit, so it
+    never returns into the caller nor flushes its buffers. One share forks
+    nothing. Every child is reaped before this returns or raises, and killed
+    first if still running; one that exits without a result is a
+    RuntimeError naming its exit status."""
+    children = {}  # pid: read end of its pipe, until waitpid has reaped it
     try:
         for share in shares[:-1]:
-            children.append(_fork_share(share, fit_one))
+            read, write = os.pipe()
+            try:
+                pid = os.fork()  # OpenBLAS stops its thread pool across a fork
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    payload = pickle.dumps(_run_share(share, fit_one), pickle.HIGHEST_PROTOCOL)
+                    with open(write, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = read
+            os.close(write)
         outcomes = _run_share(shares[-1], fit_one)
-        for pid, read in children:
+        for pid, read in list(children.items()):
             with open(read, "rb", closefd=False) as pipe:
                 payload = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped.add(pid)
+            os.close(children.pop(pid))
             if status != 0:
                 raise RuntimeError(f"a fit_path worker exited with status {status} "
                                    f"and no result")
             outcomes.update(pickle.loads(payload))
         return outcomes
     finally:
-        for pid, read in children:
+        for pid, read in children.items():
             os.close(read)
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _fork_share(share, fit_one):
-    """Fork a child that fits ``share`` and writes its outcomes, pickled, to a
-    pipe. Returns (pid, read end)."""
-    read, write = os.pipe()
-    try:
-        # the child copies the data and metric_fn instead of unpickling them;
-        # OpenBLAS, whose pool is numpy's only other thread, stops that pool
-        # across a fork in its own atfork handler
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            payload = pickle.dumps(_run_share(share, fit_one), pickle.HIGHEST_PROTOCOL)
-            with open(write, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)  # never return into the caller, nor flush its buffers
-    os.close(write)
-    return pid, read
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

@@ -210,6 +210,7 @@ def dropped_class(tmp_path_factory):
     ("oracle-compare", "--n", "0"),
     ("oracle-compare", "--d", "0"),
     ("oracle-compare", "--instances", "-1"),
+    ("oracle-compare", "--d", "65"),
     ("path", "--lambdas", "0.1,abc"),
     ("path", "--lambdas", ""),
     ("path", "--lambdas", "nan"),
@@ -239,6 +240,24 @@ def test_malformed_values_are_usage_errors(argv, svm_file, tmp_path, capsys, mon
     assert run(*argv, *data, "--out", out) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("train",),
+    ("train", "--format", "movielens", "--mcrank", "--model", "fm"),
+    ("path",),
+    ("path", "--format", "movielens", "--mcrank", "--model", "fm", "--metric", "rmse"),
+    ("oracle-compare", "--instances", "1"),
+], ids=lambda argv: " ".join(argv))
+def test_negative_seed_refused_by_name(argv, svm_file, ml_file, tmp_path, capsys):
+    # on dense svmlight data train never draws from the seed; on MovieLens
+    # data numpy refused it without naming it
+    data = ml_file if "movielens" in argv else svm_file
+    data = () if argv[0] == "oracle-compare" else ("--data", data, "--k-max", 2)
+    assert run(*argv, *data, "--seed", -1, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fmt, text", [
@@ -619,6 +638,23 @@ class TestOracleCompare:
         code = run("oracle-compare", "--m-max", 13, "--out", tmp_path / "x.csv")
         assert code == 2
         assert "exponential" in capsys.readouterr().err
+
+    def test_d_over_limit_refused_before_any_instance(self, tmp_path, capsys, monkeypatch):
+        # the exact oracle runs 2^m dense d x d eigensolves: random instances
+        # and a --data set alike are held to d <= 64
+        def no_run(*args, **kwargs):
+            raise AssertionError("an instance ran")
+
+        wide, out = tmp_path / "wide.svm", tmp_path / "x.csv"
+        save_svmlight(make_multiclass(20, cli.ORACLE_MAX_D + 1, 3, seed=0), wide)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "compare_methods", no_run)
+            for argv in (("--d", cli.ORACLE_MAX_D + 1), ("--data", wide)):
+                assert run("oracle-compare", *argv, "--out", out) == 2
+                assert str(cli.ORACLE_MAX_D) in capsys.readouterr().err
+                assert not out.exists()
+        assert run("oracle-compare", "--d", cli.ORACLE_MAX_D, "--instances", 1, "--m-max", 2,
+                   "--n", 4, "--out", out) == 0
 
     def test_dataset_over_limit_refused(self, tmp_path, capsys):
         # every one of 13 labels present, so the file loads as m = 13

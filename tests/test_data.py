@@ -306,6 +306,10 @@ class TestSplit:
         with pytest.raises(DataError):
             split(self.make(3, rng), SplitSpec())
 
+    def test_negative_seed_refused_by_name(self):
+        with pytest.raises(DataError, match="split seed must be at least 0, got -1"):
+            SplitSpec(seed=-1)
+
     @given(n=st.integers(4, 200), seed=st.integers(0, 2**32 - 1))
     def test_partition_disjoint_and_exhaustive(self, n, seed):
         rng = np.random.default_rng(0)

@@ -182,6 +182,14 @@ class TestMetrics:
             v = ndcg_at(groups, rng.standard_normal(30), 5)
             assert 0.0 <= v <= 1.0
 
+    def test_ndcg_cutoff_beyond_every_group_reads_the_largest_group(self, rng):
+        # no rank past the largest group is read, so no discount is built for it
+        ids = rng.integers(0, 20, size=500)
+        groups = RankingGroups.from_ids(ids, rng.integers(1, 6, size=500))
+        preds = rng.standard_normal(500)
+        largest = int(groups.sizes.max())
+        assert ndcg_at(groups, preds, 2**62) == ndcg_at(groups, preds, largest)
+
     def test_groups_match_bruteforce(self, rng):
         for _ in range(20):
             n = int(rng.integers(0, 60))

@@ -158,7 +158,7 @@ class TestPowerMethod:
 
 
 class TestSelectL1:
-    def test_single_output_equals_power_method(self, rng):
+    def test_single_output_picks_the_dominant_spectrum_end(self, rng):
         # with one output the pick is the dominant spectrum end
         op, _ = random_operator(rng, 10, 6, 1)
         res = select_l1(op, SEED)
@@ -463,7 +463,7 @@ class TestSelectGroup:
 
 
 class TestExactOracle:
-    def test_single_output_matches_power_method(self, rng, monkeypatch):
+    def test_single_output_matches_the_spectrum_ends(self, rng, monkeypatch):
         # the (100, 150) operator is matrix-free and wide enough for Lanczos
         # to stop on its residual test, which the tighter LANCZOS_EPS sets
         monkeypatch.setattr(gradients, "LANCZOS_EPS", 1e-3)

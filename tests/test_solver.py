@@ -407,6 +407,27 @@ class TestPathWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_failing_child_gets_its_stalled_sibling_killed(self, path_args, monkeypatch):
+        # the first forked child fits 0.05 and exits; the second fits 0.1 and
+        # stalls; this process fits 0.4 and 0.2
+        assert solver._shares(4, 3) == [[3], [2], [0, 1]]
+        real = solver.fit
+
+        def fit_after(ds, cfg, iteration_hook=None):
+            if cfg.lam == 0.05:
+                os._exit(7)
+            if cfg.lam == 0.1:
+                time.sleep(30)
+            return real(ds, cfg, iteration_hook=iteration_hook)
+
+        monkeypatch.setattr(solver, "fit", fit_after)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with status 7 and no result"):
+            fit_path(*path_args[:3], lam_grid=path_args[3])
+        assert time.monotonic() - start < 20  # the stalled child was killed
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_children_never_flush_inherited_buffers(self, path_args, tmp_path):
         log = tmp_path / "log.txt"
         with open(log, "w", encoding="utf-8") as fh:
@@ -446,3 +467,7 @@ class TestConfigValidation:
             SolverConfig(lam=float("nan"))
         with pytest.raises(ConfigError):
             SolverConfig(refit="alternating")
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="seed must be at least 0, got -1"):
+            SolverConfig(seed=-1)
