@@ -38,6 +38,19 @@ import numpy as np
 MULTICLASS_LOSSES = ("logistic", "smoothed-hinge", "squared-hinge")
 LOSSES = MULTICLASS_LOSSES + ("binary-logistic", "squared")
 
+# For each loss, a bound on the largest eigenvalue of one row's loss Hessian
+# in its m outputs, so the row's output gradient is Lipschitz with it: a
+# sigmoid's slope is at most 1/4; both logistic variants are a log-sum-exp
+# of the outputs plus a constant, whose Hessian diag(p) - pp^T is at most
+# 1/2; the squared hinge's 2 sum_c (e_c - e_y)(e_c - e_y)^T is at most 2m.
+CURVATURE = {
+    "logistic": lambda m: 0.5,
+    "smoothed-hinge": lambda m: 0.5,
+    "squared-hinge": lambda m: 2.0 * m,
+    "binary-logistic": lambda m: 0.25,
+    "squared": lambda m: 1.0,
+}
+
 
 def _check_kind(kind: str) -> None:
     if kind not in LOSSES:

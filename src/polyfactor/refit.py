@@ -9,6 +9,20 @@ non-increasing. Each refit hands FISTA one smooth oracle, and every point
 costs one loss pass (``losses.loss_pass``): the oracle returns the loss value
 and a gradient thunk that reuses that pass, so a point whose gradient FISTA
 needs is not run through the loss again.
+
+FISTA backtracks from a starting step size 1/L (Beck & Teboulle 2009) and
+halves L before every iteration. The output refit starts at
+L0 = min(1, c * lambda_max(Phi^T Phi)), where c is the loss's curvature
+bound (``losses.CURVATURE``: 1/4 binary logistic, 1/2 logistic and smoothed
+hinge, 1 squared, 2m squared hinge). That product bounds the Lipschitz
+constant of the smooth part's gradient in V at every point, so a step at L0
+always passes the sufficient-decrease test, and a start above it (such as
+1 on one-hot ratings, where the bound is 0.006-0.009) only shortens the
+steps. Where the bound is at least 1 the output refit starts at 1, as the
+joint refit always does (it is non-convex in H, with no global bound): from
+1 the first iteration doubles up to the local L in a few passes, while a
+start at the loose bound would shorten every step and end refits early on
+the relative-change stop.
 """
 
 from __future__ import annotations
@@ -18,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 # loss_gradients is unused here; it stays bound because the benchmark tracer wraps it by name
-from .losses import loss_gradients, loss_pass, loss_values, targets_for  # noqa: F401
+from .losses import CURVATURE, loss_gradients, loss_pass, loss_values, targets_for  # noqa: F401
 from .models import Model, hidden_activations, outputs
 from .penalties import penalty_value, prox, project_unit_rows
 
@@ -35,7 +49,7 @@ def penalized_objective(model: Model, ds) -> float:
         model.lam * penalty_value(model.penalty, model.V)
 
 
-def _fista(x0: np.ndarray, smooth, model: Model):
+def _fista(x0: np.ndarray, smooth, model: Model, L0: float = 1.0):
     """Monotone FISTA on one (k, w) array; returns (x, objective trace).
 
     The first ``model.m`` columns of x (V) go through the penalty's prox and
@@ -44,6 +58,10 @@ def _fista(x0: np.ndarray, smooth, model: Model):
 
     It runs at most FISTA_MAX_ITER iterations and stops once one changes
     the objective by less than FISTA_TOL relative to max(|objective|, 1).
+    The backtracking constant L starts at ``L0`` and is halved before each
+    iteration: ``refit_output`` passes min(1, c * lambda_max(Phi^T Phi)) for
+    the loss's curvature bound c, ``refit_full`` the default 1 (module
+    docstring says why the start is capped at 1).
 
     ``smooth(x)`` returns the loss at x and a thunk for its gradient (shaped
     like x) from the same forward pass. Each point is evaluated once: the
@@ -63,7 +81,7 @@ def _fista(x0: np.ndarray, smooth, model: Model):
         return x, trace
     y = x
     t = 1.0
-    L = 1.0
+    L = L0
     for _ in range(FISTA_MAX_ITER):
         L = max(L * 0.5, 1e-10)
         restarted = False
@@ -108,16 +126,19 @@ def _fista(x0: np.ndarray, smooth, model: Model):
 
 def refit_output(model: Model, ds) -> tuple[Model, list[float]]:
     """Convex re-fit of V over the fixed basis (penalized, warm-started),
-    by ``_fista`` at its module-level iteration cap and tolerance."""
+    by ``_fista`` at its module-level iteration cap and tolerance, starting
+    at L0 = min(1, c * lambda_max(Phi^T Phi)) (module docstring)."""
     Phi = hidden_activations(model.kind, model.H, ds.Xmul,
                              ds.X2mul if model.kind == "fm" else None)
     targets = targets_for(model.loss, ds)
+    top = max(np.linalg.eigvalsh(Phi.T @ Phi), default=0.0)  # the empty model has none
+    L0 = min(1.0, CURVATURE[model.loss](model.m) * float(top))
 
     def smooth(V):
         values, loss_grad = loss_pass(model.loss, targets, Phi @ V)
         return float(values.sum()), lambda: Phi.T @ loss_grad()
 
-    V, trace = _fista(model.V, smooth, model)
+    V, trace = _fista(model.V, smooth, model, L0=L0)
     return replace(model, V=V), trace
 
 
@@ -151,12 +172,10 @@ def refit_full(model: Model, ds) -> tuple[Model, list[float]]:
     return replace(model, V=x[:, :model.m], H=x[:, model.m:]), trace
 
 
-PRUNE_TOL = 1e-12  # a row whose largest output weight is below this is dead
-
-
 def prune(model: Model) -> Model:
-    """Drop basis rows whose output weights are (numerically) all zero."""
-    keep = np.abs(model.V).max(axis=1) >= PRUNE_TOL
+    """Drop basis rows whose output weights are all exactly zero, as every
+    penalty's prox leaves a dead row; the outputs do not change."""
+    keep = np.any(model.V != 0.0, axis=1)
     if keep.all():
         return model
     return replace(model, V=model.V[keep], H=model.H[keep])

@@ -490,6 +490,26 @@ class TestEigenpairs:
         H, q = gradients._lanczos(apply, np.full(d, d ** -0.5), [-1, 0])
         return H, q, len(steps)
 
+    def test_lanczos_stops_at_the_first_passing_step(self):
+        # the Ritz residual is not monotone: on this clustered top the stop
+        # test first passes at step 24 (0-based), holds to step 27, fails at
+        # steps 28-42 and passes again at 43. A stop test run only every few
+        # steps must still stop at step 24, after 25 applies
+        d = 200
+        rng = np.random.default_rng(1)
+        lam = np.sort(rng.uniform(-1.0, 1.0, d))
+        lam[-5:] = 1.0 + 0.001 * rng.random(5)
+        applies = []
+
+        def apply(h):
+            applies.append(1)
+            return lam * h
+
+        H, q = gradients._lanczos(apply, np.full(d, d ** -0.5), [-1])
+        assert len(applies) == 25
+        assert abs(q[0] - lam.max()) <= LANCZOS_EPS * lam.max()
+        assert np.linalg.norm(H[0]) == pytest.approx(1.0, abs=1e-12)
+
     @staticmethod
     def resident_rise(d, gap):
         """(steps, q, bytes): one diagonal_run in a fresh process and how far

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from oracles import loss_gradient, loss_value
 from polyfactor.losses import (
+    CURVATURE,
     LOSSES,
     MULTICLASS_LOSSES,
     loss_gradients,
@@ -123,6 +124,36 @@ class TestConvexity:
         lhs = loss_value(kind, y, t * o1 + (1 - t) * o2)
         rhs = t * loss_value(kind, y, o1) + (1 - t) * loss_value(kind, y, o2)
         assert lhs <= rhs + 1e-12
+
+
+class TestCurvature:
+    @pytest.mark.parametrize("kind", LOSSES)
+    @given(data=st.data())
+    def test_bounds_the_output_refit_gradient(self, kind, data):
+        # f(V) = sum_i loss(Phi_i V) has gradient Phi^T G(Phi V), Lipschitz
+        # in V with CURVATURE[kind](m) * lambda_max(Phi^T Phi)
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        scale = data.draw(st.sampled_from([0.01, 1.0, 10.0]))
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        m = 1 if kind == "squared" else int(rng.integers(2, 7))
+        if kind == "binary-logistic":
+            labels = rng.choice([-1.0, 1.0], size=(n, m))
+        elif kind == "squared":
+            labels = rng.standard_normal(n)
+        else:
+            labels = rng.integers(1, m + 1, size=n)
+        Phi = rng.standard_normal((n, k)) * rng.exponential(size=k)
+        V1 = scale * rng.standard_normal((k, m))
+        V2 = V1 + scale * rng.standard_normal((k, m)) * rng.choice([1e-3, 1.0])
+
+        def grad(V):
+            with np.errstate(over="ignore"):  # exp(y o) overflows to a zero gradient
+                return Phi.T @ loss_gradients(kind, labels, Phi @ V)
+
+        bound = CURVATURE[kind](m) * np.linalg.eigvalsh(Phi.T @ Phi)[-1]
+        lhs = np.linalg.norm(grad(V1) - grad(V2))
+        assert lhs <= bound * np.linalg.norm(V1 - V2) * (1 + 1e-8) + 1e-12
 
 
 class TestVectorized:

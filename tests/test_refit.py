@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 from conftest import csr_twin, set_fista
 from polyfactor import losses, refit
-from polyfactor.data import make_dataset
+from polyfactor.data import load_movielens, make_dataset
 from polyfactor.gradients import GradientOperator
 from polyfactor.losses import loss_values
+from polyfactor.mcrank import build_ordinal
 from polyfactor.models import Model, hidden_activations, outputs
 from polyfactor.penalties import penalty_value, project_unit_rows, prox
 from polyfactor.refit import (
@@ -16,6 +19,8 @@ from polyfactor.refit import (
     refit_full,
     refit_output,
 )
+from polyfactor.solver import SolverConfig, fit
+from polyfactor.synth import make_multiclass, make_ratings, write_movielens
 
 
 @pytest.fixture(autouse=True)
@@ -42,9 +47,9 @@ def capture_fista(monkeypatch, refit_fn, model, ds):
     calls = []
     real = refit._fista
 
-    def spy(x0, smooth, model):
+    def spy(x0, smooth, model, **kwargs):
         calls.append((x0, smooth, model))
-        return real(x0, smooth, model)
+        return real(x0, smooth, model, **kwargs)
 
     monkeypatch.setattr(refit, "_fista", spy)
     return refit_fn(model, ds), calls
@@ -124,12 +129,12 @@ class TestOneOracle:
         real = refit._fista
         points = []  # every x passed to smooth, kept alive so ids stay unique
 
-        def spy(x0, smooth, model):
+        def spy(x0, smooth, model, **kwargs):
             def counted(x):
                 assert not any(x is p for p in points), "point evaluated twice"
                 points.append(x)
                 return smooth(x)
-            return real(x0, counted, model)
+            return real(x0, counted, model, **kwargs)
 
         monkeypatch.setattr(refit, "_fista", spy)
         for refit_fn in (refit_output, refit_full):
@@ -146,11 +151,11 @@ class TestOneOracle:
         real = refit._fista
         points = []  # the bytes of every x passed to smooth, in call order
 
-        def spy(x0, smooth, model):
+        def spy(x0, smooth, model, **kwargs):
             def recorded(x):
                 points.append(x.tobytes())
                 return smooth(x)
-            return real(x0, recorded, model)
+            return real(x0, recorded, model, **kwargs)
 
         monkeypatch.setattr(refit, "_fista", spy)
         _, trace = refit_fn(model, ds)
@@ -166,11 +171,11 @@ class TestOneOracle:
         real_fista, real_margins = refit._fista, losses._class_margins
         points, margins = [], []
 
-        def spy(x0, smooth, model):
+        def spy(x0, smooth, model, **kwargs):
             def counted(x):
                 points.append(x)
                 return smooth(x)
-            return real_fista(x0, counted, model)
+            return real_fista(x0, counted, model, **kwargs)
 
         def counted_margins(*args):
             margins.append(args)
@@ -383,6 +388,16 @@ class TestPrune:
         model = Model(kind, np.zeros((0, 6)), np.zeros((0, 3)), "logistic", "l1l2", 0.1)
         assert prune(model) is model
 
+    def test_only_exact_zero_rows_are_dead(self, rng):
+        # a row with any nonzero weight, however small, still moves the outputs
+        model, _ = make_problem(rng, k=3)
+        model.V[0] = 0.0
+        model.V[1] = [1e-300, -0.0, 0.0]
+        model.V[2] = -0.0
+        pruned = prune(model)
+        assert pruned.k == 1
+        assert np.array_equal(pruned.V, model.V[1:2]) and np.array_equal(pruned.H, model.H[1:2])
+
     def test_huge_lambda_then_prune_empties_model(self, rng):
         model, ds = make_problem(rng, lam=1e9)
         refitted, _ = refit_output(model, ds)
@@ -414,3 +429,48 @@ class TestFista:
         refitted, trace = refit_fn(model, ds)
         assert refitted.k == 0 and refitted.V.shape == (0, 3) and refitted.H.shape == (0, 6)
         assert trace == [penalized_objective(model, ds)]
+
+
+class TestStartingStep:
+    @staticmethod
+    def record_starts(monkeypatch):
+        """A list that receives the starting L of every later ``_fista`` call."""
+        real, starts = refit._fista, []
+
+        def spy(x0, smooth, model, **kwargs):
+            starts.append(kwargs.get("L0", 1.0))
+            return real(x0, smooth, model, **kwargs)
+
+        monkeypatch.setattr(refit, "_fista", spy)
+        return starts
+
+    def test_one_hot_fm_starts_at_its_bound_below_one(self, monkeypatch, tmp_path):
+        # one-hot activations are small: the binary-logistic bound
+        # lambda_max(Phi^T Phi) / 4 lies far below 1
+        write_movielens(*make_ratings(30, 40, 400, seed=0), tmp_path / "r.data")
+        ds = build_ordinal(load_movielens(tmp_path / "r.data"))
+        starts = self.record_starts(monkeypatch)
+        fit(ds, SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf", lam=0.5,
+                             k_max=4))
+        assert len(starts) == 4 and all(0.0 < L0 < 0.1 for L0 in starts)
+
+    def test_vowel_shaped_pn_starts_at_one(self, monkeypatch):
+        # dense activations of 10 features: the logistic bound is above 1,
+        # so each refit starts where it would without the bound
+        ds = make_multiclass(264, 10, 11, n_basis=5, seed=0, margin=0.25)
+        starts = self.record_starts(monkeypatch)
+        fit(ds, SolverConfig(model="pn", loss="logistic", penalty="l1", lam=1.0, k_max=4))
+        assert starts == [1.0] * 4
+
+    @pytest.mark.parametrize("scale", [1.0, 0.05])
+    def test_start_is_the_bound_capped_at_one(self, scale, monkeypatch):
+        # squared hinge, c = 2m; the joint refit always starts at 1
+        model, ds = make_problem(np.random.default_rng(0), loss="squared-hinge")
+        model = replace(model, H=scale * model.H)
+        Phi = hidden_activations(model.kind, model.H, ds.X)
+        bound = 2.0 * model.m * np.linalg.eigvalsh(Phi.T @ Phi)[-1]
+        assert (bound > 1.0) == (scale == 1.0)
+        starts = self.record_starts(monkeypatch)
+        refit_output(model, ds)
+        refit_full(model, ds)
+        assert starts == [pytest.approx(min(1.0, bound), rel=1e-12), 1.0]
