@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 from polyfactor.data import SplitSpec, load_movielens, split
-from polyfactor.mcrank import evaluate_ranking, fit_mcrank
+from polyfactor.mcrank import build_ordinal, evaluate_ranking
 from polyfactor.penalties import PENALTIES
 from polyfactor.solver import SolverConfig, fit
 from polyfactor.synth import make_ratings, write_movielens
@@ -39,7 +39,7 @@ def main():
                   refit="output", seed=args.seed)
 
     t0 = time.perf_counter()
-    multi, _ = fit_mcrank(train, SolverConfig(
+    multi, _ = fit(build_ordinal(train), SolverConfig(
         model="fm", loss="binary-logistic", **common))
     multi_report = evaluate_ranking(multi, test)
     print(f"multi-output ordinal FM: k={multi.k} "

@@ -223,8 +223,10 @@ def format_label(label) -> str:
 
 
 def save_svmlight(ds: Dataset, path) -> None:
-    """Write a Dataset back to svmlight text (exact round-trip of values)."""
-    X = ds.X
+    """Write a Dataset back to svmlight text (exact round-trip of values),
+    a bias-augmented one without its constant column, as feature j for
+    column j: ``load_svmlight(path, augment_bias=True)`` reads it back."""
+    X = ds.X[:, 1:] if ds.bias_augmented else ds.X
     labels = [format_label(v) for v in ds.label_map]
     with open(path, "w", encoding="utf-8") as fh:
         for r in range(ds.n):

@@ -89,8 +89,11 @@ def _forward(kind: str, labels, O: np.ndarray):
             # row sums as a column reduction, which adds left to right
             return np.ascontiguousarray(t.T).sum(axis=0)
 
-        # d/do log(1 + exp(-y o)) = -y * sigmoid(-y o)
-        return binary_values, lambda: -Y / (1.0 + np.exp(Y * O))
+        def binary_gradient():  # -y * sigmoid(-y o); -y * 0.0 once exp(y o) overflows
+            with np.errstate(over="ignore"):
+                return -Y / (1.0 + np.exp(Y * O))
+
+        return binary_values, binary_gradient
     if kind == "squared":
         if O.shape[1] != 1:
             raise ValueError("squared loss requires a single output")

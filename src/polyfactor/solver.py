@@ -1,5 +1,5 @@
 """Outer greedy loop: select a basis vector, append it with zero output
-weights, refit correctively, prune, and track the penalized objective.
+weights, refit correctively, prune, and record each refit's final objective.
 ``fit_path`` fits one model per regularization weight, on every usable
 CPU, with interleaved validation and returns the best (lambda, iteration)
 pair.
@@ -102,15 +102,16 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
 
     Per iteration: refresh the gradient operator, select the best basis
     vector for the penalty's route, append it with a zero output row, refit
-    (output layer, optionally the full model), prune dead rows and record
-    the penalized objective. Selection has one stop test, the optimality
-    certificate: the score is the penalty's dual norm of g_h, so once it is
-    at most max(lam, ``STOP_GAP``) the new row would stay at zero. A zero
-    gradient scores 0.0 and stops there too; at the first iteration it also
-    warns, and the empty model comes back. Otherwise the loop ends after
-    k_max iterations, or when a near-duplicate atom brings no refit progress.
-    ``iteration_hook(t, model)``, when given, sees the pruned model after
-    every iteration.
+    (output layer, optionally the full model), record the last refit's final
+    objective (its last accepted point's; only t = 0 runs
+    ``penalized_objective``) and prune dead rows. Selection has one stop
+    test, the optimality certificate: the score is the penalty's dual norm
+    of g_h, so once it is at most max(lam, ``STOP_GAP``) the new row would
+    stay at zero. A zero gradient scores 0.0 and stops there too; at the
+    first iteration it also warns, and the empty model comes back. Otherwise
+    the loop ends after k_max iterations, or when a near-duplicate atom
+    brings no refit progress. ``iteration_hook(t, model)``, when given, sees
+    the pruned model after every iteration.
     """
     op = _operator(ds, cfg)
     m_out = op.m
@@ -140,12 +141,12 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
                             H=np.vstack([model.H, sel.h[None, :]]),
                             V=np.vstack([model.V, np.zeros((1, m_out))]))
 
-        model, _ = refit_output(model, ds)
+        model, refit_trace = refit_output(model, ds)
         if cfg.refit == "full":
-            model, _ = refit_full(model, ds)
+            model, refit_trace = refit_full(model, ds)
+        objective = refit_trace[-1]  # prune drops only rows of exact zeros
         model = prune(model)
 
-        objective = penalized_objective(model, ds)
         trace.append(TraceRecord(t=t, objective=objective, score=sel.score,
                                  k=model.k, seconds=time.perf_counter() - start))
         if iteration_hook is not None:

@@ -21,7 +21,7 @@ from polyfactor.data import (SplitSpec, load_movielens, load_svmlight, make_data
                              split, take_rows)
 from polyfactor.gradients import GradientOperator
 from polyfactor.losses import LOSSES, loss_gradients
-from polyfactor.mcrank import evaluate_ranking, fit_mcrank
+from polyfactor.mcrank import build_ordinal, evaluate_ranking
 from polyfactor.models import accuracy
 from polyfactor.penalties import PENALTIES, prox
 from polyfactor.refit import refit_full, refit_output
@@ -333,10 +333,7 @@ def test_criterion_7_recommender_desk_scale(ml100k_like, tmp_path):
         for lam in (5.0, 2.0):
             cfg = SolverConfig(model="fm", loss=loss, penalty="l1linf", lam=lam,
                                k_max=50, refit="output", seed=0)
-            if loss == "binary-logistic":
-                model, _ = fit_mcrank(train, cfg)
-            else:
-                model, _ = fit(train, cfg)
+            model, _ = fit(build_ordinal(train) if loss == "binary-logistic" else train, cfg)
             score = evaluate_ranking(model, valid, ks=(1,))["ndcg@1"]
             if best is None or score > best[0]:
                 best = (score, model)

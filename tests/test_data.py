@@ -158,6 +158,23 @@ class TestSvmlight:
         assert {line.split(" ", 1)[0] for line in path.read_text().splitlines()} == \
             {"-2", "5", "9.5"}
 
+    def test_round_trip_with_bias(self, tmp_path, rng):
+        # the constant column is not written, so a reload adds it back once
+        n, d = 30, 5
+        X = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.5)
+        X[0, d - 1] = -1.4097
+        path = tmp_path / "plain.txt"
+        save_svmlight(make_dataset(X, rng.integers(1, 4, size=n), 3), path)
+        ds = load_svmlight(path, augment_bias=True)
+        assert ds.d == d + 1
+        again = tmp_path / "again.txt"
+        save_svmlight(ds, again)
+        assert again.read_text() == path.read_text()
+        back = load_svmlight(again, augment_bias=True)
+        assert back.n == ds.n and back.d == ds.d and back.bias_augmented
+        assert (back.X != ds.X).nnz == 0
+        assert np.array_equal(back.y, ds.y) and back.label_map == ds.label_map
+
 
 class TestMovielens:
     def test_one_hot_layout_users_first(self, tmp_path):

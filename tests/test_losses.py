@@ -81,6 +81,19 @@ class TestGradients:
         g = loss_gradient("binary-logistic", y, np.zeros(3))
         assert np.allclose(g, -y / 2.0)
 
+    @pytest.mark.parametrize("mode", ["warn", "raise"])
+    def test_binary_logistic_margin_past_exp_overflow(self, mode):
+        # exp(y o) overflows past a margin of ~709: each entry is -y * 0.0,
+        # with no warning, and none under numpy's "raise" either
+        Y = np.array([[1.0, -1.0, 1.0, -1.0]])
+        O = np.array([[800.0, -800.0, 1e300, -1e300]])
+        with np.errstate(over=mode):
+            g = loss_gradients("binary-logistic", Y, O)
+            g_pass = loss_pass("binary-logistic", Y, O)[1]()
+        for got in (g, g_pass):
+            assert np.array_equal(got, np.zeros((1, 4)))
+            assert np.signbit(got).tolist() == [[True, False, True, False]]
+
     @pytest.mark.parametrize("kind", MULTICLASS_LOSSES)
     def test_gradient_sums_to_zero_and_signs(self, kind, rng):
         for _ in range(20):
@@ -148,8 +161,7 @@ class TestCurvature:
         V2 = V1 + scale * rng.standard_normal((k, m)) * rng.choice([1e-3, 1.0])
 
         def grad(V):
-            with np.errstate(over="ignore"):  # exp(y o) overflows to a zero gradient
-                return Phi.T @ loss_gradients(kind, labels, Phi @ V)
+            return Phi.T @ loss_gradients(kind, labels, Phi @ V)
 
         bound = CURVATURE[kind](m) * np.linalg.eigvalsh(Phi.T @ Phi)[-1]
         lhs = np.linalg.norm(grad(V1) - grad(V2))

@@ -10,13 +10,12 @@ from polyfactor.mcrank import (
     build_ordinal,
     evaluate_ranking,
     expected_relevance,
-    fit_mcrank,
     ndcg_at,
     rmse,
     threshold_probabilities,
 )
 from polyfactor.models import Model
-from polyfactor.solver import ConfigError, SolverConfig
+from polyfactor.solver import SolverConfig, fit
 from polyfactor.synth import make_ratings
 
 
@@ -84,6 +83,18 @@ class TestExpectedRelevance:
         X = rng.standard_normal((20, d))
         masses = np.diff(threshold_probabilities(model, X), axis=1, prepend=0.0)
         assert np.array_equal(expected_relevance(model, X), masses @ [-2.0, 0.5, 7.0, 9.0])
+
+    @pytest.mark.parametrize("mode", ["warn", "raise"])
+    def test_outputs_past_exp_overflow(self, mode):
+        # an output of -900 overflows exp(-o): p = 0.0, with no warning
+        h = np.array([1.0, 0.0])
+        V = np.array([[-900.0, 900.0, -900.0]])
+        model = Model("pn", h[None, :], V, "binary-logistic", "l1linf", 0.1)
+        with np.errstate(over=mode):
+            P = threshold_probabilities(model, h[None, :])
+            scores = expected_relevance(model, h[None, :])
+        assert P.tolist() == [[0.0, 1.0, 1.0]]
+        assert scores.tolist() == [2.0]
 
     def test_last_level_clamped_for_empty_model(self, rng):
         model = Model("fm", np.zeros((0, 4)), np.zeros((0, 5)),
@@ -234,21 +245,16 @@ class TestMetrics:
 
 
 class TestFitMcrank:
-    def test_requires_fm_and_binary_logistic(self, rng):
-        ds = ratings_dataset(rng)
-        with pytest.raises(ConfigError):
-            fit_mcrank(ds, SolverConfig(model="pn", loss="binary-logistic"))
-        with pytest.raises(ConfigError):
-            fit_mcrank(ds, SolverConfig(model="fm", loss="logistic"))
+    """The ordinal reduction trains as ``fit(build_ordinal(ds), cfg)``."""
 
-    def test_attaches_thresholds_itself(self, rng, monkeypatch):
-        # ratings in, or ratings with the thresholds already attached: one model
+    def test_build_ordinal_is_idempotent(self, rng, monkeypatch):
+        # ratings, or ratings with the thresholds already attached: one model
         ds = ratings_dataset(rng, n=40, d=5, m=4)
         set_fista(monkeypatch, 100, 1e-4)
         cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf",
                            lam=0.05, k_max=3, seed=0)
-        a, trace_a = fit_mcrank(ds, cfg)
-        b, trace_b = fit_mcrank(build_ordinal(ds), cfg)
+        a, trace_a = fit(build_ordinal(ds), cfg)
+        b, trace_b = fit(build_ordinal(build_ordinal(ds)), cfg)
         assert a.k > 0
         assert np.array_equal(a.H, b.H) and np.array_equal(a.V, b.V)
         assert [r.objective for r in trace_a] == [r.objective for r in trace_b]
@@ -260,7 +266,7 @@ class TestFitMcrank:
         set_fista(monkeypatch, 200, 1e-6)
         cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf",
                            lam=0.1, k_max=2, seed=0)
-        model, _ = fit_mcrank(ds, cfg)
+        model, _ = fit(build_ordinal(ds), cfg)
         assert model.m == 1
 
     def test_constant_ratings_score_near_the_constant(self, rng, monkeypatch):
@@ -278,7 +284,7 @@ class TestFitMcrank:
         set_fista(monkeypatch, 500, 1e-8)
         cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf",
                            lam=1e-3, k_max=8, seed=1)
-        model, _ = fit_mcrank(ds, cfg)
+        model, _ = fit(build_ordinal(ds), cfg)
         scores = expected_relevance(model, ds.X)
         assert np.all(np.abs(scores - 4.0) < 0.75)
 
@@ -296,7 +302,7 @@ class TestFitMcrank:
         set_fista(monkeypatch, 300, 1e-6)
         cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf",
                            lam=1e-2, k_max=4, seed=2)
-        model, _ = fit_mcrank(ds, cfg)
+        model, _ = fit(build_ordinal(ds), cfg)
         report = evaluate_ranking(model, ds)
         assert set(report) == {"rmse", "ndcg@1", "ndcg@5"}
         assert 0.0 <= report["ndcg@1"] <= 1.0

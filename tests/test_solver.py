@@ -15,7 +15,9 @@ from polyfactor.data import make_dataset
 from polyfactor.losses import loss_values
 from polyfactor.models import MODEL_KINDS, accuracy, save_model
 from polyfactor.penalties import PENALTIES
+from polyfactor.refit import penalized_objective
 from polyfactor.solver import (
+    REFITS,
     ConfigError,
     SolverConfig,
     fit,
@@ -152,6 +154,57 @@ class TestFit:
                 model, trace = fit(ds, small_config(penalty=penalty, k_max=3))
             assert model.k == 0 and model.H.shape == (0, 4) and model.V.shape == (0, 2)
             assert len(trace) == 1 and trace[-1].t == 0
+
+
+class TestTraceObjective:
+    """Each trace objective after t = 0 is the last refit's final value."""
+
+    @staticmethod
+    def spied_fit(monkeypatch, ds, cfg):
+        """fit(ds, cfg); per iteration, the last refit's trace, whether prune
+        dropped a row and the model; and what penalized_objective returned."""
+        refits, pruned, objective_calls = [], [], []
+
+        def spy(name, record):
+            real = getattr(solver, name)
+
+            def wrapped(*args):
+                out = real(*args)
+                record(args, out)
+                return out
+
+            monkeypatch.setattr(solver, name, wrapped)
+
+        spy("refit_output", lambda args, out: refits.append(out[1]))
+        spy("refit_full", lambda args, out: refits.append(out[1]))
+        spy("prune", lambda args, out: pruned.append((refits[-1], out.k < args[0].k)))
+        spy("penalized_objective", lambda args, out: objective_calls.append(out))
+        models = []
+        _, trace = fit(ds, cfg, iteration_hook=lambda t, m: models.append(m))
+        assert len(pruned) == len(models) == len(trace) - 1
+        return trace, [p + (m,) for p, m in zip(pruned, models)], objective_calls
+
+    @pytest.mark.parametrize("refit", REFITS)
+    def test_penalized_objective_runs_once_per_fit(self, refit, monkeypatch):
+        ds = make_multiclass(40, 5, 3, seed=2)
+        trace, _, calls = self.spied_fit(
+            monkeypatch, ds, small_config(penalty="l1l2", lam=0.02, k_max=4, refit=refit))
+        assert len(trace) > 2
+        assert calls == [trace[0].objective]
+
+    @pytest.mark.parametrize("refit", REFITS)
+    @pytest.mark.parametrize("penalty", PENALTIES)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_objective_is_the_last_refit_value(self, kind, penalty, refit, monkeypatch):
+        ds = make_multiclass(40, 5, 3, seed=7)
+        trace, iterations, _ = self.spied_fit(
+            monkeypatch, ds, small_config(model=kind, penalty=penalty, lam=0.02, k_max=4,
+                                          refit=refit))
+        assert len(trace) > 1
+        for record, (refit_trace, dropped, model) in zip(trace[1:], iterations):
+            assert record.objective == refit_trace[-1]
+            if not dropped:
+                assert record.objective == penalized_objective(model, ds)
 
 
 class TestStopCertificate:
