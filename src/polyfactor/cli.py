@@ -168,12 +168,10 @@ def cmd_eval(args) -> int:
     if model.loss not in MULTICLASS_LOSSES:
         ks = (1, 5) if ds.group_ids is not None else ()
         report = evaluate_ranking(model, ds, ks=ks)
-        report.update({"k": model.k, "lambda": model.lam, "penalty": model.penalty,
-                       "model_kind": model.kind})
     else:
-        report = {"accuracy": accuracy(model, ds), "n": ds.n, "k": model.k,
-                  "lambda": model.lam, "penalty": model.penalty,
-                  "model_kind": model.kind}
+        report = {"accuracy": accuracy(model, ds), "n": ds.n}
+    report.update({"k": model.k, "lambda": model.lam, "penalty": model.penalty,
+                   "model_kind": model.kind})
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -244,14 +242,13 @@ def _random_instance(rng, n, d, m):
 
 def cmd_oracle_compare(args) -> int:
     for flag, value, least in (("--n", args.n, 1), ("--d", args.d, 1),
-                               ("--instances", args.instances, 0), ("--seed", args.seed, 0)):
+                               ("--instances", args.instances, 0), ("--seed", args.seed, 0),
+                               ("--m-max", args.m_max, 2)):
         if value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
     if args.d > ORACLE_MAX_D:
         raise UsageError(f"--d {args.d} exceeds {ORACLE_MAX_D}: the exact oracle runs a "
                          f"dense d x d eigensolve per output sign pattern")
-    if args.m_max < 2:
-        raise UsageError(f"--m-max must be at least 2, got {args.m_max}")
     if args.m_max > ORACLE_LIMIT:
         raise UsageError(f"exact selection is exponential in the output count; "
                          f"--m-max {args.m_max} exceeds {ORACLE_LIMIT}")

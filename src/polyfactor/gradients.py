@@ -26,12 +26,13 @@ for all outputs in one GEMM per block of rows, densifying at most
 DENSE_BLOCK entries of the scaled copy at a time (FM: diagonal zeroed, then
 halved), so its memory stays within X plus the stack. The sparse storage
 keeps a pair map M built with the operator: each row i contributes its
-feature pairs (a, b) with weight x_ia x_ib (FM: a != b only, halved) to the
-slot of (a, b) in X^T X's pattern, so the (m, slots) values P = (M @ D)^T of
-all m operators are one product. M is read at refresh only: the applies
-read P and the slots' pattern. The matrix-free storage builds the
-diagonals S = (X o X)^T D (FM subtracts them; PN builds them so that an
-overflowing X is refused by name).
+feature pairs (a, b) with weight x_ia x_ib (FM: a != b only, halved; no
+a = b pair is gathered) to the slot of (a, b) in X^T X's pattern, so the
+(m, slots) values P = (M @ D)^T of all m operators are one product. M is
+read at refresh only: ``weighted`` and ``quad_values`` read P and the one
+copy of the slots' pattern (their columns and each row's slot count). The
+matrix-free storage builds the diagonals S = (X o X)^T D (FM subtracts
+them; PN builds them so that an overflowing X is refused by name).
 
 When X's pair graph (an edge (a, b) for every FM row with nonzeros at
 a != b) is 2-colourable, ``mirror`` holds a colouring s in {-1, +1}^d. Every
@@ -75,8 +76,8 @@ def _finite(a: np.ndarray) -> np.ndarray:
 
 
 def _row_pairs(X: sp.csr_matrix, kind: str):
-    """Every row's feature pairs: (key, row, weight) with key = a d + b for
-    the pair (a, b) and weight x_ia x_ib (FM: a != b only, halved)."""
+    """Every row's feature pairs (a, b) as (key, row, weight): key = a d + b,
+    weight x_ia x_ib (FM: a != b only, dropped before any gather, halved)."""
     n, d = X.shape
     r = np.diff(X.indptr)
     row_of = np.repeat(np.arange(n), r)     # row of each stored entry
@@ -84,14 +85,11 @@ def _row_pairs(X: sp.csr_matrix, kind: str):
     # pair entry e with each entry f of its row
     e = np.repeat(np.arange(X.nnz), width)
     f = np.arange(e.size) - np.repeat(np.cumsum(width) - width - X.indptr[row_of], width)
-    rows = row_of[e]
-    a, b = X.indices[e].astype(np.int64), X.indices[f]
+    keep = e != f if kind == "fm" else slice(None)  # canonical CSR: a = b only at e = f
+    e, f = e[keep], f[keep]
     with np.errstate(over="ignore"):  # an infinite weight is refused by set_gradients
-        w = X.data[e] * X.data[f]
-    if kind == "fm":
-        keep = a != b
-        a, b, w, rows = a[keep], b[keep], 0.5 * w[keep], rows[keep]
-    return a * d + b, rows, w
+        w = (0.5 if kind == "fm" else 1.0) * (X.data[e] * X.data[f])
+    return X.indices[e].astype(np.int64) * d + X.indices[f], row_of[e], w
 
 
 def _sign_mirror(X: sp.csr_matrix, kind: str) -> np.ndarray | None:
@@ -193,9 +191,8 @@ class GradientOperator:
             slots, slot_of = np.unique(keys, return_inverse=True)
             self.M = sp.csr_matrix((w, (slot_of.ravel(), rows)), shape=(slots.size, self.n))
             indptr = np.searchsorted(slots, np.arange(self.d + 1) * self.d)
-            b = slots % self.d
-            self._pairs = (np.diff(indptr), b)  # each row a's slot count, each slot's b
-            pattern = sp.csr_matrix((np.ones(slots.size), b, indptr), shape=(self.d, self.d))
+            pattern = sp.csr_matrix((np.ones(slots.size), slots % self.d, indptr),
+                                    shape=(self.d, self.d))
             self._pattern = (pattern.indices, pattern.indptr)  # scipy's dtype, so no copy
         else:
             self.storage = "free"
@@ -290,8 +287,8 @@ class GradientOperator:
             h = np.ascontiguousarray(h)
             return np.matmul(self.stack, h[:, None]).reshape(self.m, self.d) @ h
         if self.storage == "sparse":  # h_a h_b, so the mirror negates q exactly
-            counts, b = self._pairs
-            return self.P @ (np.repeat(h, counts) * h[b])
+            indices, indptr = self._pattern
+            return self.P @ (np.repeat(h, np.diff(indptr)) * h[indices])
         z = self.X @ h
         t = (z * z) @ self.D
         if self.kind == "pn":

@@ -296,7 +296,12 @@ def _run_forked(shares, fit_one) -> dict:
         for share in shares[:-1]:
             read, write = os.pipe()
             try:
-                pid = os.fork()  # OpenBLAS stops its thread pool across a fork
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns of a fork beside threads: here BLAS
+                    # workers, whose pool OpenBLAS stops across a fork
+                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                            DeprecationWarning)
+                    pid = os.fork()
             except BaseException:
                 os.close(read)
                 os.close(write)

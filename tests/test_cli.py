@@ -268,8 +268,9 @@ def test_negative_seed_refused_by_name(argv, svm_file, ml_file, tmp_path, capsys
     ("movielens", f"1\t1\t3\n{2**63}\t1\t3\n"),
     ("movielens", f"1\t1\t3\n1\t{2**64}\t3\n"),
     ("svmlight", f"1 1:1.0\n2 {2**63}:1.0\n"),
+    ("svmlight", "1 1:1.0\nnan 1:2.0\n"),
 ], ids=["inf-rating", "1e400-rating", "1e300-rating", "nan-rating", "big-user", "big-item",
-        "big-index"])
+        "big-index", "nan-label"])
 def test_numbers_past_the_arrays_are_data_errors(fmt, text, tmp_path, capsys):
     # each loader refuses a number its arrays cannot hold, naming the line
     data = tmp_path / "input.txt"
@@ -280,6 +281,17 @@ def test_numbers_past_the_arrays_are_data_errors(fmt, text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "line 2: " in err and not out.exists()
+
+
+def test_auto_grid_refused_on_a_zero_gradient(tmp_path, capsys):
+    # one label: every loss gradient is zero, so no lambda_max exists
+    data = tmp_path / "one-label.svm"
+    data.write_text("".join(f"1 1:{i + 1}.0 2:0.5\n" for i in range(20)))
+    out = tmp_path / "model.json"
+    assert run("path", "--data", data, "--lambdas", "auto", "--out", out) == 2
+    assert capsys.readouterr().err == ("error: cannot derive a lambda grid from a zero "
+                                       "gradient\n")
+    assert not out.exists()
 
 
 class TestFlags:

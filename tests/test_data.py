@@ -96,6 +96,14 @@ class TestSvmlight:
         ds = load_svmlight(write(tmp_path, "a.txt", ""))
         assert ds.n == 0
 
+    def test_blank_lines_and_comments_skipped(self, tmp_path):
+        # whole-line and trailing comments and blank lines add no row
+        rows = "".join(f"{i % 2 + 1} {i + 1}:1.0\n" for i in range(6))
+        text = f"# header\n{rows}\n2 3:0.5 # trailing comment\n"
+        ds = load_svmlight(write(tmp_path, "a.txt", text))
+        assert ds.n == 7 and ds.d == 6
+        assert ds.X[6].toarray().tolist() == [[0.0, 0.0, 0.5, 0.0, 0.0, 0.0]]
+
     def test_labels_remapped_sorted(self, tmp_path):
         ds = load_svmlight(write(tmp_path, "a.txt", "7 1:1\n-1 1:2\n7 2:3\n3 1:0.5\n"))
         assert ds.m == 3
@@ -129,6 +137,11 @@ class TestSvmlight:
     def test_malformed_lines_report_line_number(self, tmp_path, line):
         path = write(tmp_path, "a.txt", f"1 1:1.0\n{line}\n")
         with pytest.raises(DataError, match="line 2"):
+            load_svmlight(path)
+
+    def test_non_finite_label_refused_by_line(self, tmp_path):
+        path = write(tmp_path, "a.txt", "1 1:1.0\nnan 1:2.0\n")
+        with pytest.raises(DataError, match="line 2: non-finite label"):
             load_svmlight(path)
 
     @pytest.mark.parametrize("augment", [False, True])

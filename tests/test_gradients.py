@@ -138,8 +138,10 @@ class TestBackend:
     def test_sparse_storage_memory(self):
         # one-hot FM rows over 300 + 500 columns (37,476 slots): build and two
         # refreshes retain the pair map plus one (m, slots) value array and
-        # the slots' pattern (int64 columns for quad_values, int32 indices for
-        # weighted), no m-fold stacked CSR and no value array on the pattern
+        # the slots' int32 pattern, which weighted and quad_values share (no
+        # m-fold stacked CSR, no value array on the pattern, no second copy
+        # of the slots' columns); the build gathers no a = b pair, so its
+        # peak stays within a few pair maps
         n, m = 20_000, 5
         rng = np.random.default_rng(0)
         cols = np.stack([rng.integers(0, 300, n), rng.integers(300, 800, n)], 1)
@@ -150,6 +152,7 @@ class TestBackend:
         tracemalloc.start()
         try:
             op = GradientOperator(ds, "fm")
+            build_peak = tracemalloc.get_traced_memory()[1]
             op.set_gradients(D1)
             op.set_gradients(D2)
             retained = tracemalloc.get_traced_memory()[0]
@@ -158,7 +161,8 @@ class TestBackend:
         slots = op.P.shape[1]
         assert (op.storage, slots) == ("sparse", 37_476)
         pair_map = op.M.data.nbytes + op.M.indices.nbytes + op.M.indptr.nbytes
-        assert retained < pair_map + (8 * m + 16) * slots
+        assert retained < pair_map + (8 * m + 8) * slots
+        assert build_peak < 6.5 * pair_map
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_sparse_weighted_sums_the_stored_values(self, kind, rng):

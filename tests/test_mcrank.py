@@ -39,6 +39,13 @@ class TestBuildOrdinal:
         assert Y[0].tolist() == [1.0] * 5
         assert Y[1].tolist() == [-1.0] * 4 + [1.0]
 
+    @pytest.mark.parametrize("ratings", [[0, 2], [2, 6]], ids=["below 1", "above m"])
+    def test_ratings_outside_the_levels_refused(self, ratings):
+        # a dataset built with its sign matrix skips the 1..m label check
+        ds = make_dataset(np.ones((2, 2)), np.array(ratings), 5, Y=np.ones((2, 5)))
+        with pytest.raises(ValueError, match=r"ratings must lie in 1\.\.5"):
+            build_ordinal(ds)
+
     @given(ratings=st.lists(st.integers(1, 5), min_size=1, max_size=30))
     def test_rows_are_monotone_steps_ending_positive(self, ratings):
         n = len(ratings)
@@ -234,6 +241,13 @@ class TestMetrics:
         groups = RankingGroups.from_ids(ds.group_ids, truth)
         assert report["ndcg@2"] == ndcg_at(groups, preds, 2)
         assert report["ndcg@2"] != ndcg_at(RankingGroups.from_ids(ds.group_ids, y), preds, 2)
+
+    def test_cutoffs_need_ranking_groups(self):
+        model = Model("pn", np.zeros((0, 2)), np.zeros((0, 1)), "squared", "l1", 0.1)
+        ds = make_dataset(np.ones((2, 2)), [1, 2], 2)
+        with pytest.raises(ValueError, match="no ranking groups"):
+            evaluate_ranking(model, ds, ks=(1,))
+        assert set(evaluate_ranking(model, ds, ks=())) == {"rmse"}
 
     def test_multiclass_model_not_ranked(self):
         # a multi-class model's outputs are class scores, not ratings

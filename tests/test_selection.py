@@ -516,6 +516,25 @@ class TestBaselines:
         res = baseline_best_data(op, ds)
         assert abs(res.h @ (x / np.linalg.norm(x))) == pytest.approx(1.0)
 
+    def test_best_data_skips_zero_rows(self, rng):
+        X = np.zeros((3, 4))
+        X[1] = rng.standard_normal(4)
+        ds = make_dataset(X, np.array([1, 1, 1]), 2)
+        op = GradientOperator(ds, "pn", n_outputs=2)
+        op.set_gradients(rng.standard_normal((3, 2)))
+        res = baseline_best_data(op, ds)
+        assert np.array_equal(res.h, X[1] / np.linalg.norm(X[1]))
+        assert np.array_equal(res.quad_values, op.quad_values(res.h))
+
+    def test_best_data_on_all_zero_rows(self, rng):
+        ds = make_dataset(np.zeros((3, 4)), np.array([1, 1, 1]), 2)
+        op = GradientOperator(ds, "pn", n_outputs=2)
+        op.set_gradients(rng.standard_normal((3, 2)))
+        res = baseline_best_data(op, ds)
+        assert res.score == 0.0
+        assert not res.h.any() and not res.quad_values.any()
+        assert res.h.shape == (4,) and res.quad_values.shape == (2,)
+
     def test_random_baseline_unit_norm(self, rng):
         op, _ = random_operator(rng, 8, 5, 2)
         res = baseline_random(op, SEED)

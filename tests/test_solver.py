@@ -409,6 +409,29 @@ class TestFitPath:
             fit_path(tr, va, small_config(k_max=2), lam_grid=grid)
         assert [str(w.message) for w in caught] == [f"weight {lam}" for lam in grid]
 
+    def test_fork_beside_threads_warns_nothing(self, monkeypatch):
+        # Python 3.12+ warns when os.fork runs beside another thread, such as
+        # a BLAS worker; fit_path re-emits the fits' own warnings and no other
+        tr, va = self.two_way(80, 28)
+        grid = (0.4, 0.2, 0.1)
+        real_fit, real_fork = solver.fit, os.fork
+
+        def fit_and_warn(ds, cfg, iteration_hook=None):
+            warnings.warn(f"weight {cfg.lam}")
+            return real_fit(ds, cfg, iteration_hook=iteration_hook)
+
+        def fork_and_warn():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.", DeprecationWarning)
+            return real_fork()
+
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(solver, "fit", fit_and_warn)
+        monkeypatch.setattr(os, "fork", fork_and_warn)
+        with pytest.warns(UserWarning) as caught:
+            fit_path(tr, va, small_config(k_max=2), lam_grid=grid)
+        assert [str(w.message) for w in caught] == [f"weight {lam}" for lam in grid]
+
     def test_zero_gradient_warning_comes_back_from_every_lambda(self, workers):
         # fit's own warning comes back from every process; no model is produced
         ds = make_dataset(np.zeros((8, 4)), np.array([1, 2] * 4), 2)
@@ -418,6 +441,11 @@ class TestFitPath:
             fit_path(ds, ds, small_config(k_max=2), lam_grid=grid)
         assert len(caught) == len(grid)
 
+
+    def test_empty_grid_rejected(self):
+        tr, va = self.two_way(40, 16)
+        with pytest.raises(ConfigError, match="empty lambda grid"):
+            fit_path(tr, va, small_config(), lam_grid=())
 
     def test_increasing_grid_rejected(self, rng):
         tr, va = self.two_way(40, 16)
