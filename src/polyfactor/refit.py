@@ -10,18 +10,23 @@ costs one loss pass (``losses.loss_pass``): the oracle returns the loss value
 and a gradient thunk that reuses that pass, so a point whose gradient FISTA
 needs is not run through the loss again.
 
-FISTA backtracks from a starting step size 1/L (Beck & Teboulle 2009) and
-halves L before every iteration. The output refit starts at
-L0 = min(1, c * lambda_max(Phi^T Phi)), where c is the loss's curvature
+FISTA backtracks from a starting step size 1/L (Beck & Teboulle 2009),
+eases L by a factor 0.8 before every iteration and doubles it on a failed
+sufficient-decrease test (the adaptive backtracking of Scheinberg, Goldfarb
+& Bai 2014). Each refit returns the L its last accepted point passed at,
+and ``solver.fit`` hands it to the next refit of the same kind, which starts
+at the larger of that L and its own start: an outer iteration adds one atom,
+so the problem and its local L barely change. The output refit's own start
+is L0 = min(1, c * lambda_max(Phi^T Phi)), where c is the loss's curvature
 bound (``losses.CURVATURE``: 1/4 binary logistic, 1/2 logistic and smoothed
 hinge, 1 squared, 2m squared hinge). That product bounds the Lipschitz
 constant of the smooth part's gradient in V at every point, so a step at L0
 always passes the sufficient-decrease test, and a start above it (such as
 1 on one-hot ratings, where the bound is 0.006-0.009) only shortens the
-steps. Where the bound is at least 1 the output refit starts at 1, as the
-joint refit always does (it is non-convex in H, with no global bound): from
-1 the first iteration doubles up to the local L in a few passes, while a
-start at the loose bound would shorten every step and end refits early on
+steps. Where the bound is at least 1 the output refit's own start is 1, as
+the joint refit's always is (it is non-convex in H, with no global bound):
+from 1 the first iteration doubles up to the local L in a few passes, while
+a start at the loose bound would shorten every step and end refits early on
 the relative-change stop.
 """
 
@@ -50,7 +55,9 @@ def penalized_objective(model: Model, ds) -> float:
 
 
 def _fista(x0: np.ndarray, smooth, model: Model, L0: float = 1.0):
-    """Monotone FISTA on one (k, w) array; returns (x, objective trace).
+    """Monotone FISTA on one (k, w) array; returns (x, objective trace, L),
+    L the backtracking constant the last accepted candidate passed at (L0
+    when no iteration ran).
 
     The first ``model.m`` columns of x (V) go through the penalty's prox and
     the rest (H) are projected onto unit rows; an x with no rows (the empty
@@ -58,10 +65,10 @@ def _fista(x0: np.ndarray, smooth, model: Model, L0: float = 1.0):
 
     It runs at most FISTA_MAX_ITER iterations and stops once one changes
     the objective by less than FISTA_TOL relative to max(|objective|, 1).
-    The backtracking constant L starts at ``L0`` and is halved before each
-    iteration: ``refit_output`` passes min(1, c * lambda_max(Phi^T Phi)) for
-    the loss's curvature bound c, ``refit_full`` the default 1 (module
-    docstring says why the start is capped at 1).
+    The backtracking constant L starts at ``L0``, is multiplied by 0.8
+    before each iteration and doubled on each failed sufficient-decrease
+    test. ``refit_output`` and ``refit_full`` pass the larger of the previous
+    same-kind refit's L and their own start (module docstring).
 
     ``smooth(x)`` returns the loss at x and a thunk for its gradient (shaped
     like x) from the same forward pass. Each point is evaluated once: the
@@ -77,13 +84,13 @@ def _fista(x0: np.ndarray, smooth, model: Model, L0: float = 1.0):
     fx, grad_x = smooth(x)
     obj = objective(x, fx)
     trace = [obj]
+    L = L0
     if x.shape[0] == 0:
-        return x, trace
+        return x, trace, L
     y = x
     t = 1.0
-    L = L0
     for _ in range(FISTA_MAX_ITER):
-        L = max(L * 0.5, 1e-10)
+        L = max(L * 0.8, 1e-10)
         restarted = False
         while True:
             fy, grad_y = (fx, grad_x) if y is x else smooth(y)
@@ -121,13 +128,15 @@ def _fista(x0: np.ndarray, smooth, model: Model, L0: float = 1.0):
         trace.append(obj)
         if stop:
             break
-    return x, trace
+    return x, trace, L
 
 
-def refit_output(model: Model, ds) -> tuple[Model, list[float]]:
+def refit_output(model: Model, ds, L_prev: float = 0.0) -> tuple[Model, list[float], float]:
     """Convex re-fit of V over the fixed basis (penalized, warm-started),
-    by ``_fista`` at its module-level iteration cap and tolerance, starting
-    at L0 = min(1, c * lambda_max(Phi^T Phi)) (module docstring)."""
+    by ``_fista`` at its module-level iteration cap and tolerance. Returns
+    (model, objective trace, L). FISTA starts at max(L_prev, L0), L_prev the
+    L the previous output refit returned and L0 = min(1, c * lambda_max(Phi^T
+    Phi)) (module docstring)."""
     Phi = hidden_activations(model.kind, model.H, ds.Xmul,
                              ds.X2mul if model.kind == "fm" else None)
     targets = targets_for(model.loss, ds)
@@ -138,12 +147,14 @@ def refit_output(model: Model, ds) -> tuple[Model, list[float]]:
         values, loss_grad = loss_pass(model.loss, targets, Phi @ V)
         return float(values.sum()), lambda: Phi.T @ loss_grad()
 
-    V, trace = _fista(model.V, smooth, model, L0=L0)
-    return replace(model, V=V), trace
+    V, trace, L = _fista(model.V, smooth, model, L0=max(L_prev, L0))
+    return replace(model, V=V), trace, L
 
 
-def refit_full(model: Model, ds) -> tuple[Model, list[float]]:
-    """Joint proximal-gradient descent in [V, H]; H rows stay in the unit ball."""
+def refit_full(model: Model, ds, L_prev: float = 0.0) -> tuple[Model, list[float], float]:
+    """Joint proximal-gradient descent in [V, H]; H rows stay in the unit
+    ball. Returns (model, objective trace, L). FISTA starts at max(L_prev,
+    1), L_prev the L the previous joint refit returned."""
     X = ds.Xmul
     X2 = ds.X2mul if model.kind == "fm" else None
     XT = X.T  # bound once: a CSR X.T builds a new CSC view at every call
@@ -168,8 +179,8 @@ def refit_full(model: Model, ds) -> tuple[Model, list[float]]:
 
         return float(values.sum()), grad
 
-    x, trace = _fista(np.hstack([model.V, model.H]), smooth, model)
-    return replace(model, V=x[:, :model.m], H=x[:, model.m:]), trace
+    x, trace, L = _fista(np.hstack([model.V, model.H]), smooth, model, L0=max(L_prev, 1.0))
+    return replace(model, V=x[:, :model.m], H=x[:, model.m:]), trace, L
 
 
 def prune(model: Model) -> Model:

@@ -104,7 +104,10 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
     vector for the penalty's route, append it with a zero output row, refit
     (output layer, optionally the full model), record the last refit's final
     objective (its last accepted point's; only t = 0 runs
-    ``penalized_objective``) and prune dead rows. Selection has one stop
+    ``penalized_objective``) and prune dead rows. Each refit kind carries
+    its FISTA constant L to its next refit in this fit (``refit`` module
+    docstring); L starts afresh at every fit, so a ``fit_path`` result does
+    not depend on how its grid is split across CPUs. Selection has one stop
     test, the optimality certificate: the score is the penalty's dual norm
     of g_h, so once it is at most max(lam, ``STOP_GAP``) the new row would
     stay at zero. A zero gradient scores 0.0 and stops there too; at the
@@ -118,6 +121,7 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
     model = empty_model(cfg.model, ds.d, m_out, cfg.loss, cfg.penalty, cfg.lam,
                         label_map=ds.label_map, bias_augmented=ds.bias_augmented)
 
+    L_output = L_full = 0.0  # each refit kind's last backtracking constant
     start = time.perf_counter()
     trace = [TraceRecord(t=0, objective=penalized_objective(model, ds), score=np.inf,
                          k=0, seconds=0.0)]
@@ -141,9 +145,9 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
                             H=np.vstack([model.H, sel.h[None, :]]),
                             V=np.vstack([model.V, np.zeros((1, m_out))]))
 
-        model, refit_trace = refit_output(model, ds)
+        model, refit_trace, L_output = refit_output(model, ds, L_output)
         if cfg.refit == "full":
-            model, refit_trace = refit_full(model, ds)
+            model, refit_trace, L_full = refit_full(model, ds, L_full)
         objective = refit_trace[-1]  # prune drops only rows of exact zeros
         model = prune(model)
 

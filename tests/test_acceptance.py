@@ -259,8 +259,8 @@ def test_criterion_4_monotone_traces():
         for penalty in PENALTIES:
             model = Model(kind, H, 0.3 * rng.standard_normal((4, 4)),
                           "logistic", penalty, 0.05)
-            _, tr1 = refit_output(model, ds)
-            _, tr2 = refit_full(model, ds)
+            _, tr1, _ = refit_output(model, ds)
+            _, tr2, _ = refit_full(model, ds)
             assert non_increasing(tr1) and non_increasing(tr2)
             checked += 2
 

@@ -43,30 +43,32 @@ def make_problem(rng, kind="pn", n=25, d=6, m=3, k=4, loss="logistic",
 
 def capture_fista(monkeypatch, refit_fn, model, ds):
     """Run ``refit_fn`` and return its result plus every ``_fista`` call's
-    (x0, smooth, model)."""
+    (x0, smooth, model, L0)."""
     calls = []
     real = refit._fista
 
-    def spy(x0, smooth, model, **kwargs):
-        calls.append((x0, smooth, model))
-        return real(x0, smooth, model, **kwargs)
+    def spy(x0, smooth, model, L0=1.0):
+        calls.append((x0, smooth, model, L0))
+        return real(x0, smooth, model, L0=L0)
 
     monkeypatch.setattr(refit, "_fista", spy)
     return refit_fn(model, ds), calls
 
 
-def reference_fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, max_iter, tol):
+def reference_fista(x0, L0, smooth_value, smooth_grad, prox_step, nonsmooth_value, max_iter,
+                    tol):
     """The monotone FISTA loop on one array with separate value, gradient,
     prox and penalty oracles, re-evaluating every point it needs (candidates
-    twice, and the accepted point again as the next y)."""
+    twice, and the accepted point again as the next y). L starts at L0 and
+    eases by 0.8 before each iteration; returns (x, trace, last L)."""
     x = np.array(x0)
     obj = smooth_value(x) + nonsmooth_value(x)
     trace = [obj]
     y = x
     t = 1.0
-    L = 1.0
+    L = L0
     for _ in range(max_iter):
-        L = max(L * 0.5, 1e-10)
+        L = max(L * 0.8, 1e-10)
         restarted = False
         while True:
             fy = smooth_value(y)
@@ -95,7 +97,7 @@ def reference_fista(x0, smooth_value, smooth_grad, prox_step, nonsmooth_value, m
         trace.append(obj)
         if stop:
             break
-    return x, trace
+    return x, trace, L
 
 
 class TestOneOracle:
@@ -106,7 +108,7 @@ class TestOneOracle:
         for seed in (0, 1):  # both seeds restart in some of the cases
             model, ds = make_problem(np.random.default_rng(seed), kind=kind, penalty=penalty)
             set_fista(monkeypatch, 300, 1e-7)
-            (refitted, trace), [(x0, smooth, seen)] = capture_fista(
+            (refitted, trace, L), [(x0, smooth, seen, L0)] = capture_fista(
                 monkeypatch, refit_fn, model, ds)
             assert seen is model
 
@@ -116,10 +118,10 @@ class TestOneOracle:
                 return np.hstack([prox(penalty, x[:, :m], model.lam * step),
                                   project_unit_rows(x[:, m:])])
 
-            x, ref_trace = reference_fista(
-                x0, lambda x: smooth(x)[0], lambda x: smooth(x)[1](), prox_step,
+            x, ref_trace, ref_L = reference_fista(
+                x0, L0, lambda x: smooth(x)[0], lambda x: smooth(x)[1](), prox_step,
                 lambda x: model.lam * penalty_value(penalty, x[:, :m]), 300, 1e-7)
-            assert trace == ref_trace
+            assert trace == ref_trace and L == ref_L
             assert np.array_equal(refitted.V, x[:, :m])
             assert np.array_equal(refitted.H, x[:, m:] if x.shape[1] > m else model.H)
 
@@ -138,7 +140,7 @@ class TestOneOracle:
 
         monkeypatch.setattr(refit, "_fista", spy)
         for refit_fn in (refit_output, refit_full):
-            _, trace = refit_fn(model, ds)
+            _, trace, _ = refit_fn(model, ds)
             assert len(trace) > 2
         assert len(points) > 10
 
@@ -158,7 +160,7 @@ class TestOneOracle:
             return real(x0, recorded, model, **kwargs)
 
         monkeypatch.setattr(refit, "_fista", spy)
-        _, trace = refit_fn(model, ds)
+        _, trace, _ = refit_fn(model, ds)
         assert len(trace) > 2
         assert all(a != b for a, b in zip(points, points[1:]))
 
@@ -183,7 +185,7 @@ class TestOneOracle:
 
         monkeypatch.setattr(refit, "_fista", spy)
         monkeypatch.setattr(losses, "_class_margins", counted_margins)
-        _, trace = refit_fn(model, ds)
+        _, trace, _ = refit_fn(model, ds)
         assert len(trace) > 2
         assert len(margins) == len(points)
 
@@ -193,14 +195,14 @@ class TestOutputRefit:
         for seed in range(5):
             model, ds = make_problem(np.random.default_rng(seed))
             before = penalized_objective(model, ds)
-            refitted, trace = refit_output(model, ds)
+            refitted, trace, _ = refit_output(model, ds)
             assert trace == sorted(trace, reverse=True) or \
                 all(b - a >= -1e-9 * max(abs(a), 1.0) for a, b in zip(trace[1:], trace[:-1]))
             assert penalized_objective(refitted, ds) <= before + 1e-9
 
     def test_huge_lambda_kills_all_rows(self, rng):
         model, ds = make_problem(rng, lam=1e9)
-        refitted, _ = refit_output(model, ds)
+        refitted, _, _ = refit_output(model, ds)
         assert np.all(refitted.V == 0.0)
 
     def test_matches_scalar_line_search(self, rng, monkeypatch):
@@ -215,7 +217,7 @@ class TestOutputRefit:
         lam = 0.7
         model = Model("pn", h[None, :], np.zeros((1, 1)), "binary-logistic", "l1", lam)
         set_fista(monkeypatch, 5000, 1e-12)
-        refitted, _ = refit_output(model, ds)
+        refitted, _, _ = refit_output(model, ds)
 
         phi = hidden_activations("pn", model.H, ds.X)[:, 0]
 
@@ -230,7 +232,7 @@ class TestOutputRefit:
     def test_empty_model_noop(self, rng):
         model, ds = make_problem(rng, k=0)
         model = Model("pn", np.zeros((0, 6)), np.zeros((0, 3)), "logistic", "l1l2", 0.1)
-        refitted, trace = refit_output(model, ds)
+        refitted, trace, _ = refit_output(model, ds)
         assert refitted.k == 0 and len(trace) == 1
 
     def test_zero_lambda_approaches_unpenalized_minimum(self, rng, monkeypatch):
@@ -238,7 +240,7 @@ class TestOutputRefit:
         model, ds = make_problem(rng, n=8, d=8, k=8, lam=1e-12,
                                  loss="squared-hinge", penalty="l1")
         set_fista(monkeypatch, 5000, 1e-14)
-        refitted, trace = refit_output(model, ds)
+        refitted, trace, _ = refit_output(model, ds)
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))
         O = outputs(refitted, ds.X)
@@ -250,14 +252,14 @@ class TestFullRefit:
         for kind in ("pn", "fm"):
             model, ds = make_problem(rng, kind=kind)
             before = penalized_objective(model, ds)
-            refitted, trace = refit_full(model, ds)
+            refitted, trace, _ = refit_full(model, ds)
             diffs = np.diff(trace)
             assert np.all(diffs <= 1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))
             assert penalized_objective(refitted, ds) <= before + 1e-9
 
     def test_basis_rows_stay_feasible(self, rng):
         model, ds = make_problem(rng, kind="fm")
-        refitted, _ = refit_full(model, ds)
+        refitted, _, _ = refit_full(model, ds)
         assert np.all(np.linalg.norm(refitted.H, axis=1) <= 1.0 + 1e-9)
 
     def test_stationary_point_returned_unchanged(self, rng):
@@ -270,7 +272,7 @@ class TestFullRefit:
         V = np.array([[10.0, -10.0], [-10.0, 10.0], [-10.0, 10.0]])
         model = Model("pn", H, V, "squared-hinge", "l1", 1e-300)
         assert float(loss_values("squared-hinge", y, outputs(model, ds.X)).sum()) == 0.0
-        refitted, _ = refit_full(model, ds)
+        refitted, _, _ = refit_full(model, ds)
         assert np.array_equal(refitted.H, H)
         assert np.array_equal(refitted.V, V)
 
@@ -281,7 +283,7 @@ class TestFullRefit:
         eps = 1e-6
         set_fista(monkeypatch, 1, 1e-3)
         for refit_fn in (refit_output, refit_full):
-            _, [(x0, smooth, _)] = capture_fista(monkeypatch, refit_fn, model, ds)
+            _, [(x0, smooth, _, _)] = capture_fista(monkeypatch, refit_fn, model, ds)
             value, grad = smooth(x0)
             assert value == pytest.approx(float(loss_values(
                 model.loss, ds.y, outputs(model, ds.X)).sum()), rel=1e-12)
@@ -298,7 +300,7 @@ class TestFullRefit:
     def test_huge_lambda_zeroes_only_v(self, kind, rng):
         # the prox acts on the V columns of [V, H] only, the projection on the H columns only
         model, ds = make_problem(rng, kind=kind, lam=1e9)
-        refitted, trace = refit_full(model, ds)
+        refitted, trace, _ = refit_full(model, ds)
         assert len(trace) > 1
         assert np.all(refitted.V == 0.0)
         norms = np.linalg.norm(refitted.H, axis=1)
@@ -307,11 +309,11 @@ class TestFullRefit:
 
     def test_descent_from_perturbed_model(self, rng):
         model, ds = make_problem(rng)
-        fitted, _ = refit_output(model, ds)
+        fitted, _, _ = refit_output(model, ds)
         noisy = Model(model.kind, fitted.H, fitted.V + 0.5 * rng.standard_normal(fitted.V.shape),
                       model.loss, model.penalty, model.lam)
         before = penalized_objective(noisy, ds)
-        refitted, trace = refit_full(noisy, ds)
+        refitted, trace, _ = refit_full(noisy, ds)
         assert trace[-1] <= before
         assert penalized_objective(refitted, ds) <= before
 
@@ -356,8 +358,8 @@ class TestDenseProducts:
             model, ds = make_problem(np.random.default_rng(seed), kind=kind)
             twin = csr_twin(ds, monkeypatch)
             assert isinstance(ds.Xmul, np.ndarray) and isinstance(ds.X2mul, np.ndarray)
-            (fitted, trace), calls = capture_fista(monkeypatch, refit_fn, model, ds)
-            (_, twin_trace), twin_calls = capture_fista(monkeypatch, refit_fn, model, twin)
+            (fitted, trace, _), calls = capture_fista(monkeypatch, refit_fn, model, ds)
+            (_, twin_trace, _), twin_calls = capture_fista(monkeypatch, refit_fn, model, twin)
             assert len(trace) == len(twin_trace) > 2
             np.testing.assert_allclose(trace, twin_trace, rtol=trace_rtol, atol=0)
             x_end = np.hstack([fitted.V, fitted.H]) if refit_fn is refit_full else fitted.V
@@ -400,7 +402,7 @@ class TestPrune:
 
     def test_huge_lambda_then_prune_empties_model(self, rng):
         model, ds = make_problem(rng, lam=1e9)
-        refitted, _ = refit_output(model, ds)
+        refitted, _, _ = refit_output(model, ds)
         assert prune(refitted).k == 0
 
 
@@ -426,7 +428,7 @@ class TestFista:
         # an x with no rows is not iterated: the trace is the empty model's objective
         _, ds = make_problem(rng)
         model = Model(kind, np.zeros((0, 6)), np.zeros((0, 3)), "logistic", "l1l2", 0.1)
-        refitted, trace = refit_fn(model, ds)
+        refitted, trace, _ = refit_fn(model, ds)
         assert refitted.k == 0 and refitted.V.shape == (0, 3) and refitted.H.shape == (0, 6)
         assert trace == [penalized_objective(model, ds)]
 
@@ -454,13 +456,40 @@ class TestStartingStep:
                              k_max=4))
         assert len(starts) == 4 and all(0.0 < L0 < 0.1 for L0 in starts)
 
-    def test_vowel_shaped_pn_starts_at_one(self, monkeypatch):
-        # dense activations of 10 features: the logistic bound is above 1,
-        # so each refit starts where it would without the bound
+    def test_vowel_shaped_pn_carries_each_kinds_step(self, monkeypatch):
+        # dense activations of 10 features: the logistic bound is above 1, so
+        # the first output refit and the first joint refit start at 1, and
+        # each later one at the larger of 1 and the L its same-kind
+        # predecessor returned
         ds = make_multiclass(264, 10, 11, n_basis=5, seed=0, margin=0.25)
-        starts = self.record_starts(monkeypatch)
-        fit(ds, SolverConfig(model="pn", loss="logistic", penalty="l1", lam=1.0, k_max=4))
-        assert starts == [1.0] * 4
+        real, calls = refit._fista, {"output": [], "full": []}
+
+        def spy(x0, smooth, model, L0=1.0):
+            x, trace, L = real(x0, smooth, model, L0=L0)
+            calls["output" if x0.shape[1] == model.m else "full"].append((L0, L))
+            return x, trace, L
+
+        monkeypatch.setattr(refit, "_fista", spy)
+        fit(ds, SolverConfig(model="pn", loss="logistic", penalty="l1", lam=0.1, k_max=4,
+                             refit="full"))
+        for kind, runs in calls.items():
+            assert len(runs) == 4, kind
+            starts = [L0 for L0, _ in runs]
+            returned = [L for _, L in runs]
+            assert starts == [1.0] + [max(L, 1.0) for L in returned[:-1]], kind
+            assert max(starts) > 1.0, kind  # the carry is exercised
+
+    def test_carried_step_saves_loss_passes(self, monkeypatch):
+        # at the package's own refit settings, restarting every refit at 1
+        # and halving L before each iteration made 574 loss passes here
+        set_fista(monkeypatch, 1000, 1e-3)
+        ds = make_multiclass(264, 10, 11, n_basis=5, seed=0, margin=0.25)
+        passes = []
+        real = refit.loss_pass
+        monkeypatch.setattr(refit, "loss_pass", lambda *args: passes.append(1) or real(*args))
+        fit(ds, SolverConfig(model="pn", loss="logistic", penalty="l1", lam=0.1, k_max=4,
+                             refit="full"))
+        assert len(passes) <= 450
 
     @pytest.mark.parametrize("scale", [1.0, 0.05])
     def test_start_is_the_bound_capped_at_one(self, scale, monkeypatch):
