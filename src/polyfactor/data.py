@@ -151,69 +151,129 @@ def load_svmlight(path, augment_bias: bool = False, d: int | None = None) -> Dat
     column count (bias included): an absent feature is 0, so rows may stop
     short of it, and a feature index past it is refused. By default d is
     the largest index seen.
+
+    A plain file (each line a label and the same number of ``i:v``
+    features, single-spaced, in digits, sign, point and exponent only; no
+    comment, no blank line) is read whole by one ``np.loadtxt`` pass
+    (``_read_svm_whole``), as ``save_svmlight`` writes a dense set. Any
+    other file (ragged widths, a comment, a blank line, any other character,
+    or a value that fails a check) goes through the line loop
+    ``_read_svm_lines``. The two give the same arrays for every file both
+    accept, so the reader is an optimisation only, and every refusal comes
+    from the loop and names its line.
     """
     shift = 1 if augment_bias else 0
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    rows = _read_svm_whole(text, shift, d)
+    if rows is None:
+        rows = _read_svm_lines(path, text, shift, d)
+    labels, indptr, indices, values = rows
+    n = labels.size
+    if d is None:
+        # indices rise along each row, so the largest is some row's last
+        d = (int(indices.max()) if indices.size else 0) + shift
+    # file indices are 1-based; unshifted they map to columns i-1
+    indices = indices + (shift - 1)
+    if augment_bias:
+        # the constant feature opens each row, as column 0
+        indices = np.insert(indices, indptr[:-1], 0)
+        values = np.insert(values, indptr[:-1], 1.0)
+        indptr = indptr + np.arange(n + 1)
+    X = sp.csr_matrix((values, indices, indptr), shape=(n, d))
+
+    uniq = sorted(set(labels.tolist()))
+    y = np.searchsorted(uniq, labels) + 1
+    m = max(len(uniq), 1)
+    return make_dataset(X, y, m, label_map=uniq, bias_augmented=augment_bias)
+
+
+def _read_svm_whole(text: str, shift: int, d: int | None):
+    """(labels, indptr, 1-based indices, values) of a plain svmlight file in
+    one ``np.loadtxt`` pass, or None when the line loop must read it.
+
+    A plain file is ASCII; each line is a label and k >= 1 ``i:v`` features,
+    with the same k on every line, one space before each feature and no
+    other space, and every number written with digits, sign, point and
+    exponent only. On those characters numpy's parser and Python's ``float``
+    read the same values, and its int64 parser refuses what ``int`` refuses
+    (``1.0:3``). The file also goes to the loop when numpy refuses a field
+    or warns (warnings are errors, so every numpy version agrees) or a value
+    fails one of the loop's checks.
+    """
+    if not text.isascii():
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    raw = text.encode()
+    k = text.count(":", 0, text.index("\n"))
+    # no other character, and on each line the delimiters " :" k times
+    if k == 0 or raw.translate(None, b"-+.0123456789eE: \n") or \
+            raw.translate(None, b"-+.0123456789eE") != (b" :" * k + b"\n") * text.count("\n"):
+        return None
+    fields = np.dtype([("label", np.float64), ("f", [("i", np.int64), ("v", np.float64)], (k,))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = np.loadtxt(io.StringIO(text.replace(":", " ")), dtype=fields, delimiter=" ",
+                           comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    labels, indices, values = a["label"], a["f"]["i"], a["f"]["v"]
+    last = int(indices[:, -1].max())  # each row's indices must rise
+    if not (np.isfinite(labels).all() and np.isfinite(values).all()
+            and (indices[:, 0] >= 1).all() and (np.diff(indices, axis=1) > 0).all()
+            and last + shift <= np.iinfo(np.int64).max and (d is None or last + shift <= d)):
+        return None
+    indptr = np.arange(labels.size + 1, dtype=np.int64) * k
+    return labels, indptr, indices.ravel(), values.ravel()
+
+
+def _read_svm_lines(path, text: str, shift: int, d: int | None):
+    """(labels, indptr, 1-based indices, values) of any svmlight file, one
+    line at a time: each refusal names its line."""
     top = int(np.iinfo(np.int64).max)  # the largest column index the arrays hold
     labels = []
     indptr = [0]
     indices = []
     values = []
-    max_index = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: bad label {parts[0]!r}") from None
+        if not math.isfinite(label):
+            raise DataError(f"{path}: line {lineno}: non-finite label")
+        prev = 0
+        for tok in parts[1:]:
             try:
-                label = float(parts[0])
+                i_str, v_str = tok.split(":", 1)
+                i = int(i_str)
+                v = float(v_str)
             except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad label {parts[0]!r}") from None
-            if not math.isfinite(label):
-                raise DataError(f"{path}: line {lineno}: non-finite label")
-            if augment_bias:
-                indices.append(0)
-                values.append(1.0)
-            prev = 0
-            for tok in parts[1:]:
-                try:
-                    i_str, v_str = tok.split(":", 1)
-                    i = int(i_str)
-                    v = float(v_str)
-                except ValueError:
-                    raise DataError(f"{path}: line {lineno}: bad feature {tok!r}") from None
-                if i < 1:
-                    raise DataError(f"{path}: line {lineno}: index {i} is not 1-based")
-                if i <= prev:
-                    raise DataError(f"{path}: line {lineno}: indices must be strictly increasing")
-                if i + shift > top:
-                    raise DataError(f"{path}: line {lineno}: feature index {i} is too large")
-                if not math.isfinite(v):
-                    raise DataError(f"{path}: line {lineno}: non-finite value {v_str!r}")
-                prev = i
-                # file indices are 1-based; unshifted they map to columns i-1
-                indices.append(i - 1 + shift)
-                values.append(v)
-            if d is not None and prev + shift > d:
-                raise DataError(f"{path}: line {lineno}: feature index {prev} is past "
-                                f"the {d - shift} features expected")
-            labels.append(label)
-            indptr.append(len(indices))
-            max_index = max(max_index, prev)
-
-    n = len(labels)
-    if d is None:
-        d = max_index + shift
-    indptr = np.array(indptr, dtype=np.int64)
-    indices = np.array(indices, dtype=np.int64)
-    data = np.array(values, dtype=np.float64)
-    X = sp.csr_matrix((data, indices, indptr), shape=(n, d))
-
-    uniq = sorted(set(labels))
-    remap = {lab: c + 1 for c, lab in enumerate(uniq)}
-    y = np.array([remap[lab] for lab in labels], dtype=np.int64)
-    m = max(len(uniq), 1)
-    return make_dataset(X, y, m, label_map=uniq, bias_augmented=augment_bias)
+                raise DataError(f"{path}: line {lineno}: bad feature {tok!r}") from None
+            if i < 1:
+                raise DataError(f"{path}: line {lineno}: index {i} is not 1-based")
+            if i <= prev:
+                raise DataError(f"{path}: line {lineno}: indices must be strictly increasing")
+            if i + shift > top:
+                raise DataError(f"{path}: line {lineno}: feature index {i} is too large")
+            if not math.isfinite(v):
+                raise DataError(f"{path}: line {lineno}: non-finite value {v_str!r}")
+            prev = i
+            indices.append(i)
+            values.append(v)
+        if d is not None and prev + shift > d:
+            raise DataError(f"{path}: line {lineno}: feature index {prev} is past "
+                            f"the {d - shift} features expected")
+        labels.append(label)
+        indptr.append(len(indices))
+    return (np.array(labels, dtype=np.float64), np.array(indptr, dtype=np.int64),
+            np.array(indices, dtype=np.int64), np.array(values, dtype=np.float64))
 
 
 def format_label(label) -> str:

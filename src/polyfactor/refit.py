@@ -8,7 +8,8 @@ A function-value restart guard keeps every recorded objective trace
 non-increasing. Each refit hands FISTA one smooth oracle, and every point
 costs one loss pass (``losses.loss_pass``): the oracle returns the loss value
 and a gradient thunk that reuses that pass, so a point whose gradient FISTA
-needs is not run through the loss again.
+needs is not run through the loss again. A refit binds its labels
+(``losses.bind_labels``) once, so its passes share one label index.
 
 FISTA backtracks from a starting step size 1/L (Beck & Teboulle 2009),
 eases L by a factor 0.8 before every iteration and doubles it on a failed
@@ -37,7 +38,8 @@ from dataclasses import replace
 import numpy as np
 
 # loss_gradients is unused here; it stays bound because the benchmark tracer wraps it by name
-from .losses import CURVATURE, loss_gradients, loss_pass, loss_values, targets_for  # noqa: F401
+from .losses import (  # noqa: F401
+    CURVATURE, bind_labels, loss_gradients, loss_pass, loss_values, targets_for)
 from .models import Model, hidden_activations, outputs
 from .penalties import penalty_value, prox, project_unit_rows
 
@@ -139,7 +141,7 @@ def refit_output(model: Model, ds, L_prev: float = 0.0) -> tuple[Model, list[flo
     Phi)) (module docstring)."""
     Phi = hidden_activations(model.kind, model.H, ds.Xmul,
                              ds.X2mul if model.kind == "fm" else None)
-    targets = targets_for(model.loss, ds)
+    targets = bind_labels(model.loss, targets_for(model.loss, ds), (ds.n, model.m))
     top = max(np.linalg.eigvalsh(Phi.T @ Phi), default=0.0)  # the empty model has none
     L0 = min(1.0, CURVATURE[model.loss](model.m) * float(top))
 
@@ -159,7 +161,7 @@ def refit_full(model: Model, ds, L_prev: float = 0.0) -> tuple[Model, list[float
     X2 = ds.X2mul if model.kind == "fm" else None
     XT = X.T  # bound once: a CSR X.T builds a new CSC view at every call
     X2T = X2.T if X2 is not None else None
-    targets = targets_for(model.loss, ds)
+    targets = bind_labels(model.loss, targets_for(model.loss, ds), (ds.n, model.m))
 
     def smooth(x):
         V, H = x[:, :model.m], x[:, model.m:]

@@ -3,6 +3,7 @@ import re
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from polyfactor.data import (
     DataError,
     Dataset,
     SplitSpec,
+    format_label,
     load_movielens,
     load_svmlight,
     make_dataset,
@@ -71,6 +73,38 @@ def assert_same_ratings(ds, expected):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert ds.X.shape == expected.X.shape
     assert (ds.m, ds.label_map) == (expected.m, expected.label_map)
+
+
+@st.composite
+def svmlight_texts(draw):
+    """A plain svmlight text: 1-6 lines of a label and the same number of
+    features, labels negative and non-integral among them, indices at times
+    zero-padded, values any finite float in ``repr`` notation."""
+    k = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        label = format_label(draw(st.sampled_from([-3.0, -0.125, 0.0, 1.0, 2.5, 7.0, 1e20])))
+        indices = sorted(draw(st.sets(st.integers(1, 12), min_size=k, max_size=k)))
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=k, max_size=k))
+        feats = [f"{i:0{draw(st.integers(1, 3))}d}:{v!r}" for i, v in zip(indices, values)]
+        lines.append(" ".join([label] + feats))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def svm_loop_dataset(path, **kwargs):
+    """The Dataset ``load_svmlight`` builds when the line loop reads the file."""
+    with mock.patch.object(data, "_read_svm_whole", lambda *args: None):
+        return load_svmlight(path, **kwargs)
+
+
+def assert_same_svmlight(ds, expected):
+    for got, want in [(ds.X.indptr, expected.X.indptr), (ds.X.indices, expected.X.indices),
+                      (ds.X.data, expected.X.data), (ds.y, expected.y)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert ds.X.shape == expected.X.shape and ds.m == expected.m
+    assert [repr(v) for v in ds.label_map] == [repr(v) for v in expected.label_map]
+    assert ds.bias_augmented == expected.bias_augmented
 
 
 def write(tmp_path, name, text):
@@ -187,6 +221,67 @@ class TestSvmlight:
         assert back.n == ds.n and back.d == ds.d and back.bias_augmented
         assert (back.X != ds.X).nnz == 0
         assert np.array_equal(back.y, ds.y) and back.label_map == ds.label_map
+
+
+    @given(text=svmlight_texts(), augment=st.booleans(), extra=st.none() | st.integers(0, 3))
+    def test_whole_file_read_matches_the_line_loop(self, text, augment, extra):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "plain.svm"
+            path.write_text(text)
+            d = None if extra is None else svm_loop_dataset(path, augment_bias=augment).d + extra
+            assert data._read_svm_whole(text, int(augment), d) is not None
+            assert_same_svmlight(load_svmlight(path, augment_bias=augment, d=d),
+                                 svm_loop_dataset(path, augment_bias=augment, d=d))
+
+    @given(text=svmlight_texts(), change=st.sampled_from(["comment", "blank", "tab", "ragged"]))
+    def test_irregular_file_goes_to_the_loop(self, text, change):
+        # a comment, a blank line or a tab leaves the rows as they are
+        lines = text.splitlines()
+        if change == "comment":
+            lines[0] += " # note"
+        elif change == "blank":
+            lines.insert(len(lines) // 2, "")
+        elif change == "tab":
+            lines[-1] = lines[-1].replace(" ", "\t", 1)
+        else:
+            lines.append(lines[0] + " 13:1.5")
+        irregular = "\n".join(lines) + "\n"
+        assert data._read_svm_whole(irregular, 0, None) is None
+        with tempfile.TemporaryDirectory() as tmp:
+            plain, path = Path(tmp) / "plain.svm", Path(tmp) / "irregular.svm"
+            plain.write_text(text)
+            path.write_text(irregular)
+            got = load_svmlight(path)
+            assert_same_svmlight(got, svm_loop_dataset(path))
+            if change != "ragged":
+                assert_same_svmlight(got, load_svmlight(plain))
+
+    def test_plain_file_read_whole(self, tmp_path, rng, monkeypatch):
+        # save_svmlight's dense set never reaches the line loop
+        ds = make_dataset(rng.standard_normal((40, 6)), rng.integers(1, 4, size=40), 3,
+                          label_map=(-1.5, 0.0, 2.0))
+        path = tmp_path / "dense.svm"
+        save_svmlight(ds, path)
+        expected = svm_loop_dataset(path, augment_bias=True)
+        monkeypatch.setattr(data, "_read_svm_lines", None)
+        assert_same_svmlight(load_svmlight(path, augment_bias=True), expected)
+
+    @pytest.mark.parametrize("line, message", [
+        ("1 1.0:3 2:1", "bad feature '1.0:3'"),
+        ("1 3: 4", "bad feature '3:'"),
+        ("1 0:1 2:1", "index 0 is not 1-based"),
+        ("1 a:1 2:1", "bad feature 'a:1'"),
+        ("1 3:1 2:1", "indices must be strictly increasing"),
+        ("1 1:1 5:1", "feature index 5 is past the 4 features expected"),
+        (f"1 1:1 {2**63}:1", f"feature index {2**63} is too large"),
+        ("1 1:1 2:nan", "non-finite value 'nan'"),
+        ("inf 1:1 2:1", "non-finite label"),
+    ])
+    def test_refusals_come_from_the_loop(self, tmp_path, line, message):
+        text = f"1 1:1.0 2:2.0\n{line}\n2 1:0.5 3:1.0\n"
+        assert data._read_svm_whole(text, 0, 4) is None
+        with pytest.raises(DataError, match=re.escape(f"line 2: {message}")):
+            load_svmlight(write(tmp_path, "a.svm", text), d=4)
 
 
 class TestMovielens:

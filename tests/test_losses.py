@@ -10,6 +10,7 @@ from polyfactor.losses import (
     CURVATURE,
     LOSSES,
     MULTICLASS_LOSSES,
+    bind_labels,
     loss_gradients,
     loss_pass,
     loss_values,
@@ -192,10 +193,18 @@ def binary_logistic_reference(z: float) -> float:
     return float(ctx.add(max(-z, Decimal(0)), log1p))
 
 
-def reference_multiclass(kind, y, O):
+def sum_left_to_right(A):
+    """Each row's sum, adding its entries left to right."""
+    total = A[:, 0].copy()
+    for c in range(1, A.shape[1]):
+        total += A[:, c]
+    return total
+
+
+def reference_multiclass(kind, y, O, row_sum=sum_left_to_right):
     """Values and gradients by the row-max, softmax and squared-hinge formulas
     written out separately: the values pass and the gradient pass each
-    recompute the margins."""
+    recompute the margins. Each sum over classes is ``row_sum``."""
     rows = np.arange(O.shape[0])
 
     def margins():
@@ -209,16 +218,16 @@ def reference_multiclass(kind, y, O):
     if kind == "squared-hinge":
         M = np.maximum(Z, 0.0)
         M[rows, y - 1] = 0.0
-        values = (M * M).sum(axis=1)
+        values = row_sum(M * M)
         G = 2.0 * np.maximum(margins(), 0.0)
         G[rows, y - 1] = 0.0
-        G[rows, y - 1] = -G.sum(axis=1)
+        G[rows, y - 1] = -row_sum(G)
         return values, G
     zmax = Z.max(axis=1)
-    values = zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1))
+    values = zmax + np.log(row_sum(np.exp(Z - zmax[:, None])))
     Z = margins()
     E = np.exp(Z - Z.max(axis=1, keepdims=True))
-    G = E / E.sum(axis=1, keepdims=True)
+    G = E / row_sum(E)[:, None]
     G[rows, y - 1] -= 1.0
     return values, G
 
@@ -243,11 +252,8 @@ class TestLossPass:
         Y = rng.choice([-1.0, 1.0], size=(300, m))
         t = np.column_stack([loss_values("binary-logistic", Y[:, [c]], O[:, [c]])
                              for c in range(m)])
-        left_to_right = t[:, 0].copy()
-        for c in range(1, m):
-            left_to_right += t[:, c]
         got = loss_values("binary-logistic", Y, O)
-        assert np.array_equal(got, left_to_right)
+        assert np.array_equal(got, sum_left_to_right(t))
         if m <= 7:
             assert np.array_equal(got, t.sum(axis=1))
 
@@ -269,6 +275,34 @@ class TestLossPass:
                 values, grad = loss_pass(kind, y, np.asfortranarray(O))
                 assert np.array_equal(values, ref_values)
                 assert np.array_equal(grad(), ref_grad)
+
+    @pytest.mark.parametrize("kind", MULTICLASS_LOSSES)
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_multiclass_sums_classes_left_to_right(self, kind, m, rng):
+        # below 8 classes that is numpy's axis-1 sum, bit for bit
+        O = 3.0 * rng.standard_normal((300, m))
+        y = rng.integers(1, m + 1, size=300)
+        values, grad = loss_pass(kind, y, O)
+        G = grad()
+        assert G.flags.c_contiguous
+        ref_values, ref_grad = reference_multiclass(kind, y, O)
+        assert np.array_equal(values, ref_values) and np.array_equal(G, ref_grad)
+        if m <= 7:
+            axis_values, axis_grad = reference_multiclass(kind, y, O, lambda A: A.sum(axis=1))
+            assert np.array_equal(values, axis_values) and np.array_equal(G, axis_grad)
+
+    @pytest.mark.parametrize("kind", MULTICLASS_LOSSES)
+    def test_bound_labels_give_the_same_pass(self, kind, rng):
+        # a refit binds its labels once; the pass reads them as the raw labels
+        O = 3.0 * rng.standard_normal((40, 5))
+        y = rng.integers(1, 6, size=40)
+        bound = bind_labels(kind, y, O.shape)
+        assert bind_labels(kind, bound, O.shape) is bound
+        values, grad = loss_pass(kind, y, O)
+        bound_values, bound_grad = loss_pass(kind, bound, O)
+        assert np.array_equal(values, bound_values) and np.array_equal(grad(), bound_grad())
+        with pytest.raises(ValueError, match="bound to outputs"):
+            loss_pass(kind, bound, O[:30])
 
     @pytest.mark.parametrize("kind", LOSSES)
     def test_gradients_skip_the_values(self, kind, rng, monkeypatch):

@@ -189,6 +189,21 @@ class TestOneOracle:
         assert len(trace) > 2
         assert len(margins) == len(points)
 
+    @pytest.mark.parametrize("loss", ["logistic", "squared-hinge"])
+    @pytest.mark.parametrize("refit_fn", [refit_output, refit_full])
+    def test_labels_indexed_once_per_refit(self, refit_fn, loss, monkeypatch):
+        # each refit binds its labels' flat index once, however many passes
+        model, ds = make_problem(np.random.default_rng(3), loss=loss)
+        real_index, real_pass = losses._label_index, refit.loss_pass
+        builds, passes = [], []
+        monkeypatch.setattr(losses, "_label_index",
+                            lambda *args: builds.append(1) or real_index(*args))
+        monkeypatch.setattr(refit, "loss_pass", lambda *args: passes.append(1) or real_pass(*args))
+        for calls in (1, 2):
+            refit_fn(model, ds)
+            assert len(builds) == calls
+        assert len(passes) > 10
+
 
 class TestOutputRefit:
     def test_objective_never_increases(self, rng):
