@@ -13,12 +13,12 @@ import numpy as np
 
 from . import __version__
 from .data import (DataError, SplitSpec, format_label, load_movielens, load_svmlight,
-                   make_dataset, split)
+                   make_dataset, split, write_blocks)
 from .gradients import GradientOperator
 from .losses import LOSSES, MULTICLASS_LOSSES
 from .mcrank import build_ordinal, evaluate_ranking, expected_relevance
-from .models import (MODEL_KINDS, accuracy, empty_model, load_model, outputs, predict_labels,
-                     save_model)
+from .models import (MODEL_KINDS, accuracy, class_labels, empty_model, load_model, outputs,
+                     predict_class, save_model)
 from .penalties import PENALTIES
 from .selection import ORACLE_LIMIT, OracleLimitError, compare_methods, f_value
 from .solver import REFITS, ConfigError, SolverConfig, fit, fit_path, lambda_max
@@ -150,16 +150,23 @@ def _load_saved(args):
 
 
 def cmd_predict(args) -> int:
+    """One line per row on stdout: ``repr`` of the expected rating (mcrank)
+    or the raw output (squared), else the predicted label as ``format_label``
+    writes it; a block of rows per write (``write_blocks``)."""
     model, ds = _load_saved(args)
-    if model.loss == "binary-logistic":
-        for v in expected_relevance(model, ds.X):
-            print(repr(float(v)))
-    elif model.loss == "squared":
-        for v in outputs(model, ds.X)[:, 0]:
-            print(repr(float(v)))
+    if model.loss in MULTICLASS_LOSSES:
+        names = [format_label(v) + "\n" for v in class_labels(model.label_map, model.m)]
+        classes = predict_class(model, ds.X) - 1
+
+        def render(lo, hi):
+            return "".join([names[c] for c in classes[lo:hi].tolist()])
     else:
-        for label in predict_labels(model, ds.X):
-            print(format_label(label))
+        values = (expected_relevance(model, ds.X) if model.loss == "binary-logistic"
+                  else outputs(model, ds.X)[:, 0])
+
+        def render(lo, hi):
+            return "%r\n" * (hi - lo) % tuple(values[lo:hi].tolist())
+    write_blocks(sys.stdout, ds.n, render)
     return 0
 
 

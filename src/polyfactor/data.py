@@ -282,19 +282,46 @@ def format_label(label) -> str:
     return str(int(v)) if v.is_integer() else repr(v)
 
 
+# rows per write of the text writers. A block's text and the Python objects
+# it is formatted from take ~100 kB for 11-feature svmlight rows, whatever
+# the row count. 512-row blocks lifted the benchmark's vowel set-up peak
+# resident set by ~0.1 MB, and no size from 128 to 1,024 rows set up its
+# ratings inputs measurably faster
+_BLOCK_ROWS = 128
+
+
+def write_blocks(fh, n: int, render) -> None:
+    """Write rows 0..n-1 to the text stream ``fh`` with one write per block
+    of ``_BLOCK_ROWS`` rows; ``render(lo, hi)`` returns rows lo..hi-1 as text."""
+    for lo in range(0, n, _BLOCK_ROWS):
+        fh.write(render(lo, min(lo + _BLOCK_ROWS, n)))
+
+
 def save_svmlight(ds: Dataset, path) -> None:
     """Write a Dataset back to svmlight text (exact round-trip of values),
     a bias-augmented one without its constant column, as feature j for
-    column j: ``load_svmlight(path, augment_bias=True)`` reads it back."""
+    column j: ``load_svmlight(path, augment_bias=True)`` reads it back.
+
+    Each row is one line: its label as ``format_label`` writes it, then one
+    `` j:repr(v)`` token per stored entry in column order (a row with no
+    entry is its label alone), then a newline. A block of rows is one
+    ``%``-format over its entries, written at once (``write_blocks``).
+    """
     X = ds.X[:, 1:] if ds.bias_augmented else ds.X
     labels = [format_label(v) for v in ds.label_map]
+
+    def render(lo, hi):
+        ptr = X.indptr[lo:hi + 1].tolist()
+        a, b = ptr[0], ptr[-1]
+        fields = [0] * (2 * (b - a))
+        fields[0::2] = (X.indices[a:b] + 1).tolist()
+        fields[1::2] = X.data[a:b].tolist()
+        rows = "".join([labels[c - 1] + " %d:%r" * (e - s) + "\n"
+                        for c, s, e in zip(ds.y[lo:hi].tolist(), ptr, ptr[1:])])
+        return rows % tuple(fields)
+
     with open(path, "w", encoding="utf-8") as fh:
-        for r in range(ds.n):
-            lo, hi = X.indptr[r], X.indptr[r + 1]
-            feats = " ".join(
-                f"{X.indices[p] + 1}:{float(X.data[p])!r}" for p in range(lo, hi)
-            )
-            fh.write(f"{labels[int(ds.y[r]) - 1]} {feats}".rstrip() + "\n")
+        write_blocks(fh, ds.n, render)
 
 
 # a MovieLens record's first three fields, as the whole-file reader holds them

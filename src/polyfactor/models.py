@@ -110,9 +110,11 @@ def accuracy(model: Model, ds) -> float:
     return float(np.mean(predict_labels(model, ds.X) == ds.labels))
 
 
-def _render_floats(values) -> str:
-    # full-precision JSON doubles: 17 significant digits always round-trip
-    return "[" + ", ".join(format(float(v), ".16e") for v in values) + "]"
+def _render_floats(values: np.ndarray) -> str:
+    """The array as a JSON list: each value ``%.16e`` (17 significant digits
+    always round-trip a double), ", " between them, in one format call."""
+    values = values.tolist()
+    return "[" + ", ".join(["%.16e"] * len(values)) % tuple(values) + "]"
 
 
 def model_to_json(model: Model) -> str:

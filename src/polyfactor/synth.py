@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, make_dataset
+from .data import Dataset, make_dataset, write_blocks
 from .data import save_svmlight as write_svmlight  # perfbench/workloads.py imports this name
 
 
@@ -92,6 +92,43 @@ def make_ratings(n_users: int, n_items: int, n_ratings: int, rank: int = 4,
 
 
 def write_movielens(users, items, ratings, path, sep: str = "\t") -> None:
+    """Write ratings as a MovieLens file, one record per row.
+
+    Row r is ``user sep item sep rating sep 880000000+r`` and a newline,
+    each field ``int()`` of the value given: integral floats write as
+    integers, a non-integral one is truncated, and int64 ids write exactly
+    (they never pass through float64). ``sep`` is a tab (the 100k release's
+    ``u.data``) or ``::`` (the 1M release's ``ratings.dat``). The columns
+    may be arrays or any other iterables; NaN or infinity, or columns of
+    unequal length, are refused with ValueError. The rows are formatted and
+    written a block at a time (``data.write_blocks``).
+    """
+    columns = [c if isinstance(c, np.ndarray) else list(c) for c in (users, items, ratings)]
+    sizes = [len(c) for c in columns]
+    if len(set(sizes)) > 1:
+        raise ValueError(f"users, items and ratings hold {sizes[0]}, {sizes[1]} and "
+                         f"{sizes[2]} values; each row needs all three")
+    record = sep.replace("%", "%%").join(["%d"] * 4) + "\n"
+
+    def render(lo, hi):
+        fields = [0] * (4 * (hi - lo))
+        for j, column in enumerate(columns):
+            fields[j::4] = _ints(column[lo:hi])
+        fields[3::4] = range(880000000 + lo, 880000000 + hi)
+        return record * (hi - lo) % tuple(fields)
+
     with open(path, "w", encoding="utf-8") as fh:
-        for row, (u, i, r) in enumerate(zip(users, items, ratings)):
-            fh.write(f"{int(u)}{sep}{int(i)}{sep}{int(r)}{sep}{880000000 + row}\n")
+        write_blocks(fh, sizes[0], render)
+
+
+def _ints(values) -> list:
+    """``int()`` of each value: an integer array's values exactly, as
+    ``tolist`` gives them; NaN and infinity refused with ValueError."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "biu":
+            return values.tolist()
+        values = values.tolist()
+    try:
+        return list(map(int, values))
+    except OverflowError:
+        raise ValueError("cannot convert an infinite id or rating to an integer") from None

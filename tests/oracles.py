@@ -1,12 +1,17 @@
 """Per-sample, per-row and per-group reference forms the tests check the
 package against. The package computes the same quantities batched, in
 ``models.hidden_activations``, ``penalties.penalty_value``,
-``losses.loss_pass`` and ``mcrank.ndcg_at``."""
+``losses.loss_pass`` and ``mcrank.ndcg_at``, and writes the same text a
+block of rows at a time, in ``synth.write_movielens``,
+``data.save_svmlight``, ``models._render_floats`` and ``cli.cmd_predict``."""
 
 import numpy as np
 import scipy.sparse as sp
 
+from polyfactor.data import format_label
 from polyfactor.losses import loss_gradients, loss_values
+from polyfactor.mcrank import expected_relevance
+from polyfactor.models import outputs, predict_labels
 from polyfactor.penalties import _check_kind
 
 
@@ -89,3 +94,40 @@ def ndcg_loop(groups, preds, k: int) -> float:
     if not scores:
         raise ValueError("all groups had zero ideal gain")
     return float(np.mean(scores))
+
+
+def write_movielens_loop(users, items, ratings, path, sep="\t") -> None:
+    """synth.write_movielens one formatted write per row (zip stops at the
+    shortest column)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row, (u, i, r) in enumerate(zip(users, items, ratings)):
+            fh.write(f"{int(u)}{sep}{int(i)}{sep}{int(r)}{sep}{880000000 + row}\n")
+
+
+def save_svmlight_loop(ds, path) -> None:
+    """data.save_svmlight one row, and one token, at a time."""
+    X = ds.X[:, 1:] if ds.bias_augmented else ds.X
+    labels = [format_label(v) for v in ds.label_map]
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in range(ds.n):
+            lo, hi = X.indptr[r], X.indptr[r + 1]
+            feats = " ".join(
+                f"{X.indices[p] + 1}:{float(X.data[p])!r}" for p in range(lo, hi)
+            )
+            fh.write(f"{labels[int(ds.y[r]) - 1]} {feats}".rstrip() + "\n")
+
+
+def render_floats_loop(values) -> str:
+    """models._render_floats one value at a time."""
+    return "[" + ", ".join(format(float(v), ".16e") for v in values) + "]"
+
+
+def predict_loop(model, X) -> str:
+    """What ``polyfactor predict`` prints, one print per row."""
+    if model.loss == "binary-logistic":
+        lines = [repr(float(v)) for v in expected_relevance(model, X)]
+    elif model.loss == "squared":
+        lines = [repr(float(v)) for v in outputs(model, X)[:, 0]]
+    else:
+        lines = [format_label(label) for label in predict_labels(model, X)]
+    return "".join(line + "\n" for line in lines)
