@@ -121,14 +121,15 @@ def _freeze(X: sp.csr_matrix) -> None:
 
 
 def make_dataset(X, y, m, label_map=None, Y=None, group_ids=None, bias_augmented=False) -> Dataset:
-    """Build a validated Dataset from a CSR matrix and contiguous labels."""
+    """Build a validated Dataset from a CSR matrix and contiguous labels,
+    which must lie in 1..m whether or not a sign matrix Y is given."""
     X = sp.csr_matrix(X, dtype=np.float64, copy=True)
     X.sum_duplicates()
     X.sort_indices()
     y = np.array(y, copy=True)
     if X.shape[0] != y.shape[0]:
         raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
-    if Y is None and y.size and (y.min() < 1 or y.max() > m):
+    if y.size and (y.min() < 1 or y.max() > m):
         raise DataError(f"labels must lie in 1..{m}")
     if Y is not None:
         Y = np.array(Y, dtype=np.float64, copy=True)

@@ -28,8 +28,9 @@ outputs: the margins, their maxima, the exponentials and the sums over
 classes run on n-long rows, each reduction over classes is a column
 reduction, and the gradient thunk transposes back to a C-contiguous n x m
 array, the layout every product downstream reads. Each row's label entry is
-a flat index into the class-major array (``LabelIndex``), which
-``bind_labels`` builds; a refit binds its labels once for all its passes.
+a flat index into the class-major array (``LabelIndex``). ``targets_for``
+hands a Dataset's labels over already bound, so a refit binds them once
+for all its passes; ``_forward`` binds raw labels itself, once per pass.
 ``binary-logistic`` sums its per-output values as a column reduction of the
 contiguous transpose. A column reduction adds each row's entries left to
 right, as numpy's axis-1 sum does on rows of fewer than 8 entries (it adds
@@ -81,15 +82,6 @@ def _label_index(labels, shape) -> LabelIndex:
     return LabelIndex(at, (n, m))
 
 
-def bind_labels(kind: str, labels, shape):
-    """``labels`` as ``loss_pass`` reads them at outputs of ``shape``: for
-    the multi-class losses a ``LabelIndex``, which a refit builds once for
-    all its passes; for the others the labels as they are."""
-    if kind in MULTICLASS_LOSSES and not isinstance(labels, LabelIndex):
-        return _label_index(labels, shape)
-    return labels
-
-
 def _class_margins(kind, at, OT):
     """Class-major shifted scores Z (m x n) with z[y] = 0 in each column
     (hinge adds the unit bump), from the class-major outputs OT.
@@ -133,7 +125,7 @@ def _forward(kind: str, labels, O: np.ndarray):
             raise ValueError("squared loss requires a single output")
         r = O[:, 0] - np.asarray(labels, dtype=np.float64)
         return lambda: 0.5 * r * r, lambda: r[:, None]
-    index = bind_labels(kind, labels, O.shape)
+    index = labels if isinstance(labels, LabelIndex) else _label_index(labels, O.shape)
     if index.shape != O.shape:
         raise ValueError(f"labels bound to outputs {index.shape}, got {O.shape}")
     at = index.at
@@ -167,7 +159,7 @@ def loss_pass(kind: str, labels, O: np.ndarray):
     """One forward pass: (per-sample loss values, thunk for the n x m gradient).
 
     ``labels`` is an int vector of class indices in 1..m (or the
-    ``LabelIndex`` ``bind_labels`` built from one for O's shape) for the
+    ``LabelIndex`` ``targets_for`` bound at O's shape) for the
     multi-class losses, a {-1,+1} matrix for "binary-logistic", and a real
     vector for "squared" (which requires m = 1). The thunk keeps only what
     the module docstring lists for its loss, so a value-only caller never
@@ -189,14 +181,17 @@ def loss_gradients(kind: str, labels, O: np.ndarray) -> np.ndarray:
 
 
 def targets_for(kind: str, ds):
-    """Pick the label object a loss consumes from a Dataset."""
+    """A Dataset's labels in the form ``loss_pass`` reads for ``kind``: the
+    {-1,+1} matrix for "binary-logistic", the label values for "squared",
+    and for the multi-class losses the ``LabelIndex`` bound at (ds.n, ds.m),
+    which every pass of a refit reuses."""
     if kind == "binary-logistic":
         if ds.Y is None:
             raise ValueError("binary-logistic loss needs a {-1,+1} label matrix")
         return ds.Y
     if kind == "squared":
         return np.asarray(ds.labels, dtype=np.float64)
-    return ds.y
+    return _label_index(ds.y, (ds.n, ds.m))
 
 
 def output_count(kind: str, ds) -> int:

@@ -40,9 +40,8 @@ class RankingGroups:
 
 
 def build_ordinal(ds: Dataset) -> Dataset:
-    """Attach the {-1,+1} threshold matrix: +1 at column c iff y <= c+1."""
-    if ds.y.min() < 1 or ds.y.max() > ds.m:
-        raise ValueError(f"ratings must lie in 1..{ds.m}")
+    """Attach the {-1,+1} threshold matrix: +1 at column c iff y <= c+1
+    (``make_dataset`` keeps y in 1..m)."""
     levels = np.arange(1, ds.m + 1)
     Y = np.where(ds.y[:, None] <= levels[None, :], 1.0, -1.0)
     return dataclasses.replace(ds, Y=Y)

@@ -106,7 +106,10 @@ def accuracy(model: Model, ds) -> float:
     """Share of rows whose predicted label equals the row's label. Both sides
     are label values, each read through its own label_map, so a file that
     lacks some of the training labels (and re-indexes the rest) scores the
-    same; a label the model never saw counts as wrong."""
+    same; a label the model never saw counts as wrong. A dataset with no rows
+    has no share and is refused."""
+    if ds.n < 1:
+        raise ValueError("cannot score accuracy on an empty dataset")
     return float(np.mean(predict_labels(model, ds.X) == ds.labels))
 
 

@@ -151,15 +151,14 @@ def select_group(op: GradientOperator, p: int, seed: int) -> SelectionResult:
 
     Each distinct start (|h_i . h_j| < 1 - 1e-6) goes through its own
     ``refine`` call; the first of equal bests wins. When every output's
-    spectrum is all zero, the top end of output 0 (the l1 route's pick)
-    comes back unrefined, with score 0.0.
+    spectrum is all zero, the one start is the top end of output 0 (the l1
+    route's pick), which ``refine`` stops at at once (all-zero weights):
+    score 0.0, trace [0.0].
     """
     H, q = _spectrum_ends(op, seed)
     live = q.any(axis=1)
     if not live.any():
-        h = H[0, 0]  # what select_l1 picks when every eigenvalue is 0
-        quads = op.quad_values(h)
-        return SelectionResult(h=h, score=_score_from_quads(quads, p), quad_values=quads)
+        return refine(op, H[0, 0], p)  # what select_l1 picks when every eigenvalue is 0
     starts = H[live] if op.mirror is None else H[live, :1]
     distinct = []
     for h in starts.reshape(-1, op.d):

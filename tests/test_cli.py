@@ -109,6 +109,17 @@ class TestTrain:
         assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [(), ("--mcrank", "--model", "fm")],
+                             ids=["plain", "--mcrank --model fm"])
+    def test_empty_ratings_file_refused(self, flags, tmp_path, capsys):
+        data, out = tmp_path / "empty.data", tmp_path / "model.json"
+        data.write_text("")
+        assert run("train", "--data", data, "--format", "movielens", *flags, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot train on an empty dataset\n"
+        assert not out.exists()
+
     def test_missing_data_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("train", "--out", tmp_path / "m.json")
@@ -342,6 +353,16 @@ class TestPredictEval:
         assert run("predict", "--model", trained, "--data", rows) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_eval_on_an_empty_file_refused(self, trained, tmp_path, capsys):
+        # no rows, no accuracy: one error line and no report
+        data = tmp_path / "empty.svm"
+        data.write_text("")
+        assert run("eval", "--model", trained, "--data", data) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_eval_compares_labels(self, dropped_class, capsys):
         # without the class-2 rows the file's labels {1, 3} load as classes 1..2

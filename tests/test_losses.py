@@ -10,7 +10,7 @@ from polyfactor.losses import (
     CURVATURE,
     LOSSES,
     MULTICLASS_LOSSES,
-    bind_labels,
+    LabelIndex,
     loss_gradients,
     loss_pass,
     loss_values,
@@ -293,12 +293,13 @@ class TestLossPass:
 
     @pytest.mark.parametrize("kind", MULTICLASS_LOSSES)
     def test_bound_labels_give_the_same_pass(self, kind, rng):
-        # a refit binds its labels once; the pass reads them as the raw labels
+        # targets_for binds a Dataset's labels at (n, m), once per refit;
+        # every pass reads the bound index as it reads the raw labels
         O = 3.0 * rng.standard_normal((40, 5))
-        y = rng.integers(1, 6, size=40)
-        bound = bind_labels(kind, y, O.shape)
-        assert bind_labels(kind, bound, O.shape) is bound
-        values, grad = loss_pass(kind, y, O)
+        ds = make_dataset(rng.standard_normal((40, 3)), rng.integers(1, 6, size=40), 5)
+        bound = targets_for(kind, ds)
+        assert isinstance(bound, LabelIndex) and bound.shape == (ds.n, ds.m)
+        values, grad = loss_pass(kind, ds.y, O)
         bound_values, bound_grad = loss_pass(kind, bound, O)
         assert np.array_equal(values, bound_values) and np.array_equal(grad(), bound_grad())
         with pytest.raises(ValueError, match="bound to outputs"):
@@ -349,4 +350,5 @@ class TestTargets:
         ds = make_dataset(rng.standard_normal((3, 2)), np.array([2, 1, 2]), 2,
                           label_map=(-45.0, 218.5))
         assert targets_for("squared", ds).tolist() == [218.5, -45.0, 218.5]
-        assert targets_for("logistic", ds) is ds.y
+        bound = targets_for("logistic", ds)
+        assert bound.shape == (3, 2) and bound.at.tolist() == [3, 1, 5]

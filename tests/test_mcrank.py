@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from conftest import set_fista
 from oracles import ndcg_loop
-from polyfactor.data import make_dataset
+from polyfactor.data import DataError, make_dataset
 from polyfactor.mcrank import (
     RankingGroups,
     build_ordinal,
@@ -41,10 +41,10 @@ class TestBuildOrdinal:
 
     @pytest.mark.parametrize("ratings", [[0, 2], [2, 6]], ids=["below 1", "above m"])
     def test_ratings_outside_the_levels_refused(self, ratings):
-        # a dataset built with its sign matrix skips the 1..m label check
-        ds = make_dataset(np.ones((2, 2)), np.array(ratings), 5, Y=np.ones((2, 5)))
-        with pytest.raises(ValueError, match=r"ratings must lie in 1\.\.5"):
-            build_ordinal(ds)
+        # make_dataset checks the 1..m labels with a sign matrix given too,
+        # so build_ordinal never sees a rating outside the levels
+        with pytest.raises(DataError, match=r"labels must lie in 1\.\.5"):
+            make_dataset(np.ones((2, 2)), np.array(ratings), 5, Y=np.ones((2, 5)))
 
     @given(ratings=st.lists(st.integers(1, 5), min_size=1, max_size=30))
     def test_rows_are_monotone_steps_ending_positive(self, ratings):

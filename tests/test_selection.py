@@ -459,7 +459,7 @@ class TestSelectGroup:
         op, _ = random_operator(rng, 5, 4, 2)
         op.set_gradients(np.zeros((5, 2)))
         res = select_group(op, 2, SEED)
-        assert res.score == 0.0 and res.trace is None
+        assert res.score == 0.0 and res.trace == [0.0]
 
 
 class TestExactOracle:
