@@ -465,8 +465,9 @@ def _partition_sizes(n: int, fractions) -> np.ndarray:
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Disjoint, exhaustive, seed-reproducible train/valid/test row
-    partition in the proportions SPLIT_FRACTIONS."""
-    if ds.n < 4:
+    partition in the proportions SPLIT_FRACTIONS. An empty dataset splits
+    into three empty parts, which the solver refuses to train on."""
+    if 0 < ds.n < 4:
         raise DataError(f"need at least 4 samples to split, got {ds.n}")
     sizes = _partition_sizes(ds.n, SPLIT_FRACTIONS)
     perm = np.random.default_rng(spec.seed).permutation(ds.n)

@@ -79,8 +79,9 @@ def ndcg_at(groups: RankingGroups, preds, k: int) -> float:
 
     Within a group, items are ranked by descending prediction with ties
     broken by sample index; groups with zero ideal gain are skipped. One
-    lexsort ranks every group at once, and each group's DCG adds its gains
-    one rank position at a time, in the order a per-group sum takes them.
+    lexsort ranks every group at once, and one ``np.bincount`` over the
+    positions of rank below k sums each group's DCG; it adds in array
+    order, so from rank 0 upward, as a per-group sum takes them.
     """
     preds = np.asarray(preds, dtype=np.float64)
     sizes, idx = groups.sizes, groups.order
@@ -90,17 +91,13 @@ def ndcg_at(groups: RankingGroups, preds, k: int) -> float:
         raise ValueError("empty ranking group")
     ratings = groups.ratings.astype(np.float64)
     group = np.repeat(np.arange(sizes.size), sizes)
-    first = np.cumsum(sizes) - sizes      # each group's first position
-    depth = min(k, sizes.max())           # the ranks any group reaches
-    discounts = np.log2(np.arange(2, depth + 2))
+    rank = np.arange(idx.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    top = rank < k
+    discounts = np.log2(rank[top] + 2.0)
 
     def dcg(order):
-        gains = 2.0 ** ratings[order] - 1.0
-        total = np.zeros(sizes.size)
-        for j in range(depth):
-            has = sizes > j
-            total[has] += gains[first[has] + j] / discounts[j]
-        return total
+        gains = 2.0 ** ratings[order[top]] - 1.0
+        return np.bincount(group[top], weights=gains / discounts, minlength=sizes.size)
 
     ranked = dcg(np.lexsort((np.arange(idx.size), -preds[idx], group)))
     ideal = dcg(np.lexsort((-ratings, group)))

@@ -160,10 +160,13 @@ def _float_array(doc, field: str, size: int, shape_note: str) -> np.ndarray:
 
 
 def load_model(path) -> Model:
-    """Read a model file, refusing with ValueError (naming the field) any
-    document that is not a complete, consistent model."""
+    """Read a model file, refusing with ValueError one that is not JSON
+    (naming the file) or not a complete, consistent model (naming the field)."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"a model file holds one JSON object, not a {type(doc).__name__}")
     missing = [field for field in _MODEL_FIELDS if field not in doc]

@@ -13,7 +13,8 @@ read off the current quadratic forms, and is kept only when it raises the
 objective f_p. ``GradientOperator.eigenpairs`` solves both the spectrum
 ends and the rounds (exactly on dense storage, by seeded or warm-started
 Lanczos on the others), so selection never reads how operators are stored.
-Every route's score is the penalty's dual norm of g_h, which ``fit`` also
+Every route's score is the penalty's dual norm of g_h = -q(h), one
+``np.linalg.norm`` of the quadratic forms (``_scored``), which ``fit`` also
 reads as its stopping certificate; an all-zero spectrum scores 0.0. An
 exhaustive sign-pattern eigensolver provides the exact optimum for small
 output counts, plus two cheap baselines for method comparisons.
@@ -52,9 +53,9 @@ def f_value(quad_values: np.ndarray, p: int) -> float:
     return float(np.abs(q).sum()) if p == 1 else float(q @ q)
 
 
-def _score_from_quads(q: np.ndarray, p: int) -> float:
-    """||q||_p: f_1 for p = 1, sqrt(f_2) for p = 2."""
-    return f_value(q, 1) if p == 1 else float(np.sqrt(f_value(q, 2)))
+def _scored(h: np.ndarray, q: np.ndarray, order, trace=None) -> SelectionResult:
+    """h and its quadratic forms q, scored ||q||_order: a dual norm of g_h = -q."""
+    return SelectionResult(h=h, score=float(np.linalg.norm(q, order)), quad_values=q, trace=trace)
 
 
 def _seeded_unit_vector(d: int, seed_key) -> np.ndarray:
@@ -81,12 +82,11 @@ def _spectrum_ends(op: GradientOperator, seed: int):
 
 def select_l1(op: GradientOperator, seed: int) -> SelectionResult:
     """Best single-output quadratic form over both spectrum ends of every
-    output; the score is max_c |q_c|, the l1 penalty's dual norm of g_h."""
+    output, scored ||q(h)||_inf = max_c |q_c|, the l1 dual norm of g_h."""
     H, q = _spectrum_ends(op, seed)
     # output-major, top before bottom; argmax keeps the first of equal ends
     h = H.reshape(-1, op.d)[np.abs(q).argmax()]
-    quads = op.quad_values(h)
-    return SelectionResult(h=h, score=float(np.abs(quads).max()), quad_values=quads)
+    return _scored(h, op.quad_values(h), np.inf)
 
 
 def _top_eigvector(op: GradientOperator, w: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -109,7 +109,8 @@ def refine(op: GradientOperator, h0: np.ndarray, p: int) -> SelectionResult:
     The rounds stop on a round that does not rise, one that gains less than
     1e-8 f (it is still accepted), all-zero weights, or after
     REFINE_MAX_ROUNDS rounds. The quadratic forms are recomputed from each
-    round's h by ``quad_values``.
+    round's h by ``quad_values``. The score is ||q(h)||_p, the dual norm of
+    g_h for l1/l-inf (p = 1) and l1/l2 (p = 2).
     """
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
@@ -131,7 +132,7 @@ def refine(op: GradientOperator, h0: np.ndarray, p: int) -> SelectionResult:
         trace.append(f)
         if gain < 1e-8 * f:
             break
-    return SelectionResult(h=h, score=_score_from_quads(q, p), quad_values=q, trace=trace)
+    return _scored(h, q, p, trace)
 
 
 def select_group(op: GradientOperator, p: int, seed: int) -> SelectionResult:
@@ -173,52 +174,36 @@ def exact_oracle_linf(op: GradientOperator) -> SelectionResult:
 
     For each s in {-1,+1}^m the sign-combined operator sum_c s_c A_c is
     assembled densely and its top eigenvector taken; the best candidate by
-    f_1 is exact up to dense-eigensolver precision. Cost grows as 2^m, so
-    more than ``ORACLE_LIMIT`` outputs are refused.
+    f_1 = ||q(h)||_1, the score, is exact up to dense-eigensolver precision;
+    the first of equal scores wins. Cost grows as 2^m, so more than
+    ``ORACLE_LIMIT`` outputs are refused.
     """
     if op.m > ORACLE_LIMIT:
         raise OracleLimitError(
             f"exact selection has exponential complexity in the output count; "
             f"m={op.m} exceeds the limit {ORACLE_LIMIT}")
     mats = np.stack([op.dense_matrix(c) for c in range(op.m)])
-    best_h, best_q, best_f = None, None, -1.0
-    for signs in itertools.product((1.0, -1.0), repeat=op.m):
-        M = np.tensordot(np.asarray(signs), mats, axes=1)
-        vals, vecs = np.linalg.eigh(M)
-        h = vecs[:, -1]
-        q = np.einsum("cij,i,j->c", mats, h, h)
-        f = float(np.abs(q).sum())
-        if f > best_f:
-            best_h, best_q, best_f = h, q, f
-    return SelectionResult(h=best_h, score=best_f, quad_values=best_q)
+    tops = (np.linalg.eigh(np.tensordot(np.asarray(signs), mats, axes=1))[1][:, -1]
+            for signs in itertools.product((1.0, -1.0), repeat=op.m))
+    return max((_scored(h, np.einsum("cij,i,j->c", mats, h, h), 1) for h in tops),
+               key=lambda res: res.score)
 
 
 def baseline_best_data(op: GradientOperator, ds) -> SelectionResult:
-    """Best normalized data row by f_1 (zero rows skipped)."""
-    best_h, best_q, best_f = None, None, -1.0
-    X = ds.X
-    for i in range(ds.n):
-        row = X.getrow(i).toarray().ravel()
-        nrm = np.linalg.norm(row)
-        if nrm == 0.0:
-            continue
-        h = row / nrm
-        q = op.quad_values(h)
-        f = f_value(q, 1)
-        if f > best_f:
-            best_h, best_q, best_f = h, q, f
-    if best_h is None:
-        return SelectionResult(h=np.zeros(op.d), score=0.0, quad_values=np.zeros(op.m))
-    return SelectionResult(h=best_h, score=best_f, quad_values=best_q)
+    """Best nonzero data row, normalized, by ||q(h)||_1 = f_1 (the first of
+    equal scores wins); all zeros when every row is zero."""
+    rows = (ds.X.getrow(i).toarray().ravel() for i in range(ds.n))
+    units = (row / nrm for row in rows if (nrm := np.linalg.norm(row)) != 0.0)
+    return max((_scored(h, op.quad_values(h), 1) for h in units), key=lambda res: res.score,
+               default=SelectionResult(h=np.zeros(op.d), score=0.0, quad_values=np.zeros(op.m)))
 
 
 _RANDOM_BASELINE_STREAM = 0x5EED
 
 def baseline_random(op: GradientOperator, seed: int) -> SelectionResult:
-    """A seeded random unit vector, evaluated as-is."""
+    """A seeded random unit vector, evaluated as-is and scored ||q(h)||_1."""
     h = _seeded_unit_vector(op.d, (seed, _RANDOM_BASELINE_STREAM))
-    q = op.quad_values(h)
-    return SelectionResult(h=h, score=f_value(q, 1), quad_values=q)
+    return _scored(h, op.quad_values(h), 1)
 
 
 def compare_methods(op: GradientOperator, seed: int, ds) -> dict[str, SelectionResult]:

@@ -305,6 +305,25 @@ def test_auto_grid_refused_on_a_zero_gradient(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, flags", [
+    ("empty.svm", ()),
+    ("empty.data", ("--format", "movielens", "--mcrank", "--model", "fm", "--metric", "rmse"))],
+    ids=["plain", "--mcrank --model fm --metric rmse"])
+def test_path_on_an_empty_file_refused_as_train_refuses_it(name, flags, tmp_path, capsys):
+    # an empty file splits into empty parts, which the solver refuses; 1-3
+    # rows are still too few to split
+    data, out = tmp_path / name, tmp_path / "model.json"
+    data.write_text("")
+    assert run("path", "--data", data, *flags, "--out", out) == 2
+    assert capsys.readouterr().err == "error: cannot train on an empty dataset\n"
+    assert not out.exists()
+    data.write_text("1 1:1.0\n" if name.endswith(".svm") else "1\t1\t3\t0\n")
+    assert run("path", "--data", data, *flags, "--out", out) == 1
+    assert capsys.readouterr().err == "error: need at least 4 samples to split, got 1\n"
+    assert not out.exists()
+
+
 class TestFlags:
     def test_settable_values_per_command(self):
         parser = cli.build_parser()
@@ -363,6 +382,17 @@ class TestPredictEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [b"", b"\xff{}"], ids=["empty", "not UTF-8"])
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_model_file_that_is_not_json_is_named(self, command, text, svm_file, tmp_path,
+                                                  capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(text)
+        assert run(command, "--model", model, "--data", svm_file) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {model}: ") and captured.err.count("\n") == 1
 
     def test_eval_compares_labels(self, dropped_class, capsys):
         # without the class-2 rows the file's labels {1, 3} load as classes 1..2

@@ -431,6 +431,10 @@ class TestSplit:
         with pytest.raises(DataError):
             split(self.make(3, rng), SplitSpec())
 
+    def test_empty_splits_into_empty_parts(self, rng):
+        # the solver, not split, refuses to train on no rows
+        assert [part.n for part in split(self.make(0, rng), SplitSpec())] == [0, 0, 0]
+
     def test_negative_seed_refused_by_name(self):
         with pytest.raises(DataError, match="split seed must be at least 0, got -1"):
             SplitSpec(seed=-1)

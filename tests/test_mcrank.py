@@ -184,6 +184,20 @@ class TestMetrics:
         for k in (1, 5):
             assert ndcg_at(groups, preds, k) == ndcg_loop(groups, preds, k)
         assert abs(ndcg_at(groups, preds, 10) - ndcg_loop(groups, preds, 10)) <= 1e-15
+        # groups of 1-7 rows (so every loop sum has fewer than 8 terms) with
+        # singletons, tied predictions and zero-gain groups, shuffled: equal
+        # bit for bit at every cutoff up to the largest group + 1 and at 2**62
+        for _ in range(20):
+            sizes = rng.integers(1, 8, size=int(rng.integers(1, 80)))
+            ids = np.repeat(rng.permutation(sizes.size) * 3, sizes)
+            ratings = rng.integers(0, 6, size=ids.size).astype(np.float64)
+            ratings[np.isin(ids, ids[rng.random(ids.size) < 0.1])] = 0.0
+            ratings[0] = 5.0  # at least one group with gain
+            perm = rng.permutation(ids.size)
+            groups = RankingGroups.from_ids(ids[perm], ratings[perm])
+            preds = rng.integers(0, 3, size=ids.size).astype(np.float64)
+            for k in [*range(1, int(sizes.max()) + 2), 2**62]:
+                assert ndcg_at(groups, preds, k) == ndcg_loop(groups, preds, k), k
         single = RankingGroups.from_ids([4, 4], [0.0, 0.0])
         for fn in (ndcg_at, ndcg_loop):
             with pytest.raises(ValueError, match="zero ideal gain"):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -173,11 +175,6 @@ class TestSelectL1:
         res = select_l1(op, SEED)
         assert res.score == pytest.approx(3.0, rel=1e-4)
         assert abs(res.h[0]) == pytest.approx(1.0, abs=1e-3)
-
-    def test_score_is_inf_norm_of_quads(self, rng):
-        op, _ = random_operator(rng, 12, 5, 4)
-        res = select_l1(op, SEED)
-        assert res.score == pytest.approx(np.abs(res.quad_values).max(), abs=1e-10)
 
     def test_all_zero_outputs_degenerate(self, rng):
         op, _ = random_operator(rng, 5, 4, 3)
@@ -535,6 +532,16 @@ class TestBaselines:
         assert not res.h.any() and not res.quad_values.any()
         assert res.h.shape == (4,) and res.quad_values.shape == (2,)
 
+    def test_best_data_keeps_the_first_of_equal_scores(self, rng):
+        # h and -h have the same quadratic forms, so rows [r, -r] tie
+        op, _ = random_operator(rng, 10, 4, 3)
+        r = rng.standard_normal(4)
+        u = r / np.linalg.norm(r)
+        assert np.array_equal(op.quad_values(u), op.quad_values(-u))
+        for rows, first in (([r, -r], u), ([-r, r], -u)):
+            ds = make_dataset(np.array(rows), np.array([1, 1]), 3)
+            assert np.array_equal(baseline_best_data(op, ds).h, first)
+
     def test_random_baseline_unit_norm(self, rng):
         op, _ = random_operator(rng, 8, 5, 2)
         res = baseline_random(op, SEED)
@@ -554,6 +561,26 @@ class TestBaselines:
 
 
 class TestCompareHarness:
+    def test_every_score_is_the_dual_norm_of_its_quads(self, rng):
+        # one np.linalg.norm of the quadratic forms at the route's dual order
+        # (inf for l1, p for the group routes, 1 for the oracle and the
+        # baselines), bit for bit the max |q_c|, f_1 or sqrt(f_2) it equals
+        formulas = {np.inf: lambda q: float(np.abs(q).max()), 1: lambda q: f_value(q, 1),
+                    2: lambda q: float(np.sqrt(f_value(q, 2)))}
+        for (n, d, m, density, one_hot, storage), kind in itertools.product(SHAPES, ("pn", "fm")):
+            op, ds = random_operator(rng, n, d, m, kind=kind, density=density, one_hot=one_hot)
+            assert op.storage == storage
+            routes = [(select_l1(op, SEED), np.inf), (select_group(op, 1, SEED), 1),
+                      (select_group(op, 2, SEED), 2),
+                      (refine(op, baseline_random(op, SEED).h, 1), 1),
+                      (refine(op, baseline_random(op, SEED).h, 2), 2),
+                      (exact_oracle_linf(op), 1), (baseline_best_data(op, ds), 1),
+                      (baseline_random(op, SEED), 1)]
+            for res, order in routes:
+                assert type(res.score) is float
+                assert res.score == np.linalg.norm(res.quad_values, order), (storage, kind, order)
+                assert res.score == formulas[order](res.quad_values), (storage, kind, order)
+
     def test_contains_all_methods(self, rng):
         op, ds = logistic_instance(rng, 20, 6, 3)
         results = compare_methods(op, SEED, ds=ds)
