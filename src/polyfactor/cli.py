@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -26,10 +27,6 @@ from .solver import REFITS, ConfigError, SolverConfig, fit, fit_path, lambda_max
 # the widest d oracle-compare takes: its exact oracle runs a dense d x d
 # eigensolve for each of the 2^m output sign patterns
 ORACLE_MAX_D = 64
-
-
-class UsageError(Exception):
-    pass
 
 
 def _sha256(path) -> str:
@@ -60,15 +57,15 @@ def _add_train_flags(p):
 def _resolve_loss(args) -> str:
     if args.mcrank:
         if args.loss not in (None, "binary-logistic"):
-            raise UsageError(f"--mcrank trains binary threshold classifiers; "
-                             f"--loss {args.loss} conflicts")
+            raise ConfigError(f"--mcrank trains binary threshold classifiers; "
+                              f"--loss {args.loss} conflicts")
         if args.model != "fm":
-            raise UsageError("--mcrank is wired for --model fm")
+            raise ConfigError("--mcrank is wired for --model fm")
         return "binary-logistic"
     loss = args.loss or SolverConfig.loss
     if loss == "binary-logistic":
-        raise UsageError("--loss binary-logistic needs --mcrank (it trains on "
-                         "the ordinal threshold matrix)")
+        raise ConfigError("--loss binary-logistic needs --mcrank (it trains on "
+                          "the ordinal threshold matrix)")
     return loss
 
 
@@ -192,7 +189,7 @@ def _metric_fn(name: str):
     if cutoff != name and cutoff.isdecimal() and int(cutoff) > 0:
         k = int(cutoff)
         return (lambda model, ds: evaluate_ranking(model, ds, ks=(k,))[f"ndcg@{k}"]), True
-    raise UsageError(f"unknown metric {name!r}")
+    raise ConfigError(f"unknown metric {name!r}")
 
 
 def _auto_lambda_grid(ds, cfg: SolverConfig):
@@ -200,7 +197,7 @@ def _auto_lambda_grid(ds, cfg: SolverConfig):
     selected atom stays at zero, down to 1/1000 of it."""
     top = lambda_max(ds, cfg)
     if top <= 0:
-        raise UsageError("cannot derive a lambda grid from a zero gradient")
+        raise ConfigError("cannot derive a lambda grid from a zero gradient")
     return tuple(np.geomspace(top, top * 1e-3, 10))
 
 
@@ -208,21 +205,21 @@ def cmd_path(args) -> int:
     loss = _resolve_loss(args)
     metric, higher = _metric_fn(args.metric)
     if (args.metric == "accuracy") != (loss in MULTICLASS_LOSSES):
-        raise UsageError(f"--metric {args.metric} does not suit the {loss} loss: accuracy "
-                         f"scores multi-class losses, and rmse and ndcg@k score the "
-                         f"ratings of --mcrank and --loss squared fits")
+        raise ConfigError(f"--metric {args.metric} does not suit the {loss} loss: accuracy "
+                          f"scores multi-class losses, and rmse and ndcg@k score the "
+                          f"ratings of --mcrank and --loss squared fits")
     if args.lambdas != "auto":
         try:
             lams = [float(v) for v in args.lambdas.split(",")]
         except ValueError:
-            raise UsageError(f"bad --lambdas {args.lambdas!r}: expected 'auto' or "
-                             f"comma-separated numbers") from None
+            raise ConfigError(f"bad --lambdas {args.lambdas!r}: expected 'auto' or "
+                              f"comma-separated numbers") from None
     cfg = _solver_config(args, loss)
     ds = _load(args, _resolve_augment(args, loss))
     train_ds, valid_ds, _ = split(ds, SplitSpec(seed=args.seed))
     if args.metric.startswith("ndcg@") and valid_ds.group_ids is None:
-        raise UsageError(f"--metric {args.metric} ranks within groups, which only "
-                         f"movielens data carries")
+        raise ConfigError(f"--metric {args.metric} ranks within groups, which only "
+                          f"movielens data carries")
     if args.mcrank:
         train_ds = build_ordinal(train_ds)
     if args.lambdas == "auto":
@@ -252,17 +249,17 @@ def cmd_oracle_compare(args) -> int:
                                ("--instances", args.instances, 0), ("--seed", args.seed, 0),
                                ("--m-max", args.m_max, 2)):
         if value < least:
-            raise UsageError(f"{flag} must be at least {least}, got {value}")
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
     if args.d > ORACLE_MAX_D:
-        raise UsageError(f"--d {args.d} exceeds {ORACLE_MAX_D}: the exact oracle runs a "
-                         f"dense d x d eigensolve per output sign pattern")
+        raise ConfigError(f"--d {args.d} exceeds {ORACLE_MAX_D}: the exact oracle runs a "
+                          f"dense d x d eigensolve per output sign pattern")
     if args.m_max > ORACLE_LIMIT:
-        raise UsageError(f"exact selection is exponential in the output count; "
-                         f"--m-max {args.m_max} exceeds {ORACLE_LIMIT}")
+        raise ConfigError(f"exact selection is exponential in the output count; "
+                          f"--m-max {args.m_max} exceeds {ORACLE_LIMIT}")
     given = _load(args, augment=False) if args.data else None  # refused before any instance runs
     if given is not None and given.d > ORACLE_MAX_D:
-        raise UsageError(f"dataset has d={given.d}; the exact oracle needs a "
-                         f"dense eigensolve (d <= {ORACLE_MAX_D})")
+        raise ConfigError(f"dataset has d={given.d}; the exact oracle needs a "
+                          f"dense eigensolve (d <= {ORACLE_MAX_D})")
     rng = np.random.default_rng(args.seed)
     rows = []
 
@@ -294,6 +291,7 @@ def cmd_oracle_compare(args) -> int:
     return 0
 
 
+@functools.cache  # parsing does not change the parser, so every main call shares one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyfactor",
@@ -358,7 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ConfigError, OracleLimitError) as exc:
+    except (ConfigError, OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError, RuntimeError, ValueError, FloatingPointError, MemoryError) as exc:

@@ -58,11 +58,9 @@ def check_model(model: Model) -> None:
         raise ValueError(f"H has {model.H.shape[0]} rows but V has {model.V.shape[0]}")
     if not (np.isfinite(model.H).all() and np.isfinite(model.V).all()):
         raise ValueError("H or V has non-finite entries")
-    if model.k:
-        norms = np.linalg.norm(model.H, axis=1)
-        worst = norms.max()
-        if worst > 1.0 + ROW_NORM_SLACK:
-            raise ValueError(f"basis row norm {worst} exceeds the unit ball")
+    worst = np.linalg.norm(model.H, axis=1).max(initial=0.0)
+    if worst > 1.0 + ROW_NORM_SLACK:
+        raise ValueError(f"basis row norm {worst} exceeds the unit ball")
 
 
 def hidden_activations(kind: str, H: np.ndarray, X, X2=None, Z=None) -> np.ndarray:
@@ -160,13 +158,17 @@ def _float_array(doc, field: str, size: int, shape_note: str) -> np.ndarray:
 
 
 def load_model(path) -> Model:
-    """Read a model file, refusing with ValueError one that is not JSON
-    (naming the file) or not a complete, consistent model (naming the field)."""
+    """Read a model file, refusing with ValueError that names the file one that
+    is not UTF-8 JSON or not a complete, consistent model; OSError passes through."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            return _model_from_doc(json.load(fh))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _model_from_doc(doc) -> Model:
+    """The model a decoded model file describes, checked field by field."""
     if not isinstance(doc, dict):
         raise ValueError(f"a model file holds one JSON object, not a {type(doc).__name__}")
     missing = [field for field in _MODEL_FIELDS if field not in doc]

@@ -22,27 +22,29 @@ def penalty_value(kind: str, V: np.ndarray) -> float:
     return float(np.abs(V).max(axis=1).sum())
 
 
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto {u : ||u||_1 <= radius} (exact, sort-based)."""
+def project_l1_ball(V: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of every row of V (a 1-D v is one row) onto {u :
+    ||u||_1 <= radius}, exact and sort-based; a row inside comes back as is."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
+    A = np.abs(V)
+    inside = A.sum(axis=-1, keepdims=True) <= radius
     if radius == 0.0:
-        return np.zeros_like(v)
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css - radius)[0][-1]
-    theta = (css[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+        return np.where(inside, V, 0.0)
+    U = np.sort(A, axis=-1)[..., ::-1]
+    css = np.cumsum(U, axis=-1)
+    # rho: the last j (from 0) with u_j * (j + 1) > css_j - radius
+    past = U * np.arange(1, V.shape[-1] + 1) > css - radius
+    rho = V.shape[-1] - 1 - np.argmax(past[..., ::-1], axis=-1, keepdims=True)
+    theta = (np.take_along_axis(css, rho, axis=-1) - radius) / (rho + 1.0)
+    return np.where(inside, V, np.sign(V) * np.maximum(A - theta, 0.0))
 
 
 def prox(kind: str, V: np.ndarray, threshold: float) -> np.ndarray:
     """Proximal operator of threshold * Omega applied row-wise.
 
     l1 soft-thresholds entries; l1/l2 shrinks each row's norm; l1/l_inf uses
-    the Moreau identity v - proj_{l1 ball of radius threshold}(v).
+    the Moreau identity V - proj_{l1 ball of radius threshold}(V), all rows at once.
     """
     _check_kind(kind)
     if threshold < 0:
@@ -55,10 +57,7 @@ def prox(kind: str, V: np.ndarray, threshold: float) -> np.ndarray:
         nz = norms > 0
         scale[nz] = np.maximum(0.0, 1.0 - threshold / norms[nz])
         return V * scale[:, None]
-    out = np.empty_like(V)
-    for r in range(V.shape[0]):
-        out[r] = V[r] - project_l1_ball(V[r], threshold)
-    return out
+    return V - project_l1_ball(V, threshold)
 
 
 def project_unit_rows(H: np.ndarray) -> np.ndarray:

@@ -67,9 +67,10 @@ def _fista(x0: np.ndarray, smooth, model: Model, L0: float = 1.0):
 
     It runs at most FISTA_MAX_ITER iterations and stops once one changes
     the objective by less than FISTA_TOL relative to max(|objective|, 1).
-    The backtracking constant L starts at ``L0``, is multiplied by 0.8
-    before each iteration and doubled on each failed sufficient-decrease
-    test. ``refit_output`` and ``refit_full`` pass the larger of the previous
+    Each iteration takes one backtracked step from y at L eased by 0.8, and
+    at most one restart: a step from x at the L the first ended at, t reset
+    to 1, when the first raised the objective (the momentum overshot).
+    ``refit_output`` and ``refit_full`` pass the larger of the previous
     same-kind refit's L and their own start (module docstring).
 
     ``smooth(x)`` returns the loss at x and a thunk for its gradient (shaped
@@ -82,6 +83,25 @@ def _fista(x0: np.ndarray, smooth, model: Model, L0: float = 1.0):
     def objective(x, value):
         return value + model.lam * penalty_value(model.penalty, x[:, :m])
 
+    def backtrack(y, fy, gy, L):
+        """The backtracked step from y; returns (cand, loss, grad thunk, objective, L)."""
+        for _ in range(80):
+            step = 1.0 / L
+            cand = y - step * gy
+            cand[:, :m] = prox(model.penalty, cand[:, :m], model.lam * step)
+            if cand.shape[1] > m:
+                cand[:, m:] = project_unit_rows(cand[:, m:])
+            diff = cand - y
+            bound = fy + np.vdot(gy, diff) + 0.5 * L * np.vdot(diff, diff)
+            fc, grad_c = smooth(cand)
+            if fc <= bound + 1e-12 * max(abs(fy), 1.0):
+                break
+            L *= 2.0
+        cand_obj = objective(cand, fc)
+        if not np.isfinite(cand_obj):
+            raise FloatingPointError(f"non-finite objective {cand_obj} at a FISTA candidate")
+        return cand, fc, grad_c, cand_obj, L
+
     x = np.array(x0)
     fx, grad_x = smooth(x)
     obj = objective(x, fx)
@@ -92,32 +112,12 @@ def _fista(x0: np.ndarray, smooth, model: Model, L0: float = 1.0):
     y = x
     t = 1.0
     for _ in range(FISTA_MAX_ITER):
-        L = max(L * 0.8, 1e-10)
-        restarted = False
-        while True:
-            fy, grad_y = (fx, grad_x) if y is x else smooth(y)
-            gy = grad_y()
-            for _ in range(80):
-                step = 1.0 / L
-                cand = y - step * gy
-                cand[:, :m] = prox(model.penalty, cand[:, :m], model.lam * step)
-                if cand.shape[1] > m:
-                    cand[:, m:] = project_unit_rows(cand[:, m:])
-                diff = cand - y
-                bound = fy + np.vdot(gy, diff) + 0.5 * L * np.vdot(diff, diff)
-                fc, grad_c = smooth(cand)
-                if fc <= bound + 1e-12 * max(abs(fy), 1.0):
-                    break
-                L *= 2.0
-            cand_obj = objective(cand, fc)
-            if not np.isfinite(cand_obj):
-                raise FloatingPointError(f"non-finite objective {cand_obj} at a FISTA candidate")
-            if cand_obj <= obj + 1e-12 * max(abs(obj), 1.0) or restarted:
-                break
+        fy, grad_y = (fx, grad_x) if y is x else smooth(y)
+        cand, fc, grad_c, cand_obj, L = backtrack(y, fy, grad_y(), max(L * 0.8, 1e-10))
+        if cand_obj > obj + 1e-12 * max(abs(obj), 1.0):
             # momentum overshot: restart from the last accepted point
-            y = x
+            cand, fc, grad_c, cand_obj, L = backtrack(x, fx, grad_x(), L)
             t = 1.0
-            restarted = True
         if cand_obj > obj:
             # floating-point stall: keep the best point
             cand, cand_obj, fc, grad_c = x, obj, fx, grad_x
@@ -125,7 +125,7 @@ def _fista(x0: np.ndarray, smooth, model: Model, L0: float = 1.0):
         w = (t - 1.0) / t_next
         y = cand if w == 0.0 else cand + w * (cand - x)
         x, fx, grad_x, t = cand, fc, grad_c, t_next
-        stop = abs(trace[-1] - cand_obj) < FISTA_TOL * max(abs(cand_obj), 1.0)
+        stop = abs(obj - cand_obj) < FISTA_TOL * max(abs(cand_obj), 1.0)
         obj = cand_obj
         trace.append(obj)
         if stop:

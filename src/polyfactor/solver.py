@@ -30,7 +30,7 @@ STOP_GAP = 1e-7  # floor of the stopping certificate for tiny lam
 
 
 class ConfigError(ValueError):
-    """Inconsistent solver configuration."""
+    """A refused request: a bad solver setting or command-line flag (exit 2)."""
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Per-sample, per-row and per-group reference forms the tests check the
 package against. The package computes the same quantities batched, in
 ``models.hidden_activations``, ``penalties.penalty_value``,
-``losses.loss_pass`` and ``mcrank.ndcg_at``, and writes the same text a
+``penalties.prox``, ``losses.loss_pass`` and ``mcrank.ndcg_at``, and writes the same text a
 block of rows at a time, in ``synth.write_movielens``,
 ``data.save_svmlight``, ``models._render_floats`` and ``cli.cmd_predict``."""
 
@@ -52,6 +52,32 @@ def dual_norm(kind: str, G: np.ndarray) -> float:
     if kind == "l1l2":
         return float(np.linalg.norm(G, axis=1).max())
     return float(np.abs(G).sum(axis=1).max())
+
+
+def project_l1_ball_row(v: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of one row onto {u : ||u||_1 <= radius} (exact,
+    sort-based)."""
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    a = np.abs(v)
+    if a.sum() <= radius:
+        return v.copy()
+    if radius == 0.0:
+        return np.zeros_like(v)
+    u = np.sort(a)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u * np.arange(1, v.size + 1) > css - radius)[0][-1]
+    theta = (css[rho] - radius) / (rho + 1.0)
+    return np.sign(v) * np.maximum(a - theta, 0.0)
+
+
+def prox_l1linf_loop(V: np.ndarray, threshold: float) -> np.ndarray:
+    """The l1/l_inf prox one row at a time, by the Moreau identity
+    v - proj_{l1 ball of radius threshold}(v)."""
+    out = np.empty_like(V)
+    for r in range(V.shape[0]):
+        out[r] = V[r] - project_l1_ball_row(V[r], threshold)
+    return out
 
 
 def loss_value(kind: str, y, o: np.ndarray) -> float:

@@ -325,6 +325,10 @@ def test_path_on_an_empty_file_refused_as_train_refuses_it(name, flags, tmp_path
 
 
 class TestFlags:
+    def test_parser_built_once(self):
+        # every in-process main call parses with the same parser
+        assert cli.build_parser() is cli.build_parser()
+
     def test_settable_values_per_command(self):
         parser = cli.build_parser()
         commands = next(action for action in parser._actions
@@ -393,6 +397,24 @@ class TestPredictEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {model}: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {"k": 1}, "model file lacks the field 'kind'"),
+        (lambda doc: [1], "a model file holds one JSON object, not a list"),
+        (lambda doc: {**doc, "lambda": -1.0},
+         "model field 'lambda' must be a positive number, not -1.0"),
+        (lambda doc: {**doc, "H": [2.0 * h for h in doc["H"]]}, "basis row norm "),
+    ], ids=["no kind", "list", "negative lambda", "row norm above 1"])
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_every_model_refusal_names_the_file(self, command, edit, message, trained,
+                                                svm_file, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(edit(json.loads(trained.read_text()))))
+        assert run(command, "--model", model, "--data", svm_file) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {model}: {message}")
+        assert captured.err.count("\n") == 1
 
     def test_eval_compares_labels(self, dropped_class, capsys):
         # without the class-2 rows the file's labels {1, 3} load as classes 1..2

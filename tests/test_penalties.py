@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from oracles import dual_norm, row_norm
+from oracles import dual_norm, project_l1_ball_row, prox_l1linf_loop, row_norm
 from polyfactor.penalties import (
     PENALTIES,
     penalty_value,
@@ -17,6 +17,24 @@ def random_ball_point(rng, kind, shape):
     D = rng.standard_normal(shape)
     val = penalty_value(kind, D)
     return D / val if val > 0 else D
+
+
+def l1_ball_draws(rng, count):
+    """(V, radius) pairs for the row-wise l1-ball checks: k 0-6 rows of m 1-12
+    (from 8 numpy's sums turn pairwise), all-zero rows, -0.0 entries, radius 0,
+    and a radius at one row's l1 norm, so rows fall inside, on and outside."""
+    for _ in range(count):
+        k, m = int(rng.integers(0, 7)), int(rng.integers(1, 13))
+        V = rng.standard_normal((k, m)) * np.exp(rng.uniform(-3, 3, size=(k, 1)))
+        V[rng.random(k) < 0.2] = 0.0
+        V[rng.random((k, m)) < 0.1] = -0.0
+        norms = np.abs(V).sum(axis=1)
+        choice = rng.integers(3)
+        if choice == 0 or not k:
+            radius = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 50.0))
+        else:
+            radius = float(norms[rng.integers(k)]) * (1.0 if choice == 1 else rng.uniform(0, 2))
+        yield V, radius
 
 
 class TestValuesAndDuals:
@@ -117,6 +135,19 @@ class TestProx:
             out = prox(kind, V, 1.0)
             assert out.shape == (0, 3) and out is not V
 
+    def test_l1linf_matches_per_row_loop(self, rng):
+        # bit for bit, signbits included, the row-at-a-time Moreau identity
+        seen = set()
+        for V, radius in l1_ball_draws(rng, 3000):
+            assert prox("l1linf", V, radius).tobytes() == prox_l1linf_loop(V, radius).tobytes()
+            inside = np.abs(V).sum(axis=1) <= radius
+            seen.update({("radius 0", radius == 0.0), ("m >= 8", V.shape[1] >= 8),
+                         ("inside", inside.any()), ("outside", (~inside).any()),
+                         ("zero row", (V == 0).all(axis=1).any()),
+                         ("-0.0", np.signbit(V[V == 0]).any())})
+        assert {name for name, hit in seen if hit} == {
+            "radius 0", "m >= 8", "inside", "outside", "zero row", "-0.0"}
+
     def test_zero_rows_preserved(self):
         V = np.zeros((2, 3))
         for kind in PENALTIES:
@@ -129,6 +160,20 @@ class TestProjections:
         assert np.allclose(project_l1_ball(v, 1.0), [1.0, 0.0])
         assert np.allclose(project_l1_ball(v, 10.0), v)
         assert np.allclose(project_l1_ball(v, 0.0), 0.0)
+
+    def test_l1_ball_rows_match_per_row_calls(self, rng):
+        # all rows at once equal one call per 1-D row, and the per-row
+        # reference, bit for bit with signbits
+        for V, radius in l1_ball_draws(rng, 3000):
+            rows = project_l1_ball(V, radius)
+            assert rows.shape == V.shape
+            for per_row in (project_l1_ball, project_l1_ball_row):
+                expected = np.array([per_row(v, radius) for v in V]).reshape(V.shape)
+                assert rows.tobytes() == expected.tobytes()
+
+    def test_l1_ball_refuses_a_negative_radius(self):
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            project_l1_ball(np.ones((2, 3)), -1.0)
 
     def test_l1_ball_is_euclidean_projection(self, rng):
         for _ in range(50):
