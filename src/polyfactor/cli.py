@@ -357,11 +357,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, OracleLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        status, error = 2, exc
     except (DataError, OSError, RuntimeError, ValueError, FloatingPointError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        status, error = 1, exc
+    # an exception with no text (a bare MemoryError) is named by its type
+    print(f"error: {str(error) or type(error).__name__}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

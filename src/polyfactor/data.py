@@ -12,6 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 
 SPLIT_FRACTIONS = (0.5, 0.25, 0.25)  # train, valid, test
+# the largest MovieLens rating: the largest r whose nDCG gain 2^r - 1 is finite
+MAX_RATING = 1023
 
 
 class DataError(ValueError):
@@ -164,8 +166,7 @@ def load_svmlight(path, augment_bias: bool = False, d: int | None = None) -> Dat
     from the loop and names its line.
     """
     shift = 1 if augment_bias else 0
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     rows = _read_svm_whole(text, shift, d)
     if rows is None:
         rows = _read_svm_lines(path, text, shift, d)
@@ -187,6 +188,15 @@ def load_svmlight(path, augment_bias: bool = False, d: int | None = None) -> Dat
     y = np.searchsorted(uniq, labels) + 1
     m = max(len(uniq), 1)
     return make_dataset(X, y, m, label_map=uniq, bias_augmented=augment_bias)
+
+
+def _read_text(path) -> str:
+    """The whole text of a data file, refusing one that is not UTF-8 by name."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def _read_svm_whole(text: str, shift: int, d: int | None):
@@ -337,7 +347,10 @@ def load_movielens(path) -> Dataset:
     record that gives fewer than three fields is refused. Observed
     user ids map (sorted) to the first columns, item ids to the following
     ones, so every row has exactly two unit entries. Ratings become the
-    label levels 1..m with m = max rating.
+    label levels 1..m with m = max rating. A rating must be an integer in
+    [1, MAX_RATING]: that bounds the levels (a timestamp read as the rating
+    of a record that lost a field would ask for ~1e9) and keeps every nDCG
+    gain 2^r - 1 finite.
 
     A plain file is read whole by numpy's parser (``_read_whole``). Any
     other file (one that parser refuses, or whose values fail a check) goes
@@ -345,8 +358,7 @@ def load_movielens(path) -> Dataset:
     every file both accept, so the reader is an optimisation only, and every
     refusal comes from the loop and names its line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     records = _read_whole(text)
     if records is None:
         records = _read_lines(path, text)
@@ -375,7 +387,7 @@ def _read_whole(text: str):
     users, items, r = a["user"], a["item"], a["rating"]
     low = np.iinfo(np.int64).min  # numpy reads it; the loop refuses its magnitude
     # chained so that nan fails too
-    if not ((r >= 1.0) & (r < 2.0**63) & (r == np.floor(r))).all() \
+    if not ((r >= 1.0) & (r <= MAX_RATING) & (r == np.floor(r))).all() \
             or (users == low).any() or (items == low).any():
         return None
     return users, items, r.astype(np.int64)
@@ -407,9 +419,9 @@ def _read_lines(path, text: str):
         except ValueError:
             raise DataError(f"{path}: line {lineno}: bad record {line!r}") from None
         # chained so that nan fails too
-        if not 1.0 <= r < 2.0**63 or r != int(r):
+        if not 1.0 <= r <= MAX_RATING or r != int(r):
             raise DataError(f"{path}: line {lineno}: rating {fields[2]!r} is not "
-                            f"an integer in [1, 2^63)")
+                            f"an integer in [1, {MAX_RATING}]")
         if abs(u) > top or abs(i) > top:
             raise DataError(f"{path}: line {lineno}: user or item id past "
                             f"+-(2^63 - 1) in {line!r}")

@@ -7,10 +7,10 @@ V through the penalty prox and H rows projected back onto the unit ball.
 A function-value restart guard keeps every recorded objective trace
 non-increasing. Each refit hands FISTA one smooth oracle, and every point
 costs one loss pass (``losses.loss_pass``): the oracle returns the loss value
-and a gradient thunk that reuses that pass, so a point whose gradient FISTA
-needs is not run through the loss again. A refit reads its labels once
-(``losses.targets_for``, which binds multi-class labels to a flat index),
-so its passes share one label index.
+and thunks for the loss's n x m output gradient D and the gradient in x, both
+reusing that pass; ``solver.fit`` installs the D of each refit's last point.
+A refit reads its labels once (``losses.targets_for``, which binds
+multi-class labels to a flat index), so its passes share one label index.
 
 FISTA backtracks from a starting step size 1/L (Beck & Teboulle 2009),
 eases L by a factor 0.8 before every iteration and doubles it on a failed
@@ -57,9 +57,9 @@ def penalized_objective(model: Model, ds) -> float:
 
 
 def _fista(x0: np.ndarray, smooth, model: Model, L0: float = 1.0):
-    """Monotone FISTA on one (k, w) array; returns (x, objective trace, L),
-    L the backtracking constant the last accepted candidate passed at (L0
-    when no iteration ran).
+    """Monotone FISTA on one (k, w) array; returns (x, objective trace, L,
+    D): L the backtracking constant the last accepted candidate passed at
+    (L0 when no iteration ran), D the thunk for the output gradient at x.
 
     The first ``model.m`` columns of x (V) go through the penalty's prox and
     the rest (H) are projected onto unit rows; an x with no rows (the empty
@@ -73,10 +73,10 @@ def _fista(x0: np.ndarray, smooth, model: Model, L0: float = 1.0):
     ``refit_output`` and ``refit_full`` pass the larger of the previous
     same-kind refit's L and their own start (module docstring).
 
-    ``smooth(x)`` returns the loss at x and a thunk for its gradient (shaped
-    like x) from the same forward pass. Each point is evaluated once: the
-    accepted point keeps its value and thunk for when y is x, and y is x
-    itself whenever the momentum weight is 0 (first step, after a restart).
+    ``smooth(x)`` returns, from one forward pass, the loss at x and thunks
+    for its output gradient D and its gradient in x. Each point is evaluated
+    once: the accepted point keeps its value and thunks for when y is x, and
+    y is x itself whenever the momentum weight is 0 (first step, restart).
     """
     m = model.m
 
@@ -84,7 +84,7 @@ def _fista(x0: np.ndarray, smooth, model: Model, L0: float = 1.0):
         return value + model.lam * penalty_value(model.penalty, x[:, :m])
 
     def backtrack(y, fy, gy, L):
-        """The backtracked step from y; returns (cand, loss, grad thunk, objective, L)."""
+        """The backtracked step from y: (cand, loss, D thunk, grad thunk, objective, L)."""
         for _ in range(80):
             step = 1.0 / L
             cand = y - step * gy
@@ -93,52 +93,52 @@ def _fista(x0: np.ndarray, smooth, model: Model, L0: float = 1.0):
                 cand[:, m:] = project_unit_rows(cand[:, m:])
             diff = cand - y
             bound = fy + np.vdot(gy, diff) + 0.5 * L * np.vdot(diff, diff)
-            fc, grad_c = smooth(cand)
+            fc, D_c, grad_c = smooth(cand)
             if fc <= bound + 1e-12 * max(abs(fy), 1.0):
                 break
             L *= 2.0
         cand_obj = objective(cand, fc)
         if not np.isfinite(cand_obj):
             raise FloatingPointError(f"non-finite objective {cand_obj} at a FISTA candidate")
-        return cand, fc, grad_c, cand_obj, L
+        return cand, fc, D_c, grad_c, cand_obj, L
 
     x = np.array(x0)
-    fx, grad_x = smooth(x)
+    fx, D_x, grad_x = smooth(x)
     obj = objective(x, fx)
     trace = [obj]
     L = L0
     if x.shape[0] == 0:
-        return x, trace, L
+        return x, trace, L, D_x
     y = x
     t = 1.0
     for _ in range(FISTA_MAX_ITER):
-        fy, grad_y = (fx, grad_x) if y is x else smooth(y)
-        cand, fc, grad_c, cand_obj, L = backtrack(y, fy, grad_y(), max(L * 0.8, 1e-10))
+        fy, _, grad_y = (fx, D_x, grad_x) if y is x else smooth(y)
+        cand, fc, D_c, grad_c, cand_obj, L = backtrack(y, fy, grad_y(), max(L * 0.8, 1e-10))
         if cand_obj > obj + 1e-12 * max(abs(obj), 1.0):
             # momentum overshot: restart from the last accepted point
-            cand, fc, grad_c, cand_obj, L = backtrack(x, fx, grad_x(), L)
+            cand, fc, D_c, grad_c, cand_obj, L = backtrack(x, fx, grad_x(), L)
             t = 1.0
         if cand_obj > obj:
             # floating-point stall: keep the best point
-            cand, cand_obj, fc, grad_c = x, obj, fx, grad_x
+            cand, cand_obj, fc, D_c, grad_c = x, obj, fx, D_x, grad_x
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         w = (t - 1.0) / t_next
         y = cand if w == 0.0 else cand + w * (cand - x)
-        x, fx, grad_x, t = cand, fc, grad_c, t_next
+        x, fx, D_x, grad_x, t = cand, fc, D_c, grad_c, t_next
         stop = abs(obj - cand_obj) < FISTA_TOL * max(abs(cand_obj), 1.0)
         obj = cand_obj
         trace.append(obj)
         if stop:
             break
-    return x, trace, L
+    return x, trace, L, D_x
 
 
-def refit_output(model: Model, ds, L_prev: float = 0.0) -> tuple[Model, list[float], float]:
+def refit_output(model: Model, ds, L_prev: float = 0.0):
     """Convex re-fit of V over the fixed basis (penalized, warm-started),
     by ``_fista`` at its module-level iteration cap and tolerance. Returns
-    (model, objective trace, L). FISTA starts at max(L_prev, L0), L_prev the
-    L the previous output refit returned and L0 = min(1, c * lambda_max(Phi^T
-    Phi)) (module docstring)."""
+    (model, objective trace, L, D), D the loss's output-gradient thunk at the
+    model. FISTA starts at max(L_prev, L0), L_prev the L the previous output
+    refit returned and L0 = min(1, c * lambda_max(Phi^T Phi)) (module docstring)."""
     Phi = hidden_activations(model.kind, model.H, ds.Xmul,
                              ds.X2mul if model.kind == "fm" else None)
     targets = targets_for(model.loss, ds)
@@ -147,16 +147,16 @@ def refit_output(model: Model, ds, L_prev: float = 0.0) -> tuple[Model, list[flo
 
     def smooth(V):
         values, loss_grad = loss_pass(model.loss, targets, Phi @ V)
-        return float(values.sum()), lambda: Phi.T @ loss_grad()
+        return float(values.sum()), loss_grad, lambda: Phi.T @ loss_grad()
 
-    V, trace, L = _fista(model.V, smooth, model, L0=max(L_prev, L0))
-    return replace(model, V=V), trace, L
+    V, trace, L, D = _fista(model.V, smooth, model, L0=max(L_prev, L0))
+    return replace(model, V=V), trace, L, D
 
 
-def refit_full(model: Model, ds, L_prev: float = 0.0) -> tuple[Model, list[float], float]:
+def refit_full(model: Model, ds, L_prev: float = 0.0):
     """Joint proximal-gradient descent in [V, H]; H rows stay in the unit
-    ball. Returns (model, objective trace, L). FISTA starts at max(L_prev,
-    1), L_prev the L the previous joint refit returned."""
+    ball. Returns (model, objective trace, L, D) as ``refit_output`` does;
+    FISTA starts at max(L_prev, 1), L_prev the previous joint refit's L."""
     X = ds.Xmul
     X2 = ds.X2mul if model.kind == "fm" else None
     XT = X.T  # bound once: a CSR X.T builds a new CSC view at every call
@@ -179,10 +179,10 @@ def refit_full(model: Model, ds, L_prev: float = 0.0) -> tuple[Model, list[float
                 gH = 2.0 * gH
             return np.hstack([Phi.T @ G, gH])
 
-        return float(values.sum()), grad
+        return float(values.sum()), loss_grad, grad
 
-    x, trace, L = _fista(np.hstack([model.V, model.H]), smooth, model, L0=max(L_prev, 1.0))
-    return replace(model, V=x[:, :model.m], H=x[:, model.m:]), trace, L
+    x, trace, L, D = _fista(np.hstack([model.V, model.H]), smooth, model, L0=max(L_prev, 1.0))
+    return replace(model, V=x[:, :model.m], H=x[:, model.m:]), trace, L, D
 
 
 def prune(model: Model) -> Model:

@@ -100,21 +100,21 @@ def lambda_max(ds: Dataset, cfg: SolverConfig) -> float:
 def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, list[TraceRecord]]:
     """Greedy conditional-gradient training on one dataset.
 
-    Per iteration: refresh the gradient operator, select the best basis
-    vector for the penalty's route, append it with a zero output row, refit
-    (output layer, optionally the full model), record the last refit's final
-    objective (its last accepted point's; only t = 0 runs
-    ``penalized_objective``) and prune dead rows. Each refit kind carries
-    its FISTA constant L to its next refit in this fit (``refit`` module
-    docstring); L starts afresh at every fit, so a ``fit_path`` result does
-    not depend on how its grid is split across CPUs. Selection has one stop
-    test, the optimality certificate: the score is the penalty's dual norm
-    of g_h, so once it is at most max(lam, ``STOP_GAP``) the new row would
-    stay at zero. A zero gradient scores 0.0 and stops there too; at the
-    first iteration it also warns, and the empty model comes back. Otherwise
-    the loop ends after k_max iterations, or when a near-duplicate atom
-    brings no refit progress. ``iteration_hook(t, model)``, when given, sees
-    the pruned model after every iteration.
+    Per iteration: install the last refit's loss gradient (``refresh`` runs
+    only at t = 1 and after prune drops a row), select the best basis vector
+    for the penalty's route, append it with a zero output row, refit (output
+    layer, optionally the full model), record the last refit's final objective
+    (its last accepted point's; only t = 0 runs ``penalized_objective``) and
+    prune dead rows. Each refit kind carries its FISTA constant L to its next
+    refit in this fit (``refit`` module docstring); L starts afresh at every
+    fit, so a ``fit_path`` result does not depend on how its grid is split
+    across CPUs. Selection has one stop test, the optimality certificate: the
+    score is the penalty's dual norm of g_h, so once it is at most max(lam,
+    ``STOP_GAP``) the new row would stay at zero. A zero gradient scores 0.0
+    and stops there too; at the first iteration it also warns, and the empty
+    model comes back. Otherwise the loop ends after k_max iterations, or when
+    a near-duplicate atom brings no refit progress. ``iteration_hook(t, model)``,
+    when given, sees each iteration's pruned model.
     """
     op = _operator(ds, cfg)
     m_out = op.m
@@ -122,11 +122,16 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
                         label_map=ds.label_map, bias_augmented=ds.bias_augmented)
 
     L_output = L_full = 0.0  # each refit kind's last backtracking constant
+    refitted = D = None  # the last refit's model and its loss-gradient thunk
     start = time.perf_counter()
     trace = [TraceRecord(t=0, objective=penalized_objective(model, ds), score=np.inf,
                          k=0, seconds=0.0)]
     for t in range(1, cfg.k_max + 1):
-        op.refresh(model)
+        if model is refitted:
+            op.set_gradients(D())
+            D = None  # the thunk holds the refit's Phi and outputs
+        else:
+            op.refresh(model)  # the empty model, or one prune dropped a row from
         sel = _select(op, cfg)
         if sel.score <= max(cfg.lam, STOP_GAP):
             if t == 1 and sel.score == 0.0:
@@ -134,28 +139,23 @@ def fit(ds: Dataset, cfg: SolverConfig, iteration_hook=None) -> tuple[Model, lis
                               "returning the empty model")
             break
 
-        appended = True
-        if model.k:
-            overlaps = np.abs(model.H @ sel.h)
-            norms = np.linalg.norm(model.H, axis=1) * np.linalg.norm(sel.h)
-            if np.any(overlaps >= DUPLICATE_COS * np.maximum(norms, 1e-300)):
-                appended = False  # near-duplicate atom: rely on refit alone
-        if appended:
-            model = replace(model,
-                            H=np.vstack([model.H, sel.h[None, :]]),
+        norms = np.linalg.norm(model.H, axis=1) * np.linalg.norm(sel.h)
+        duplicate = np.any(np.abs(model.H @ sel.h) >= DUPLICATE_COS * np.maximum(norms, 1e-300))
+        if not duplicate:  # a near-duplicate atom is not appended: rely on the refit alone
+            model = replace(model, H=np.vstack([model.H, sel.h[None, :]]),
                             V=np.vstack([model.V, np.zeros((1, m_out))]))
 
-        model, refit_trace, L_output = refit_output(model, ds, L_output)
+        refitted, refit_trace, L_output, D = refit_output(model, ds, L_output)
         if cfg.refit == "full":
-            model, refit_trace, L_full = refit_full(model, ds, L_full)
+            refitted, refit_trace, L_full, D = refit_full(refitted, ds, L_full)
         objective = refit_trace[-1]  # prune drops only rows of exact zeros
-        model = prune(model)
+        model = prune(refitted)  # returns its argument itself when it drops nothing
 
         trace.append(TraceRecord(t=t, objective=objective, score=sel.score,
                                  k=model.k, seconds=time.perf_counter() - start))
         if iteration_hook is not None:
             iteration_hook(t, model)
-        if not appended and objective >= trace[-2].objective - 1e-12 * max(abs(objective), 1.0):
+        if duplicate and objective >= trace[-2].objective - 1e-12 * max(abs(objective), 1.0):
             break  # duplicate atom and no refit progress: nothing left to add
 
     check_model(model)

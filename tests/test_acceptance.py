@@ -107,7 +107,7 @@ def test_criterion_1_oracle_equivalence_suite():
             for c in range(3):
                 dense = op.dense_matrix(c) @ h
                 scale = max(1.0, np.abs(dense).max())
-                assert np.abs(op.matvec(c, h) - dense).max() <= 1e-12 * scale
+                assert np.abs(op.weighted(np.eye(op.m)[c])(h) - dense).max() <= 1e-12 * scale
 
     # gradient rows vs direct per-sample summation, 1e-10
     for kind in ("pn", "fm"):
@@ -259,8 +259,8 @@ def test_criterion_4_monotone_traces():
         for penalty in PENALTIES:
             model = Model(kind, H, 0.3 * rng.standard_normal((4, 4)),
                           "logistic", penalty, 0.05)
-            _, tr1, _ = refit_output(model, ds)
-            _, tr2, _ = refit_full(model, ds)
+            _, tr1, _, _ = refit_output(model, ds)
+            _, tr2, _, _ = refit_full(model, ds)
             assert non_increasing(tr1) and non_increasing(tr2)
             checked += 2
 

@@ -109,6 +109,17 @@ class TestTrain:
         assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
         assert not out.exists()
 
+    def test_exception_without_text_is_named(self, svm_file, tmp_path, capsys, monkeypatch):
+        # a bare MemoryError has no message: its type stands in for it
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "load_svmlight", no_memory)
+        out = tmp_path / "model.json"
+        assert run("train", "--data", svm_file, "--out", out) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("flags", [(), ("--mcrank", "--model", "fm")],
                              ids=["plain", "--mcrank --model fm"])
@@ -276,14 +287,17 @@ def test_negative_seed_refused_by_name(argv, svm_file, ml_file, tmp_path, capsys
     ("movielens", "1\t1\t3\n2\t1\t1e400\n"),
     ("movielens", "1\t1\t3\n2\t1\t1e300\n"),
     ("movielens", "1\t1\t3\n2\t1\tnan\n"),
+    ("movielens", "1\t1\t3\n2\t1\t1024\n"),
+    ("movielens", "1\t1\t3\n2\t1\t1100\n"),
     ("movielens", f"1\t1\t3\n{2**63}\t1\t3\n"),
     ("movielens", f"1\t1\t3\n1\t{2**64}\t3\n"),
     ("svmlight", f"1 1:1.0\n2 {2**63}:1.0\n"),
     ("svmlight", "1 1:1.0\nnan 1:2.0\n"),
-], ids=["inf-rating", "1e400-rating", "1e300-rating", "nan-rating", "big-user", "big-item",
-        "big-index", "nan-label"])
+], ids=["inf-rating", "1e400-rating", "1e300-rating", "nan-rating", "1024-rating",
+        "1100-rating", "big-user", "big-item", "big-index", "nan-label"])
 def test_numbers_past_the_arrays_are_data_errors(fmt, text, tmp_path, capsys):
-    # each loader refuses a number its arrays cannot hold, naming the line
+    # each loader refuses a number its arrays cannot hold, naming the line,
+    # and a rating above 1023, whose nDCG gain 2^r - 1 is not finite
     data = tmp_path / "input.txt"
     data.write_text(text)
     out = tmp_path / "model.json"
@@ -292,6 +306,20 @@ def test_numbers_past_the_arrays_are_data_errors(fmt, text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "line 2: " in err and not out.exists()
+
+
+@pytest.mark.parametrize("fmt, text", [("movielens", b"1\t1\t3\n\xff\t1\t3\n"),
+                                       ("svmlight", b"1 1:1.0\n\xff 1:2.0\n")])
+def test_data_file_that_is_not_utf8_is_named(fmt, text, tmp_path, capsys):
+    data = tmp_path / "input.txt"
+    data.write_bytes(text)
+    out = tmp_path / "model.json"
+    flags = ("--mcrank", "--model", "fm") if fmt == "movielens" else ()
+    assert run("train", "--data", data, "--format", fmt, *flags, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {data}: 'utf-8' codec can't decode byte 0xff")
+    assert not out.exists()
 
 
 def test_auto_grid_refused_on_a_zero_gradient(tmp_path, capsys):

@@ -354,12 +354,21 @@ class TestMovielens:
         with pytest.raises(DataError, match="rating"):
             load_movielens(path)
 
-    @pytest.mark.parametrize("rating", ["nan", "inf", "-inf", "1e400", "1e300", "9.3e18"])
+    # 1024 and 1100 fit in int64 but have no finite nDCG gain 2^r - 1
+    @pytest.mark.parametrize("rating", ["nan", "inf", "-inf", "1e400", "1e300", "9.3e18", "1024",
+                                        "1100"])
     def test_rating_past_int64_refused(self, tmp_path, rating):
         path = write(tmp_path, "u.data", f"1\t1\t3\n2\t1\t{rating}\n")
         with pytest.raises(DataError, match=re.escape(
-                f"line 2: rating '{rating}' is not an integer in [1, 2^63)")):
+                f"line 2: rating '{rating}' is not an integer in [1, 1023]")):
             load_movielens(path)
+
+    def test_largest_rating_loads(self, tmp_path):
+        ds = load_movielens(write(tmp_path, "u.data", f"1\t1\t3\n2\t1\t{data.MAX_RATING}\n"))
+        assert data.MAX_RATING == 1023 and ds.m == 1023 and ds.y.tolist() == [3, 1023]
+        assert np.isfinite(2.0 ** ds.m - 1.0)  # the nDCG gain of the top level
+        with pytest.raises(OverflowError):
+            2.0 ** (ds.m + 1)
 
     @pytest.mark.parametrize("record", [f"{2**63}\t1\t3", f"1\t{2**63}\t3",
                                         f"-{2**63 + 1}\t1\t3"],

@@ -112,7 +112,7 @@ class TestOneOracle:
         for seed in (0, 1):
             model, ds = make_problem(np.random.default_rng(seed), kind=kind, penalty=penalty)
             set_fista(monkeypatch, 300, 1e-7)
-            (refitted, trace, L), [(x0, smooth, seen, L0)] = capture_fista(
+            (refitted, trace, L, _), [(x0, smooth, seen, L0)] = capture_fista(
                 monkeypatch, refit_fn, model, ds)
             assert seen is model
 
@@ -123,7 +123,7 @@ class TestOneOracle:
                                   project_unit_rows(x[:, m:])])
 
             x, ref_trace, ref_L, ref_restarts = reference_fista(
-                x0, L0, lambda x: smooth(x)[0], lambda x: smooth(x)[1](), prox_step,
+                x0, L0, lambda x: smooth(x)[0], lambda x: smooth(x)[2](), prox_step,
                 lambda x: model.lam * penalty_value(penalty, x[:, :m]), 300, 1e-7)
             assert trace == ref_trace and L == ref_L
             assert np.array_equal(refitted.V, x[:, :m])
@@ -148,7 +148,7 @@ class TestOneOracle:
 
         monkeypatch.setattr(refit, "_fista", spy)
         for refit_fn in (refit_output, refit_full):
-            _, trace, _ = refit_fn(model, ds)
+            _, trace, _, _ = refit_fn(model, ds)
             assert len(trace) > 2
         assert len(points) > 10
 
@@ -168,7 +168,7 @@ class TestOneOracle:
             return real(x0, recorded, model, **kwargs)
 
         monkeypatch.setattr(refit, "_fista", spy)
-        _, trace, _ = refit_fn(model, ds)
+        _, trace, _, _ = refit_fn(model, ds)
         assert len(trace) > 2
         assert all(a != b for a, b in zip(points, points[1:]))
 
@@ -193,7 +193,7 @@ class TestOneOracle:
 
         monkeypatch.setattr(refit, "_fista", spy)
         monkeypatch.setattr(losses, "_class_margins", counted_margins)
-        _, trace, _ = refit_fn(model, ds)
+        _, trace, _, _ = refit_fn(model, ds)
         assert len(trace) > 2
         assert len(margins) == len(points)
 
@@ -218,14 +218,14 @@ class TestOutputRefit:
         for seed in range(5):
             model, ds = make_problem(np.random.default_rng(seed))
             before = penalized_objective(model, ds)
-            refitted, trace, _ = refit_output(model, ds)
+            refitted, trace, _, _ = refit_output(model, ds)
             assert trace == sorted(trace, reverse=True) or \
                 all(b - a >= -1e-9 * max(abs(a), 1.0) for a, b in zip(trace[1:], trace[:-1]))
             assert penalized_objective(refitted, ds) <= before + 1e-9
 
     def test_huge_lambda_kills_all_rows(self, rng):
         model, ds = make_problem(rng, lam=1e9)
-        refitted, _, _ = refit_output(model, ds)
+        refitted, _, _, _ = refit_output(model, ds)
         assert np.all(refitted.V == 0.0)
 
     def test_matches_scalar_line_search(self, rng, monkeypatch):
@@ -240,7 +240,7 @@ class TestOutputRefit:
         lam = 0.7
         model = Model("pn", h[None, :], np.zeros((1, 1)), "binary-logistic", "l1", lam)
         set_fista(monkeypatch, 5000, 1e-12)
-        refitted, _, _ = refit_output(model, ds)
+        refitted, _, _, _ = refit_output(model, ds)
 
         phi = hidden_activations("pn", model.H, ds.X)[:, 0]
 
@@ -255,7 +255,7 @@ class TestOutputRefit:
     def test_empty_model_noop(self, rng):
         model, ds = make_problem(rng, k=0)
         model = Model("pn", np.zeros((0, 6)), np.zeros((0, 3)), "logistic", "l1l2", 0.1)
-        refitted, trace, _ = refit_output(model, ds)
+        refitted, trace, _, _ = refit_output(model, ds)
         assert refitted.k == 0 and len(trace) == 1
 
     def test_zero_lambda_approaches_unpenalized_minimum(self, rng, monkeypatch):
@@ -263,7 +263,7 @@ class TestOutputRefit:
         model, ds = make_problem(rng, n=8, d=8, k=8, lam=1e-12,
                                  loss="squared-hinge", penalty="l1")
         set_fista(monkeypatch, 5000, 1e-14)
-        refitted, trace, _ = refit_output(model, ds)
+        refitted, trace, _, _ = refit_output(model, ds)
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))
         O = outputs(refitted, ds.X)
@@ -275,14 +275,14 @@ class TestFullRefit:
         for kind in ("pn", "fm"):
             model, ds = make_problem(rng, kind=kind)
             before = penalized_objective(model, ds)
-            refitted, trace, _ = refit_full(model, ds)
+            refitted, trace, _, _ = refit_full(model, ds)
             diffs = np.diff(trace)
             assert np.all(diffs <= 1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))
             assert penalized_objective(refitted, ds) <= before + 1e-9
 
     def test_basis_rows_stay_feasible(self, rng):
         model, ds = make_problem(rng, kind="fm")
-        refitted, _, _ = refit_full(model, ds)
+        refitted, _, _, _ = refit_full(model, ds)
         assert np.all(np.linalg.norm(refitted.H, axis=1) <= 1.0 + 1e-9)
 
     def test_stationary_point_returned_unchanged(self, rng):
@@ -295,7 +295,7 @@ class TestFullRefit:
         V = np.array([[10.0, -10.0], [-10.0, 10.0], [-10.0, 10.0]])
         model = Model("pn", H, V, "squared-hinge", "l1", 1e-300)
         assert float(loss_values("squared-hinge", y, outputs(model, ds.X)).sum()) == 0.0
-        refitted, _, _ = refit_full(model, ds)
+        refitted, _, _, _ = refit_full(model, ds)
         assert np.array_equal(refitted.H, H)
         assert np.array_equal(refitted.V, V)
 
@@ -307,7 +307,7 @@ class TestFullRefit:
         set_fista(monkeypatch, 1, 1e-3)
         for refit_fn in (refit_output, refit_full):
             _, [(x0, smooth, _, _)] = capture_fista(monkeypatch, refit_fn, model, ds)
-            value, grad = smooth(x0)
+            value, _, grad = smooth(x0)
             assert value == pytest.approx(float(loss_values(
                 model.loss, ds.y, outputs(model, ds.X)).sum()), rel=1e-12)
             g = grad()
@@ -323,7 +323,7 @@ class TestFullRefit:
     def test_huge_lambda_zeroes_only_v(self, kind, rng):
         # the prox acts on the V columns of [V, H] only, the projection on the H columns only
         model, ds = make_problem(rng, kind=kind, lam=1e9)
-        refitted, trace, _ = refit_full(model, ds)
+        refitted, trace, _, _ = refit_full(model, ds)
         assert len(trace) > 1
         assert np.all(refitted.V == 0.0)
         norms = np.linalg.norm(refitted.H, axis=1)
@@ -332,11 +332,11 @@ class TestFullRefit:
 
     def test_descent_from_perturbed_model(self, rng):
         model, ds = make_problem(rng)
-        fitted, _, _ = refit_output(model, ds)
+        fitted, _, _, _ = refit_output(model, ds)
         noisy = Model(model.kind, fitted.H, fitted.V + 0.5 * rng.standard_normal(fitted.V.shape),
                       model.loss, model.penalty, model.lam)
         before = penalized_objective(noisy, ds)
-        refitted, trace, _ = refit_full(noisy, ds)
+        refitted, trace, _, _ = refit_full(noisy, ds)
         assert trace[-1] <= before
         assert penalized_objective(refitted, ds) <= before
 
@@ -381,14 +381,14 @@ class TestDenseProducts:
             model, ds = make_problem(np.random.default_rng(seed), kind=kind)
             twin = csr_twin(ds, monkeypatch)
             assert isinstance(ds.Xmul, np.ndarray) and isinstance(ds.X2mul, np.ndarray)
-            (fitted, trace, _), calls = capture_fista(monkeypatch, refit_fn, model, ds)
-            (_, twin_trace, _), twin_calls = capture_fista(monkeypatch, refit_fn, model, twin)
+            (fitted, trace, _, _), calls = capture_fista(monkeypatch, refit_fn, model, ds)
+            (_, twin_trace, _, _), twin_calls = capture_fista(monkeypatch, refit_fn, model, twin)
             assert len(trace) == len(twin_trace) > 2
             np.testing.assert_allclose(trace, twin_trace, rtol=trace_rtol, atol=0)
             x_end = np.hstack([fitted.V, fitted.H]) if refit_fn is refit_full else fitted.V
             for x in (calls[0][0], x_end):
-                value, grad = calls[0][1](x)
-                twin_value, twin_grad = twin_calls[0][1](x)
+                value, _, grad = calls[0][1](x)
+                twin_value, _, twin_grad = twin_calls[0][1](x)
                 assert value == pytest.approx(twin_value, rel=1e-12, abs=0)
                 np.testing.assert_allclose(grad(), twin_grad(), rtol=1e-12, atol=1e-13)
             assert penalized_objective(fitted, ds) == \
@@ -425,7 +425,7 @@ class TestPrune:
 
     def test_huge_lambda_then_prune_empties_model(self, rng):
         model, ds = make_problem(rng, lam=1e9)
-        refitted, _, _ = refit_output(model, ds)
+        refitted, _, _, _ = refit_output(model, ds)
         assert prune(refitted).k == 0
 
 
@@ -437,7 +437,7 @@ class TestFista:
 
         def smooth(x):
             calls.append(1)
-            return (1.0 if len(calls) == 1 else float("nan")), lambda: x
+            return (1.0 if len(calls) == 1 else float("nan")), lambda: x, lambda: x
 
         V = np.array([[1.0, -2.0]])
         model = Model("pn", np.zeros((1, 2)), V, "logistic", "l1", 0.0)
@@ -451,7 +451,7 @@ class TestFista:
         # an x with no rows is not iterated: the trace is the empty model's objective
         _, ds = make_problem(rng)
         model = Model(kind, np.zeros((0, 6)), np.zeros((0, 3)), "logistic", "l1l2", 0.1)
-        refitted, trace, _ = refit_fn(model, ds)
+        refitted, trace, _, _ = refit_fn(model, ds)
         assert refitted.k == 0 and refitted.V.shape == (0, 3) and refitted.H.shape == (0, 6)
         assert trace == [penalized_objective(model, ds)]
 
@@ -488,9 +488,9 @@ class TestStartingStep:
         real, calls = refit._fista, {"output": [], "full": []}
 
         def spy(x0, smooth, model, L0=1.0):
-            x, trace, L = real(x0, smooth, model, L0=L0)
+            x, trace, L, D = real(x0, smooth, model, L0=L0)
             calls["output" if x0.shape[1] == model.m else "full"].append((L0, L))
-            return x, trace, L
+            return x, trace, L, D
 
         monkeypatch.setattr(refit, "_fista", spy)
         fit(ds, SolverConfig(model="pn", loss="logistic", penalty="l1", lam=0.1, k_max=4,

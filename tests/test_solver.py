@@ -7,11 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import SHAPES, set_fista, shaped_operator
 from oracles import dual_norm
 from polyfactor import solver
 from polyfactor.data import make_dataset
+from polyfactor.gradients import GradientOperator
 from polyfactor.losses import loss_values
 from polyfactor.models import MODEL_KINDS, accuracy, save_model
 from polyfactor.penalties import PENALTIES
@@ -205,6 +207,97 @@ class TestTraceObjective:
             assert record.objective == refit_trace[-1]
             if not dropped:
                 assert record.objective == penalized_objective(model, ds)
+
+
+def one_hot_ratings_dataset(n=60, users=10, items=10, m=3, seed=0):
+    """Ratings-shaped rows (one user and one item column set in each), which
+    the gradient operator holds in its sparse storage."""
+    rng = np.random.default_rng(seed)
+    cols = np.stack([rng.integers(0, users, n), users + rng.integers(0, items, n)], axis=1)
+    X = sp.csr_matrix((np.ones(2 * n), cols.ravel(), np.arange(0, 2 * n + 1, 2)),
+                      shape=(n, users + items))
+    return make_dataset(X, rng.integers(1, m + 1, n), m)
+
+
+STORAGE_DATA = {"dense": lambda: make_multiclass(40, 5, 3, seed=7),
+                "sparse": one_hot_ratings_dataset,
+                "free": lambda: make_multiclass(20, 8, 3, seed=7)}
+
+
+class TestInstalledGradient:
+    """Each selection reads the loss gradient the last refit computed at the
+    model it returned; only a model no refit evaluated is refreshed."""
+
+    @staticmethod
+    def spied_fit(monkeypatch, ds, cfg):
+        """fit(ds, cfg); returns the operator's D at every selection, the
+        model each selection saw (the empty model, then every iteration's
+        pruned model), the models ``refresh`` ran on and the rows each
+        prune dropped."""
+        installed, refreshed, dropped, models = [], [], [], []
+        real_select, real_refresh, real_prune = solver._select, GradientOperator.refresh, \
+            solver.prune
+
+        def select(op, cfg):
+            installed.append(op.D.copy())
+            return real_select(op, cfg)
+
+        def refresh(op, model):
+            refreshed.append(model)
+            real_refresh(op, model)
+
+        def prune(model):
+            pruned = real_prune(model)
+            dropped.append(model.k - pruned.k)
+            return pruned
+
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "_select", select)
+            patched.setattr(GradientOperator, "refresh", refresh)
+            patched.setattr(solver, "prune", prune)
+            fit(ds, cfg, iteration_hook=lambda t, m: models.append(m))
+        assert refreshed[0].k == 0
+        return installed, refreshed[:1] + models, refreshed, dropped
+
+    @staticmethod
+    def fresh_gradient(ds, cfg, model):
+        op = solver._operator(ds, cfg)
+        op.refresh(model)
+        return op.D
+
+    @pytest.mark.parametrize("storage", list(STORAGE_DATA))
+    @pytest.mark.parametrize("refit", REFITS)
+    @pytest.mark.parametrize("penalty", PENALTIES)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_installed_gradient_is_a_fresh_refresh(self, kind, penalty, refit, storage,
+                                                   monkeypatch):
+        ds = STORAGE_DATA[storage]()
+        cfg = small_config(model=kind, penalty=penalty, refit=refit, lam=0.002, k_max=4)
+        assert solver._operator(ds, cfg).storage == storage
+        installed, seen, refreshed, _ = self.spied_fit(monkeypatch, ds, cfg)
+        assert len(installed) >= 3 and len(refreshed) < len(installed)
+        for D, model in zip(installed, seen):
+            assert np.array_equal(D, self.fresh_gradient(ds, cfg, model))
+
+    @pytest.mark.parametrize("refit", REFITS)
+    def test_one_refresh_per_fit_when_nothing_is_pruned(self, refit, monkeypatch):
+        ds = make_multiclass(40, 5, 3, seed=7)
+        installed, _, refreshed, dropped = self.spied_fit(
+            monkeypatch, ds, small_config(lam=0.02, k_max=4, refit=refit))
+        assert len(installed) == 4 and not any(dropped)
+        assert len(refreshed) == 1  # the empty model at t = 1
+
+    def test_a_pruned_model_is_refreshed(self, monkeypatch):
+        ds = make_multiclass(40, 5, 3, seed=0)
+        cfg = small_config(lam=0.5 * lambda_max(ds, small_config()), k_max=6)
+        installed, seen, refreshed, dropped = self.spied_fit(monkeypatch, ds, cfg)
+        assert any(dropped[:len(installed) - 1])
+        # the empty model, then each pruned model that a selection read
+        expected = seen[:1] + [model for model, rows in zip(seen[1:len(installed)], dropped)
+                               if rows]
+        assert [id(model) for model in refreshed] == [id(model) for model in expected]
+        for D, model in zip(installed, seen):
+            assert np.array_equal(D, self.fresh_gradient(ds, cfg, model))
 
 
 class TestStopCertificate:
