@@ -32,9 +32,10 @@ class Dataset:
     {-1,+1} sign matrix of shape (n, m).
     ``group_ids`` carries a per-row ranking-group id (the user index for
     MovieLens loads). ``X2`` is X∘X (entrywise square, for the FM terms),
-    built on first use and kept for the dataset's lifetime. ``Xmul`` and
-    ``X2mul`` are X and X∘X in the form their products run fastest (see
-    ``prefer_dense``), built on first use too.
+    built on first use and kept for the dataset's lifetime; it is X itself
+    when every stored value of X is 1.0. ``Xmul`` and ``X2mul`` are X and
+    X∘X in the form their products run fastest (see ``prefer_dense``),
+    built on first use too.
     """
 
     X: sp.csr_matrix
@@ -63,6 +64,9 @@ class Dataset:
 
     @cached_property
     def X2(self) -> sp.csr_matrix:
+        """X∘X, or X itself when every stored value is 1.0 (one-hot rows)."""
+        if (self.X.data == 1.0).all():
+            return self.X
         X2 = self.X.multiply(self.X).tocsr()
         _freeze(X2)
         return X2
@@ -76,7 +80,10 @@ class Dataset:
     @cached_property
     def X2mul(self):
         """X∘X in ``Xmul``'s form, densified from ``X2``: scipy squares
-        without numpy's overflow warning, and X∘X is squared once."""
+        without numpy's overflow warning, and X∘X is squared once. It is
+        ``Xmul`` itself when ``X2`` is X."""
+        if self.X2 is self.X:
+            return self.Xmul
         return _dense(self.X2) if prefer_dense(self.X) else self.X2
 
     def __post_init__(self):

@@ -15,9 +15,10 @@ The operators are stored in one of three ways, chosen from X alone:
 
 - ``dense``: an (m, d, d) stack, when it has no more entries than X has
   nonzeros (m d^2 <= nnz(X); small dense X such as the vowel-shaped set);
-- ``sparse``: every A_c's values on the slots (stored entries) of X^T X's
-  sparsity pattern, when the rows' feature pairs number at most 2 nnz(X)
-  (one-hot rows, such as user/item ratings with two nonzeros per row);
+- ``sparse``: every A_c's values on one slot per unordered pair {a, b} of
+  X^T X's sparsity pattern, when the rows' feature pairs number at most
+  2 nnz(X) (one-hot rows, such as user/item ratings with two nonzeros per
+  row);
 - ``free``: matrix-free applies, O(nnz(X)) each, for everything else.
 
 Each refresh builds one array from D and checks it finite. The dense
@@ -25,14 +26,17 @@ storage keeps no state beyond X: it fills the stack with X^T (D[:, c] o X)
 for all outputs in one GEMM per block of rows, densifying at most
 DENSE_BLOCK entries of the scaled copy at a time (FM: diagonal zeroed, then
 halved), so its memory stays within X plus the stack. The sparse storage
-keeps a pair map M built with the operator: each row i contributes its
-feature pairs (a, b) with weight x_ia x_ib (FM: a != b only, halved; no
-a = b pair is gathered) to the slot of (a, b) in X^T X's pattern, so the
-(m, slots) values P = (M @ D)^T of all m operators are one product. M is
-read at refresh only: ``weighted`` and ``quad_values`` read P and the one
-copy of the slots' pattern (their columns and each row's slot count). The
-matrix-free storage builds the diagonals S = (X o X)^T D (FM subtracts
-them; PN builds them so that an overflowing X is refused by name).
+keeps a pair map M built with the operator: each row i contributes each of
+its feature pairs {a, b} once, with weight x_ia x_ib (FM: a != b only,
+halved; no a = b pair is gathered; PN halves a = b), to the slot of (a, b)
+in a matrix C_c with A_c = C_c + C_c^T, so the (m, slots) values P = (M @
+D)^T of all m operators are one product. C is the triangle a <= b, or under
+a mirror B, the smaller colour class's rows by the other class's columns.
+M is read at refresh only: ``weighted``, ``eigenpairs`` and ``quad_values``
+read P and the one copy of the slots' pattern (their columns and each row's
+slot count). The matrix-free storage builds the diagonals S = (X o X)^T D
+(FM subtracts them; PN builds them so that an overflowing X is refused by
+name).
 
 When X's pair graph (an edge (a, b) for every FM row with nonzeros at
 a != b) is 2-colourable, ``mirror`` holds a colouring s in {-1, +1}^d. Every
@@ -40,13 +44,18 @@ A_c is then bipartite along it: the FM diagonal is zero and s_a s_b = -1 on
 every stored entry, so diag(s) A_c diag(s) = -A_c for every output and
 every D, and q(s o h) = -q(h). It is None for PN (whose diagonal is
 nonzero) and for any FM data with a row of three or more nonzeros (that row
-is a triangle).
+is a triangle). In its colour classes U (the smaller) and V every weighted
+sum is [[0, B_w], [B_w^T, 0]], whose top eigenpair is B_w's top singular
+triplet, so sparse storage solves it on the Gram side x -> B_w (B_w^T x) of
+length |U| (``_bipartite_ends``) and returns the bottom end as the exact
+mirror of the top end.
 
 Selection applies the operators one way, ``weighted``: the combination
-sum_c w_c A_c, built once per weight vector in the storage's own form. Its
-one eigen-solve, ``eigenpairs``, serves the spectrum ends (w = e_c, which
-is A_c bit for bit) and the refinement rounds. ``quad_values`` reads every
-output's h^T A_c h at once.
+sum_c w_c A_c, built once per weight vector in the storage's own form (on
+sparse storage, C from w @ P and its CSC view C^T). Its one eigen-solve,
+``eigenpairs``, serves the spectrum ends (w = e_c, which is A_c bit for
+bit) and the refinement rounds. ``quad_values`` reads every output's
+h^T A_c h at once.
 """
 
 from __future__ import annotations
@@ -75,21 +84,30 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _row_pairs(X: sp.csr_matrix, kind: str):
-    """Every row's feature pairs (a, b) as (key, row, weight): key = a d + b,
-    weight x_ia x_ib (FM: a != b only, dropped before any gather, halved)."""
-    n, d = X.shape
+def _row_pairs(X: sp.csr_matrix, kind: str, in_rows=None):
+    """Every row's feature pairs {a, b} once, as (a, b, row, weight): a is the
+    endpoint in the column mask ``in_rows`` (None: a <= b), and the weight is
+    x_ia x_ib, halved for FM and on the diagonal a = b (PN only: FM gathers
+    no a = b pair), so that C + C^T counts each pair's value once."""
     r = np.diff(X.indptr)
-    row_of = np.repeat(np.arange(n), r)     # row of each stored entry
-    width = r[row_of]
-    # pair entry e with each entry f of its row
-    e = np.repeat(np.arange(X.nnz), width)
-    f = np.arange(e.size) - np.repeat(np.cumsum(width) - width - X.indptr[row_of], width)
-    keep = e != f if kind == "fm" else slice(None)  # canonical CSR: a = b only at e = f
-    e, f = e[keep], f[keep]
+    off = 1 if kind == "fm" else 0
+    # pair entry e with each entry f >= e + off of its row (canonical CSR: f
+    # > e exactly when b > a), in 32-bit indices while they fit: the storage
+    # rule caps the pairs at 2 nnz(X)
+    idx = np.int32 if 2 * X.nnz < 2 ** 31 else np.int64
+    ent = np.arange(X.nnz, dtype=idx)
+    width = np.repeat(X.indptr[1:].astype(idx), r) - ent - off
+    e = np.repeat(ent, width)
+    f = np.arange(e.size, dtype=idx) + np.repeat(ent + off - np.cumsum(width, dtype=idx) + width,
+                                                 width)
+    rows = np.repeat(np.arange(X.shape[0], dtype=idx), r * (r + 1 - 2 * off) // 2)
+    a, b = X.indices[e], X.indices[f]
+    if in_rows is not None:
+        swap = ~in_rows[a]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
     with np.errstate(over="ignore"):  # an infinite weight is refused by set_gradients
-        w = (0.5 if kind == "fm" else 1.0) * (X.data[e] * X.data[f])
-    return X.indices[e].astype(np.int64) * d + X.indices[f], row_of[e], w
+        w = np.where(e == f, 0.5, 0.5 if kind == "fm" else 1.0) * (X.data[e] * X.data[f])
+    return a, b, rows, w
 
 
 def _sign_mirror(X: sp.csr_matrix, kind: str) -> np.ndarray | None:
@@ -156,6 +174,37 @@ def _lanczos(apply, v0: np.ndarray, ends):
     return H, theta[list(ends)]
 
 
+def _bipartite_ends(B: sp.csr_matrix, sides, mirror: np.ndarray, v0: np.ndarray, ends):
+    """``_lanczos``'s ends for A = [[0, B], [B^T, 0]] in the column classes
+    ``sides`` = (U, V), from the top singular triplet of B.
+
+    Lanczos runs on the Gram operator x -> B (B^T x) of length |U| from v0's
+    normalised U part (a uniform vector when v0 has no mass on U). Its top
+    Ritz vector u gives sigma = ||B^T u|| and the top end h = [u; B^T u /
+    sigma] / sqrt(2) at +sigma; the bottom end is exactly ``mirror`` o h at
+    -sigma. The Gram stop rule bounds A's Ritz residual rho / (sigma sqrt(2))
+    by 0.05 LANCZOS_EPS sigma / sqrt(2). At sigma = 0 the top end is [u; 0];
+    with U empty A is zero and it is v0.
+    """
+    U, V = sides
+    h, sigma = v0, 0.0
+    if U.size:
+        x = v0[U]
+        nrm = np.linalg.norm(x)
+        x = x / nrm if nrm else np.full(U.size, U.size ** -0.5)
+        BT = B.T  # the CSC view: no copy
+        (u,), _ = _lanczos(lambda z: B @ (BT @ z), x, [-1])
+        y = BT @ u
+        sigma = float(np.linalg.norm(y))
+        h = np.zeros(v0.size)
+        if sigma:
+            h[U], h[V] = u / np.sqrt(2.0), y / (sigma * np.sqrt(2.0))
+        else:
+            h[U] = u
+    return (np.stack([h if j == -1 else mirror * h for j in ends]),
+            np.array([sigma if j == -1 else -sigma for j in ends]))
+
+
 class GradientOperator:
     """Per-output quadratic forms over a fixed Dataset.
 
@@ -185,14 +234,27 @@ class GradientOperator:
             self.storage = "dense"
         elif pairs <= 2 * X.nnz:
             self.storage = "sparse"
-            # the pair map on the slots of X^T X's pattern, in row-major order:
-            # (M @ D)[s, c] is the slot-s entry of A_c
-            keys, rows, w = _row_pairs(X, kind)
-            slots, slot_of = np.unique(keys, return_inverse=True)
+            # one slot per unordered pair {a, b} of X^T X's pattern, in the
+            # row-major order of a matrix C with A_c = C_c + C_c^T: the d x d
+            # triangle a <= b, or under a mirror B, the smaller colour class
+            # U's rows by the other class V's columns. (M @ D)[s, c] is the
+            # slot-s entry of C_c
+            if self.mirror is None:
+                in_rows, U, V = None, np.arange(self.d), np.arange(self.d)
+            else:
+                in_rows = self.mirror < 0
+                if 2 * in_rows.sum() > self.d:
+                    in_rows = ~in_rows
+                U, V = np.flatnonzero(in_rows), np.flatnonzero(~in_rows)
+            self._sides = U, V
+            pos = np.empty(self.d, dtype=np.int64)
+            pos[U], pos[V] = np.arange(U.size), np.arange(V.size)
+            a, b, rows, w = _row_pairs(X, kind, in_rows)
+            slots, slot_of = np.unique(pos[a] * V.size + pos[b], return_inverse=True)
             self.M = sp.csr_matrix((w, (slot_of.ravel(), rows)), shape=(slots.size, self.n))
-            indptr = np.searchsorted(slots, np.arange(self.d + 1) * self.d)
-            pattern = sp.csr_matrix((np.ones(slots.size), slots % self.d, indptr),
-                                    shape=(self.d, self.d))
+            indptr = np.searchsorted(slots, np.arange(U.size + 1) * V.size)
+            pattern = sp.csr_matrix((np.ones(slots.size), slots % V.size, indptr),
+                                    shape=(U.size, V.size))
             self._pattern = (pattern.indices, pattern.indptr)  # scipy's dtype, so no copy
         else:
             self.storage = "free"
@@ -242,19 +304,30 @@ class GradientOperator:
 
     def weighted(self, w: np.ndarray):
         """The function h -> sum_c w_c A_c h for output weights w, built in
-        this storage: the summed (d, d) array (dense), one CSR on X^T X's
-        pattern with the values w @ P (sparse; P[c] itself at w = e_c), or
+        this storage: the summed (d, d) array (dense), C + C^T for the CSR C
+        of the values w @ P on the slots (sparse; P[c] itself at w = e_c), or
         X^T ((D w) o (X h)), FM minus (S w) o h and halved (matrix-free)."""
         if self.storage == "dense":
             return np.tensordot(w, self.stack, 1).__matmul__
         if self.storage == "sparse":
-            indices, indptr = self._pattern
-            return sp.csr_matrix((w @ self.P, indices, indptr), shape=(self.d, self.d)).__matmul__
+            C, (U, V) = self._block(w), self._sides
+
+            def apply(h):
+                out = np.zeros(self.d)
+                out[U] = C @ h[V]
+                out[V] += C.T @ h[U]  # the CSC view: no copy
+                return out
+            return apply
         u, X, XT = self.D @ w, self.X, self.XT
         if self.kind == "pn":
             return lambda h: XT @ (u * (X @ h))
         s = self.S @ w
         return lambda h: 0.5 * (XT @ (u * (X @ h)) - s * h)
+
+    def _block(self, w: np.ndarray) -> sp.csr_matrix:
+        """C for the weights w: the CSR of w @ P on the slots (sparse storage)."""
+        U, V = self._sides
+        return sp.csr_matrix((w @ self.P, *self._pattern), shape=(U.size, V.size))
 
     def matvec(self, c: int, h: np.ndarray) -> np.ndarray:
         """Apply the output-c operator to a vector (``weighted`` at the c-th
@@ -270,13 +343,18 @@ class GradientOperator:
         unit eigenvectors H (r, len(ends), d) as rows and eigenvalues q (r,
         len(ends)), at ``ends`` of the ascending spectrum (-1 the top, 0 the
         bottom). Dense storage runs one batched eigh and ignores ``starts``;
-        the others run ``_lanczos`` on ``weighted(w)`` from the row's start."""
+        sparse storage under a mirror runs ``_bipartite_ends`` on the row's C,
+        and the others ``_lanczos`` on ``weighted(w)``, from the row's start."""
         if self.storage == "dense":
             # one GEMV per row: a GEMM W @ stack rounds each row by the batch
             M = np.matmul(W[:, None], self.stack.reshape(self.m, -1))
             vals, vecs = np.linalg.eigh(M.reshape(-1, self.d, self.d))
             return vecs.transpose(0, 2, 1)[:, list(ends)], vals[:, list(ends)]
-        runs = [_lanczos(self.weighted(w), v0, ends) for w, v0 in zip(W, starts)]
+        if self.storage == "sparse" and self.mirror is not None:
+            runs = [_bipartite_ends(self._block(w), self._sides, self.mirror, v0, ends)
+                    for w, v0 in zip(W, starts)]
+        else:
+            runs = [_lanczos(self.weighted(w), v0, ends) for w, v0 in zip(W, starts)]
         return np.stack([H for H, _ in runs]), np.stack([q for _, q in runs])
 
     def quad_values(self, h: np.ndarray) -> np.ndarray:
@@ -287,8 +365,8 @@ class GradientOperator:
             h = np.ascontiguousarray(h)
             return np.matmul(self.stack, h[:, None]).reshape(self.m, self.d) @ h
         if self.storage == "sparse":  # h_a h_b, so the mirror negates q exactly
-            indices, indptr = self._pattern
-            return self.P @ (np.repeat(h, np.diff(indptr)) * h[indices])
+            (indices, indptr), (U, V) = self._pattern, self._sides
+            return 2.0 * (self.P @ (np.repeat(h[U], np.diff(indptr)) * h[V][indices]))
         z = self.X @ h
         t = (z * z) @ self.D
         if self.kind == "pn":

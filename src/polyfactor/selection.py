@@ -145,10 +145,10 @@ def select_group(op: GradientOperator, p: int, seed: int) -> SelectionResult:
     preserved since that init is one of the candidates; the extra starts
     only help escape bad basins. When ``op.mirror`` is set, only the top
     end of each such output is refined: the spectrum is symmetric, the
-    bottom end is (to the eigensolver's accuracy) the top end's sign
-    mirror, and refining a mirror gives the mirror of the refined point
-    with the same f_p. A bottom-end l1 pick is thus covered by its mirror,
-    which has the same f_p.
+    bottom end is the top end's sign mirror (bit for bit on sparse storage,
+    to eigh's rounding on dense storage), and refining a mirror gives the
+    mirror of the refined point with the same f_p. A bottom-end l1 pick is
+    thus covered by its mirror, which has the same f_p.
 
     Each distinct start (|h_i . h_j| < 1 - 1e-6) goes through its own
     ``refine`` call; the first of equal bests wins. When every output's

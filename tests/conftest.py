@@ -32,12 +32,16 @@ def random_operator(rng, n, d, m, kind="pn", density=1.0, one_hot=False):
     """Gradient operator over random data with directly injected gradients.
 
     ``one_hot`` gives ratings-shaped rows instead: the columns split into a
-    user and an item field, and each row holds a single 1 in each field.
+    user and an item field, and each row holds a single 1 in each field. The
+    columns are then shuffled, so that neither field is contiguous, and the
+    sign mirror's colour classes (which may colour users differently from
+    one component to the next) are not the fields' ranges either.
     """
     if one_hot:
         X = np.zeros((n, d))
         X[np.arange(n), rng.integers(0, d // 2, n)] = 1.0
         X[np.arange(n), rng.integers(d // 2, d, n)] = 1.0
+        X = X[:, rng.permutation(d)]
     else:
         X = rng.standard_normal((n, d))
     if density < 1.0:

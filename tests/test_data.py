@@ -24,6 +24,9 @@ from polyfactor.data import (
     save_svmlight,
     split,
 )
+from polyfactor.mcrank import build_ordinal
+from polyfactor.models import model_to_json
+from polyfactor.solver import SolverConfig, fit
 from polyfactor.synth import make_ratings, write_movielens
 
 
@@ -510,6 +513,32 @@ class TestProductForm:
         assert not prefer_dense(X)
         ds = make_dataset(X, np.ones(n, dtype=np.int64), 2)
         assert ds.Xmul is ds.X and ds.X2mul is ds.X2
+
+    def test_one_hot_square_is_x_itself(self, tmp_path):
+        # every stored value of a MovieLens X is 1.0, so X∘X is X: no copy
+        u, i, r = make_ratings(30, 40, 400, seed=0)
+        write_movielens(u, i, r, tmp_path / "r.data")
+        ds = load_movielens(tmp_path / "r.data")
+        assert ds.X2 is ds.X and ds.X2mul is ds.Xmul
+        # one stored 2.0 makes X∘X a squared copy again
+        X = ds.X.copy()
+        X.data[5] = 2.0
+        twice = make_dataset(X, ds.y, ds.m)
+        assert twice.X2 is not twice.X and twice.X2mul is twice.X2
+        expected = X.data.copy()
+        expected[5] = 4.0
+        assert np.array_equal(twice.X2.data, expected)
+        assert np.array_equal(twice.X2.indices, X.indices)
+        # and an ordinal FM trained on X itself is byte for byte the one
+        # trained on a squared copy
+        cfg = SolverConfig(model="fm", loss="binary-logistic", penalty="l1linf", lam=0.5,
+                           k_max=3, seed=1)
+        ordinal = build_ordinal(ds)
+        copied = build_ordinal(ds)
+        copied.__dict__["X2"] = ds.X.multiply(ds.X).tocsr()
+        assert ordinal.X2mul is ordinal.X and copied.X2mul is not copied.X
+        assert (model_to_json(fit(ordinal, cfg)[0])
+                == model_to_json(fit(copied, cfg)[0]))
 
     def test_rule_reads_shape_and_nonzeros_only(self):
         # a copy is bounded by 16 bytes per nonzero: a 10^6 x 3,000 X with 10

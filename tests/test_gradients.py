@@ -136,12 +136,13 @@ class TestBackend:
                       - oracle_matrix(X.toarray(), D, 1, kind) @ h).max() < 1e-12
 
     def test_sparse_storage_memory(self):
-        # one-hot FM rows over 300 + 500 columns (37,476 slots): build and two
-        # refreshes retain the pair map plus one (m, slots) value array and
-        # the slots' int32 pattern, which weighted and quad_values share (no
-        # m-fold stacked CSR, no value array on the pattern, no second copy
-        # of the slots' columns); the build gathers no a = b pair, so its
-        # peak stays within a few pair maps
+        # one-hot FM rows over 300 + 500 columns (18,738 distinct pairs, one
+        # slot each): build and two refreshes retain the pair map plus one
+        # (m, slots) value array and the slots' int32 pattern, which weighted,
+        # eigenpairs and quad_values share (no m-fold stacked CSR, no value
+        # array on the pattern, no second copy of the slots' columns); the
+        # build gathers no a = b pair and no pair twice, so its peak stays
+        # within a few pair maps
         n, m = 20_000, 5
         rng = np.random.default_rng(0)
         cols = np.stack([rng.integers(0, 300, n), rng.integers(300, 800, n)], 1)
@@ -159,27 +160,39 @@ class TestBackend:
         finally:
             tracemalloc.stop()
         slots = op.P.shape[1]
-        assert (op.storage, slots) == ("sparse", 37_476)
+        assert (op.storage, slots) == ("sparse", len(set(map(tuple, cols.tolist()))))
+        assert slots == 18_738
         pair_map = op.M.data.nbytes + op.M.indices.nbytes + op.M.indptr.nbytes
         assert retained < pair_map + (8 * m + 8) * slots
         assert build_peak < 6.5 * pair_map
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_sparse_weighted_sums_the_stored_values(self, kind, rng):
-        # weighted(w) is the CSR of w @ P on the slots of X^T X's pattern (FM:
-        # off the diagonal), bit for bit; at w = e_c that is P[c] exactly
+        # one slot per unordered pair of X^T X's pattern (FM: off the
+        # diagonal): w @ P is the CSR data of C, bit for bit (P[c] itself at w
+        # = e_c), and weighted(w) applies C + C^T. C is the triangle a <= b
+        # (PN halves its diagonal), or under a mirror the smaller colour
+        # class's rows by the other class's columns
         op = shaped_operator(rng, SHAPES[2], kind)
         absX = abs(op.X.toarray())
         pattern = absX.T @ absX > 0
         if kind == "fm":
             np.fill_diagonal(pattern, False)
-        rows, cols = np.nonzero(pattern)
-        cases = [(w, w @ op.P) for w in rng.standard_normal((3, op.m))]
-        for w, values in cases + list(zip(np.eye(op.m), op.P)):
-            expected = sp.csr_matrix((values, (rows, cols)), shape=(op.d, op.d)).toarray()
+        assert op.P.shape[1] == np.triu(pattern).sum()
+        U, V = op._sides
+        if op.mirror is not None:
+            assert len(U) <= len(V) and np.all(op.mirror[U] == op.mirror[U[0]])
+        for w in [*rng.standard_normal((3, op.m)), *np.eye(op.m)]:
+            block = op._block(w)
+            assert np.array_equal(block.data, w @ op.P)
+            C = np.zeros((op.d, op.d))
+            C[np.ix_(U, V)] = block.toarray()
+            if op.mirror is None:
+                assert np.array_equal(C, np.triu(C))
+            assert np.array_equal((C != 0) | (C.T != 0), pattern & ((C != 0) | (C.T != 0)))
             apply = op.weighted(w)
             for j, e in enumerate(np.eye(op.d)):
-                assert np.array_equal(apply(e), expected[:, j])
+                assert np.array_equal(apply(e), (C + C.T)[:, j])
 
     @pytest.mark.parametrize("kind", ["pn", "fm"])
     def test_all_zero_design(self, kind, rng):
@@ -581,6 +594,103 @@ class TestEigenpairs:
         H, q = op.eigenpairs(np.eye(op.m), no_starts(), [-1, 0])
         assert np.array_equal(q, vals[:, [-1, 0]])
         assert np.array_equal(H, vecs.transpose(0, 2, 1)[:, [-1, 0]])
+
+
+def bipartite_operator(rng, n, d, m):
+    """A one-hot FM operator on sparse storage with a sign mirror, and its
+    colour classes (U the smaller)."""
+    op, _ = random_operator(rng, n, d, m, kind="fm", one_hot=True)
+    assert op.storage == "sparse" and op.mirror is not None
+    U, V = op._sides
+    assert len(U) + len(V) == op.d and len(U) <= len(V)
+    return op, U, V
+
+
+class TestBipartite:
+    """Sparse storage under a mirror solves A_w = [[0, B], [B^T, 0]] on B's
+    Gram side: the top end from B's top singular triplet, the bottom end
+    its mirror."""
+
+    def test_ends_match_eigh(self, rng, monkeypatch):
+        # shuffled one-hot columns: the colour classes are neither contiguous
+        # nor the user and item fields
+        lengths = []
+        lanczos = gradients._lanczos
+        monkeypatch.setattr(gradients, "_lanczos",
+                            lambda apply, v0, ends: lengths.append(v0.size)
+                            or lanczos(apply, v0, ends))
+        for n, d, m in [(40, 30, 3), (400, 200, 2), (60, 16, 1)] * 3:
+            op, U, V = bipartite_operator(rng, n, d, m)
+            assert not (np.all(np.diff(U) == 1) and np.all(np.diff(V) == 1))
+            W = np.vstack([np.eye(m), rng.standard_normal((2, m))])
+            starts = rng.standard_normal((len(W), op.d))
+            starts /= np.linalg.norm(starts, axis=1)[:, None]
+            lengths.clear()
+            H, q = op.eigenpairs(W, starts, [-1, 0])
+            assert lengths == [len(U)] * len(W)  # Lanczos ran on the Gram side only
+            for w, (top, bottom), (hi, lo) in zip(W, H, q):
+                A = sum(w[c] * op.dense_matrix(c) for c in range(m))
+                vals = np.linalg.eigvalsh(A)
+                sigma = np.abs(vals).max()
+                assert np.array_equal(bottom, op.mirror * top) and lo == -hi
+                assert abs(hi - vals[-1]) <= LANCZOS_EPS * sigma + 1e-12
+                assert abs(lo - vals[0]) <= LANCZOS_EPS * sigma + 1e-12
+                for h, val in ((top, hi), (bottom, lo)):
+                    assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
+                    assert abs(val - h @ A @ h) <= 1e-10 * max(sigma, 1.0)
+                    assert np.linalg.norm(A @ h - val * h) <= 0.05 * LANCZOS_EPS * sigma + 1e-12
+
+    def test_weighted_is_the_weighted_sum(self, rng):
+        for n, d, m in [(40, 30, 3), (400, 200, 2)]:
+            op, _, _ = bipartite_operator(rng, n, d, m)
+            for w in [rng.standard_normal(m), *np.eye(m), np.zeros(m)]:
+                A = sum(w[c] * op.dense_matrix(c) for c in range(m))
+                for h in rng.standard_normal((3, op.d)):
+                    assert np.abs(op.weighted(w)(h) - A @ h).max() < 1e-12
+
+    def test_zero_weights(self, rng):
+        # sigma = 0: the top end is the start's normalised U part, at 0
+        op, U, V = bipartite_operator(rng, 40, 30, 3)
+        v0 = rng.standard_normal(op.d)
+        v0 /= np.linalg.norm(v0)
+        [[top, bottom]], [[hi, lo]] = op.eigenpairs(np.zeros((1, 3)), [v0], [-1, 0])
+        assert hi == lo == 0.0
+        assert np.allclose(top[U], v0[U] / np.linalg.norm(v0[U]), rtol=0, atol=1e-12)
+        assert not top[V].any()
+        assert np.array_equal(bottom, op.mirror * top)
+
+    def test_start_without_mass_on_the_rows(self, rng):
+        # a start on V alone begins the Gram side from a uniform vector
+        op, U, V = bipartite_operator(rng, 40, 30, 3)
+        v0 = np.zeros(op.d)
+        v0[V] = rng.standard_normal(len(V))
+        v0 /= np.linalg.norm(v0)
+        H, q = op.eigenpairs(np.eye(3), [v0] * 3, [-1, 0])
+        for c in range(3):
+            vals = np.linalg.eigvalsh(op.dense_matrix(c))
+            sigma = np.abs(vals).max()
+            assert np.abs(q[c] - vals[[-1, 0]]).max() <= LANCZOS_EPS * sigma
+            assert np.array_equal(H[c, 1], op.mirror * H[c, 0])
+
+    def test_empty_colour_class(self, rng):
+        # FM rows of one nonzero each form no pair: every column has one
+        # colour, U is empty, A is zero, and both ends are the start at 0
+        n, d = 12, 5
+        X = np.zeros((n, d))
+        X[np.arange(n), rng.integers(0, d, n)] = 1.0
+        op = GradientOperator(make_dataset(X, np.ones(n, dtype=np.int64), 2), "fm")
+        op.set_gradients(rng.standard_normal((n, 2)))
+        assert op.storage == "sparse" and op.mirror is not None
+        U, V = op._sides
+        assert (len(U), len(V), op.P.shape[1]) == (0, d, 0)
+        v0 = rng.standard_normal(d)
+        v0 /= np.linalg.norm(v0)
+        H, q = op.eigenpairs(np.eye(2), [v0, v0], [-1, 0])
+        assert not q.any()
+        for top, bottom in H:
+            assert np.array_equal(top, v0) and np.array_equal(bottom, op.mirror * v0)
+        h = rng.standard_normal(d)
+        assert not op.weighted(np.ones(2))(h).any() and not op.quad_values(h).any()
 
 
 class TestGradRow:

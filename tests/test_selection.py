@@ -400,19 +400,12 @@ class TestSelectGroup:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_mirror_refines_one_start_per_live_output(self, p, rng, monkeypatch):
-        # select_group refines only top ends under a mirror, and its f
-        # stays close to refining both ends of every live output (the start
-        # set without the mirror). The Lanczos bottom end is the top end's
-        # mirror only to the eigensolver's accuracy (overlap >= 1 - 1e-6),
-        # and the p = 1 rounds are sensitive to such a change of start: over
-        # 900 draws of random_operator(default_rng(501), 40, 30, 3, fm,
-        # one-hot) at Lanczos seeds 0-3 and 7, the worst p = 1 shortfall was
-        # 1.18e-3 (seed 3, draw 833) and 8.9e-4 (seed 7, draw 514), with
-        # every end overlapping its mirror to >= 1 - 1e-6. The one draw with
-        # a repeated top eigenvalue (seed 3, draw 625; overlap 4.6e-3) fell
-        # short by only 2.9e-8. p = 2 fell short by at most 1.4e-6 on three
-        # batches of 300 such operators. The draws here stay within the bounds
-        bound = 1e-4 if p == 1 else 1e-5
+        # select_group refines only top ends under a mirror, and its f equals
+        # that of refining both ends of every live output (the start set
+        # without the mirror). On sparse storage the bottom end is the top
+        # end's mirror bit for bit, and refine commutes with the mirror, so
+        # the two f agree exactly; on the dense one-hot shape eigh's bottom
+        # end is the mirror only to rounding
         checked = 0
         for shape in [sh for sh in STORAGE_SHAPES if sh[3]] * 4:
             op, _ = random_operator(rng, *shape[:3], kind="fm", one_hot=True)
@@ -425,9 +418,13 @@ class TestSelectGroup:
             res = select_group(op, p, SEED)
             monkeypatch.undo()
             assert len(started) == live.sum()
-            assert f_value(res.quad_values, p) >= (1.0 - bound) * best
-            checked += live.any()
-        assert checked >= 10
+            if op.storage == "sparse":
+                assert np.array_equal(H[:, 1], op.mirror * H[:, 0])
+                assert f_value(res.quad_values, p) == best
+                checked += live.any()
+            else:
+                assert f_value(res.quad_values, p) >= (1.0 - 1e-12) * best
+        assert checked >= 8
 
     def test_single_output_matches_l1_route(self, rng):
         op, _ = random_operator(rng, 10, 5, 1)
